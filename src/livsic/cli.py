@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import analysis, circuit, coupling, elementary, verify
-from .colligation import LSystem, impedance_eval, lsystem_from_json, lsystem_to_json, validate
+from .colligation import LSystem, impedance_eval, lsystem_from_json, validate
 from .errors import DomainError, LivsicError
 from .ratfun import RationalFunction
 
@@ -52,10 +52,9 @@ def _classification(c: analysis.DonoghueClassification) -> dict:
 
 
 def _system_json(sys: LSystem, lambda0: complex | None = None) -> dict:
-    doc = lsystem_to_json(sys)
-    doc = {"T": [[_cnum(complex(v["re"], v["im"])) for v in row] for row in doc["T"]],
-           "K": [_cnum(complex(v["re"], v["im"])) for v in doc["K"]],
-           "J": doc["J"]}
+    doc = {"T": [[_cnum(v) for v in row] for row in sys.T],
+           "K": [_cnum(v) for v in sys.K],
+           "J": sys.J}
     if lambda0 is not None:
         doc["lambda0"] = _cnum(lambda0)
     return doc
@@ -195,8 +194,6 @@ def _cmd_couple(args) -> int:
     coupled = coupling.couple(sys1, sys2)
 
     s1, s2 = analysis.c_entropy(sys1), analysis.c_entropy(sys2)
-    d1 = 1.0 - math.exp(-2.0 * s1) if not math.isinf(s1) else 1.0
-    d2 = 1.0 - math.exp(-2.0 * s2) if not math.isinf(s2) else 1.0
     report = {
         "factors": [
             {"lambda0": _cnum(lam)} if lam is not None else {},
@@ -205,7 +202,7 @@ def _cmd_couple(args) -> int:
         "system": _system_json(coupled.system),
         **_entropy_fields(analysis.compose_entropy(s1, s2)),
         "factor_entropies": [_num(s1), _num(s2)],
-        "factor_dissipations": [_num(d1), _num(d2)],
+        "factor_dissipations": [_num(analysis.EntropyReport.from_entropy(s).D) for s in (s1, s2)],
     }
     for i, sub in enumerate((sys1, sys2)):
         try:
@@ -275,7 +272,7 @@ def _cmd_surface(args) -> int:
     for iy in range(len(ys)):
         for ix in range(len(xs)):
             sv = float(s[iy, ix])
-            dv = 1.0 if math.isinf(sv) else 1.0 - math.exp(-2.0 * sv)
+            dv = analysis.EntropyReport.from_entropy(sv).D
             lines.append(f"{xs[ix]:.12g},{ys[iy]:.12g},{sv:.12g},{dv:.12g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -34,8 +34,10 @@ class DimensionError(LivsicError):
 
 
 class SingularResolventError(LivsicError):
-    """Resolvent solve attempted at a point in (or numerically too close
-    to) the spectrum."""
+    """Resolvent solve refused: the shifted operator A - zI is numerically
+    singular or ill-conditioned (sigma_min <= n*eps*sigma_max).  z may lie
+    in the spectrum or merely near enough to it for the solve to lose all
+    precision; the message gives z, n, sigma_min and sigma_max."""
 
 
 class IncompatibleError(LivsicError):
