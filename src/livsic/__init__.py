@@ -60,8 +60,6 @@ from .coupling import (
 )
 from .elementary import (
     ElementarySystem,
-    SkewAdjointSystem,
-    elementary_to_json,
     impedance_closed,
     make_elementary,
     make_skew_adjoint,

@@ -91,15 +91,19 @@ def c_entropy(sys: LSystem) -> float:
     return -math.log(mag)
 
 
+def _elementary_entropy(x, y):
+    """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)], elementwise over
+    parameters x + iy; +inf where x + iy = i."""
+    hi = x * x + (1.0 + y) ** 2
+    lo = x * x + (1.0 - y) ** 2
+    with np.errstate(divide="ignore"):
+        return 0.5 * np.log(np.divide(hi, lo))
+
+
 def c_entropy_elementary_closed(lambda0: complex) -> float:
     """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)] for lambda0 = x + iy."""
     lambda0 = _check_upper(lambda0)
-    x, y = lambda0.real, lambda0.imag
-    hi = x * x + (1.0 + y) ** 2
-    lo = x * x + (1.0 - y) ** 2
-    if lo == 0.0:
-        return INF
-    return 0.5 * math.log(hi / lo)
+    return float(_elementary_entropy(lambda0.real, lambda0.imag))
 
 
 def dissipation_elementary_closed(lambda0: complex) -> float:
@@ -152,16 +156,13 @@ def entropy_surface(x_min: float, x_max: float, y_min: float, y_max: float,
 
     Returns (xs, ys, S) with S of shape (ny, nx), row-major over y then x.
     The value is +inf exactly where (x, y) = (0, 1) lands on a grid node.
+    All four bounds must be finite and both y bounds positive.
     """
-    if y_min <= 0:
-        raise DomainError(f"y_min must be positive, got {y_min}")
+    bounds = (x_min, x_max, y_min, y_max)
+    if not (all(map(math.isfinite, bounds)) and y_min > 0 and y_max > 0):
+        raise DomainError(f"grid bounds must be finite with y > 0, got {bounds}")
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    x, y = np.meshgrid(xs, ys)
-    hi = x * x + (1.0 + y) ** 2
-    lo = x * x + (1.0 - y) ** 2
-    with np.errstate(divide="ignore"):
-        s = 0.5 * np.log(hi / lo)
-    return xs, ys, s
+    return xs, ys, _elementary_entropy(*np.meshgrid(xs, ys))

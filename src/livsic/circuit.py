@@ -43,11 +43,11 @@ class FosterSpec:
         stages = tuple(
             s if isinstance(s, FosterStage) else FosterStage(float(s[0]), float(s[1]))
             for s in stages)
-        if a0 < 0:
-            raise FosterSpecError(f"origin weight a0 must be >= 0, got {a0}")
+        if not 0 <= a0 < math.inf:
+            raise FosterSpecError(f"origin weight a0 must be finite and >= 0, got {a0}")
         for s in stages:
-            if s.a <= 0 or s.b <= 0:
-                raise FosterSpecError(f"stage weights must be positive, got {s}")
+            if not (0 < s.a < math.inf and 0 < s.b < math.inf):
+                raise FosterSpecError(f"stage weights must be finite and positive, got {s}")
         bs = [s.b for s in stages]
         if len(set(bs)) != len(bs):
             raise FosterSpecError(f"resonances must be pairwise distinct, got {bs}")
@@ -81,21 +81,26 @@ class Netlist:
                 raise FosterSpecError("stage component values must be positive")
 
 
-def foster_to_herglotz(spec: FosterSpec) -> RationalFunction:
-    """Assemble M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) over a common
-    denominator.  The origin term is omitted entirely when a0 = 0 so the
-    denominator carries no spurious root there."""
+def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
+    """sign*a0/z + sum a_k z/(b_k^2 + sign*z^2) over a common denominator.
+    The origin term is omitted entirely when a0 = 0 so the denominator
+    carries no spurious root there."""
     terms = []
     if spec.a0 > 0:
-        terms.append(RationalFunction((-spec.a0,), (0.0, 1.0)))
+        terms.append(RationalFunction((sign * spec.a0,), (0.0, 1.0)))
     for s in spec.stages:
-        terms.append(RationalFunction((0.0, s.a), (s.b * s.b, 0.0, -1.0)))
+        terms.append(RationalFunction((0.0, s.a), (s.b * s.b, 0.0, sign)))
     if not terms:
         return RationalFunction((0.0,), (1.0,))
     out = terms[0]
     for t in terms[1:]:
         out = rat_add(out, t)
     return out
+
+
+def foster_to_herglotz(spec: FosterSpec) -> RationalFunction:
+    """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2)."""
+    return _foster_sum(spec, -1.0)
 
 
 def measure_atoms(spec: FosterSpec) -> AtomicMeasure:
@@ -133,18 +138,8 @@ def netlist_to_foster(netlist: Netlist) -> FosterSpec:
 
 
 def positive_real_z(spec: FosterSpec) -> RationalFunction:
-    """Z(p) = a0/p + sum a_k p/(b_k^2 + p^2), a positive-real function of p."""
-    terms = []
-    if spec.a0 > 0:
-        terms.append(RationalFunction((spec.a0,), (0.0, 1.0)))
-    for s in spec.stages:
-        terms.append(RationalFunction((0.0, s.a), (s.b * s.b, 0.0, 1.0)))
-    if not terms:
-        return RationalFunction((0.0,), (1.0,))
-    out = terms[0]
-    for t in terms[1:]:
-        out = rat_add(out, t)
-    return out
+    """Z(p) = M(ip)/i = a0/p + sum a_k p/(b_k^2 + p^2), positive-real in p."""
+    return _foster_sum(spec, 1.0)
 
 
 def skew_coupling_foster(lambda0: complex) -> FosterSpec:
@@ -157,16 +152,12 @@ def skew_coupling_foster(lambda0: complex) -> FosterSpec:
 
 def skew_coupling_circuit(lambda0: complex) -> Netlist:
     """Parallel LC block attached to the elementary/skew-adjoint coupling:
-    L = Im(lambda0)/|lambda0|^2 and C = 1/Im(lambda0).
-
-    Note the LC product fixes only the resonance 1/sqrt(LC) = |lambda0|;
-    these component values carry half the Foster stage weight of
-    :func:`skew_coupling_foster` (a bookkeeping convention, not a
-    different resonant circuit).
+    L = Im(lambda0)/|lambda0|^2 and C = 1/Im(lambda0), the synthesis of
+    :func:`skew_coupling_foster` at half its stage weight (same resonance
+    |lambda0|), so its impedance is half V of the self-skew coupling.
     """
-    lambda0 = _check_upper(lambda0)
-    m2 = lambda0.real ** 2 + lambda0.imag ** 2
-    return Netlist(None, (LCStage(lambda0.imag / m2, 1.0 / lambda0.imag),))
+    (stage,) = skew_coupling_foster(lambda0).stages
+    return synthesize(FosterSpec(0.0, [(stage.a / 2.0, stage.b)]))
 
 
 def emit_netlist(netlist: Netlist) -> str:

@@ -94,6 +94,15 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _factor_systems(doc) -> tuple[LSystem, LSystem]:
+    """The two factors of a coupling descriptor, {"factors": [...]} or a
+    bare list; any other count of factors is malformed."""
+    factors = doc["factors"] if isinstance(doc, dict) else doc
+    if len(factors) != 2:
+        raise ValueError(f"coupling descriptor needs 2 factors, got {len(factors)}")
+    return system_from_descriptor(factors[0]), system_from_descriptor(factors[1])
+
+
 def system_from_descriptor(doc) -> LSystem:
     """Assemble a system from any supported descriptor shape:
     {"T","K","J"}, {"lambda0"}, {"factors": [...]} (recursively), or a
@@ -108,11 +117,7 @@ def system_from_descriptor(doc) -> LSystem:
         lam = doc["lambda0"]
         return elementary.make_elementary(complex(float(lam["re"]), float(lam["im"]))).system
     if "factors" in doc:
-        factors = doc["factors"]
-        if len(factors) != 2:
-            raise ValueError(f"coupling descriptor needs 2 factors, got {len(factors)}")
-        return coupling.couple(system_from_descriptor(factors[0]),
-                               system_from_descriptor(factors[1])).system
+        return coupling.couple(*_factor_systems(doc)).system
     raise ValueError("descriptor has none of the keys 'T', 'lambda0', 'factors'")
 
 
@@ -178,10 +183,7 @@ def _cmd_skew(args) -> int:
 
 def _cmd_couple(args) -> int:
     if args.infile:
-        doc = _load_json(args.infile)
-        factors = doc["factors"] if isinstance(doc, dict) else doc
-        sys1 = system_from_descriptor(factors[0])
-        sys2 = system_from_descriptor(factors[1])
+        sys1, sys2 = _factor_systems(_load_json(args.infile))
         lam = mu = None
     else:
         if args.lambda0 is None or args.mu0 is None:

@@ -9,7 +9,8 @@ Its transfer function is the product of the factor transfer functions
 (multiplication theorem), which is what makes the c-entropy of a coupling
 additive.  Closed forms are provided for couplings of two elementary
 systems and for the self-coupling of an elementary system with its
-skew-adjoint companion.
+skew-adjoint companion.  The latter stay explicit: coupling_*_closed(l,
+-conj(l)) is equal but flips the sign of zero coefficient parts.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ and its impedance function the one-pole Herglotz function
     V(z) = Im(lambda0) / (Re(lambda0) - z).
 
 The skew-adjoint companion replaces the main operator by [-conj(lambda0)]
-while keeping the channel, which mirrors both closed forms across the
-imaginary axis.
+while keeping the channel; as -conj(lambda0) has the same imaginary part,
+it is the elementary system of -conj(lambda0).
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ class ElementarySystem:
     system: LSystem
 
 
-@dataclass(frozen=True)
-class SkewAdjointSystem:
-    lambda0: complex
-    system: LSystem
-
-
 def make_elementary(lambda0: complex) -> ElementarySystem:
     """Build the 1x1 system ([lambda0], [sqrt(Im lambda0)], +1)."""
     lambda0 = _check_upper(lambda0)
@@ -54,11 +48,9 @@ def make_elementary(lambda0: complex) -> ElementarySystem:
     return ElementarySystem(lambda0, LSystem([[lambda0]], [k], 1))
 
 
-def make_skew_adjoint(lambda0: complex) -> SkewAdjointSystem:
-    """Build the companion system ([-conj(lambda0)], [sqrt(Im lambda0)], +1)."""
-    lambda0 = _check_upper(lambda0)
-    k = math.sqrt(lambda0.imag)
-    return SkewAdjointSystem(lambda0, LSystem([[-lambda0.conjugate()]], [k], 1))
+def make_skew_adjoint(lambda0: complex) -> ElementarySystem:
+    """Companion ([-conj(lambda0)], [sqrt(Im lambda0)], +1) = make_elementary(-conj(lambda0))."""
+    return make_elementary(-_check_upper(lambda0).conjugate())
 
 
 def transfer_closed(lambda0: complex) -> RationalFunction:
@@ -74,16 +66,12 @@ def impedance_closed(lambda0: complex) -> RationalFunction:
 
 
 def skew_transfer_closed(lambda0: complex) -> RationalFunction:
-    """W(z) = (lambda0 + z)/(conj(lambda0) + z) of the skew companion."""
-    lambda0 = _check_upper(lambda0)
-    return RationalFunction((lambda0, 1.0), (lambda0.conjugate(), 1.0))
+    """W(z) = (lambda0 + z)/(conj(lambda0) + z) = transfer_closed(-conj(lambda0))."""
+    return transfer_closed(-_check_upper(lambda0).conjugate())
 
 
 def skew_impedance_closed(lambda0: complex) -> RationalFunction:
-    """V(z) = -Im(lambda0)/(Re(lambda0) + z) of the skew companion."""
+    """V(z) = -Im(lambda0)/(Re(lambda0) + z) of the skew companion.  Kept explicit:
+    impedance_closed(-conj(lambda0)) is equal but flips the sign of a zero coefficient."""
     lambda0 = _check_upper(lambda0)
     return RationalFunction((-lambda0.imag,), (lambda0.real, 1.0))
-
-
-def elementary_to_json(sys: ElementarySystem | SkewAdjointSystem) -> dict:
-    return {"lambda0": {"re": sys.lambda0.real, "im": sys.lambda0.imag}}

@@ -50,5 +50,6 @@ class RangeError(LivsicError):
 
 
 class FosterSpecError(LivsicError):
-    """Foster circuit data violates its invariants (nonnegative origin
-    weight, positive stage weights, distinct positive resonances)."""
+    """Foster circuit data violates its invariants (finite values, a
+    nonnegative origin weight, positive stage weights, distinct positive
+    resonances)."""

@@ -152,9 +152,6 @@ class RationalFunction:
         return f"[{self.num}] / [{self.den}]"
 
 
-ONE = RationalFunction((1.0,), (1.0,))
-
-
 def rat_eval(r: RationalFunction, z: complex) -> complex:
     """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
 

@@ -240,6 +240,20 @@ class TestEntropySurface:
         with pytest.raises(ValueError):
             entropy_surface(-1, 1, 0.1, 2, 1, 5)
 
+    @pytest.mark.parametrize("bounds", [
+        (-1, 1, 1, -1), (-1, 1, 1, 0.0), (-1, 1, math.nan, 1), (math.nan, 1, 0.5, 1),
+        (-1, math.inf, 0.5, 2), (-math.inf, 1, 0.5, 2), (-1, 1, 0.5, math.inf),
+    ])
+    def test_rejects_non_finite_or_nonpositive_bounds(self, bounds):
+        with pytest.raises(DomainError):
+            entropy_surface(*bounds, 5, 5)
+
+    def test_nodes_equal_scalar_closed_form(self):
+        xs, ys, s = entropy_surface(-2, 2, 0.25, 3, 17, 12)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                assert s[iy, ix] == c_entropy_elementary_closed(complex(x, y))
+
     def test_row_major_layout(self):
         xs, ys, s = entropy_surface(0, 1, 0.5, 1.5, 3, 4)
         assert s.shape == (4, 3)

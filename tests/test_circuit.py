@@ -50,6 +50,15 @@ class TestFosterSpec:
         with pytest.raises(FosterSpecError):
             FosterSpec(0.0, [(1.0, 1.0), (2.0, 1.0)])
 
+    @pytest.mark.parametrize("a0, stages, bad", [
+        (math.nan, [], "nan"), (math.inf, [], "inf"),
+        (1.0, [(math.nan, 1.0)], "nan"), (1.0, [(math.inf, 1.0)], "inf"),
+        (0.0, [(1.0, math.nan)], "nan"), (0.0, [(1.0, 2.0), (1.0, math.inf)], "inf"),
+    ])
+    def test_rejects_non_finite_data(self, a0, stages, bad):
+        with pytest.raises(FosterSpecError, match=f"finite.*{bad}"):
+            FosterSpec(a0, stages)
+
     def test_json_round_trip(self):
         spec = FosterSpec(1.5, [(2.0, 1.0), (0.5, 3.0)])
         assert foster_from_json(foster_to_json(spec)) == spec
@@ -221,6 +230,15 @@ class TestSkewCouplingCircuit:
             mod = math.hypot(lam.real, lam.imag)
             assert abs(net.stages[0].resonance - mod) < 1e-12 * max(1.0, mod)
             assert abs(synthesize(spec).stages[0].resonance - mod) < 1e-12 * max(1.0, mod)
+
+
+    def test_half_the_foster_stage_weight(self, rng):
+        # the circuit is the synthesis of the Foster data at half the weight
+        for lam in (1j, 1 + 1j, 2j, -0.5 + 0.2j, complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))):
+            (half,) = netlist_to_foster(skew_coupling_circuit(lam)).stages
+            (full,) = skew_coupling_foster(lam).stages
+            assert rel_err(half.a, full.a / 2.0) <= 1e-15
+            assert rel_err(half.b, full.b) <= 1e-15
 
 
 class TestEmitNetlist:

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,18 @@ class TestCouple:
         assert len(report["system"]["T"]) == 2
 
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("bare_list", [False, True])
+    def test_in_needs_exactly_two_factors(self, capsys, tmp_path, count, bare_list):
+        factors = [{"lambda0": {"re": 0.0, "im": 1.0 + k}} for k in range(count)]
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps(factors if bare_list else {"factors": factors}))
+        for sub in ("couple", "classify"):
+            code, out, err = run(capsys, sub, "--in", str(path))
+            assert code == 1 and out == ""
+            assert f"coupling descriptor needs 2 factors, got {count}" in err
+
+
 class TestClassify:
     def test_inline_parameter(self, capsys):
         report = run_json(capsys, "classify", "--lambda0", "0,3")
@@ -171,6 +185,11 @@ class TestSurface:
         code, _, _ = run(capsys, "surface", "--grid=-1,1,0,2,5,5")
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["-1,1,1,-1,3,3", "-1,1,nan,1,3,3", "-1,inf,1,2,3,3"])
+    def test_non_finite_or_nonpositive_bounds_exit_3(self, capsys, grid):
+        code, out, err = run(capsys, "surface", f"--grid={grid}")
+        assert code == 3 and out == "" and "domain error" in err
+
 
 class TestSynth:
     def test_netlist_from_json(self, capsys, tmp_path):
@@ -193,6 +212,17 @@ class TestSynth:
         code, _, _ = run(capsys, "synth")
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"a0": float("nan"), "stages": [{"a": 1.0, "b": 2.0}]},
+        {"a0": 1.0, "stages": [{"a": float("nan"), "b": 2.0}]},
+        {"a0": 1.0, "stages": [{"a": 1.0, "b": float("inf")}]},
+    ])
+    def test_non_finite_data_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "foster.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 2 and out == "" and "finite" in err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -205,3 +235,27 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--seed", "7")
         _, out2, _ = run(capsys, "verify", "--seed", "7")
         assert out1 == out2
+
+
+#: The README examples whose stdout the benchmark pins byte for byte.
+README_EXAMPLES = {
+    "elementary": ["elementary", "--lambda0", "1,1"],
+    "skew": ["skew", "--lambda0", "1,1"],
+    "couple": ["couple", "--lambda0", "0,0.5", "--mu0", "0,0.5"],
+    "surface": ["surface", "--grid=-2,2,0.05,3,81,60"],
+    "verify": ["verify", "--seed", "42"],
+}
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
+
+
+class TestGoldens:
+    def test_goldens_cover_the_examples(self):
+        assert json.loads(GOLDENS.read_text()).keys() == README_EXAMPLES.keys()
+
+    @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+    def test_stdout_matches_pinned_digest(self, capsys, name):
+        code, out, _ = run(capsys, *README_EXAMPLES[name])
+        data = out.encode()
+        assert code == 0
+        digest = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        assert digest == json.loads(GOLDENS.read_text())[name]

@@ -16,6 +16,7 @@ from livsic import (
     couple,
     coupling_impedance_closed,
     coupling_transfer_closed,
+    impedance_closed,
     impedance_eval,
     make_elementary,
     make_skew_adjoint,
@@ -24,6 +25,7 @@ from livsic import (
     self_skew_coupling,
     self_skew_impedance_closed,
     self_skew_transfer_closed,
+    skew_impedance_closed,
     transfer_closed,
     transfer_eval,
     validate,
@@ -190,3 +192,14 @@ class TestSelfSkewCoupling:
             (t1, w1), (t2, w2) = m.atoms
             assert abs(t1 + mod) < 1e-10 and abs(t2 - mod) < 1e-10
             assert abs(w1 - lam.imag) < 1e-10 and abs(w2 - lam.imag) < 1e-10
+
+
+class TestExplicitSkewForms:
+    """The skew closed forms kept explicit equal their derivations at -conj(lambda0)."""
+
+    def test_equal_to_derived_forms(self, rng):
+        for lam in [1j, 1 + 1j, 0.5j, -2 + 0.3j] + [draw_upper(rng) for _ in range(40)]:
+            mirror = -lam.conjugate()
+            assert_rat_equal(skew_impedance_closed(lam), impedance_closed(mirror))
+            assert_rat_equal(self_skew_transfer_closed(lam), coupling_transfer_closed(lam, mirror))
+            assert_rat_equal(self_skew_impedance_closed(lam), coupling_impedance_closed(lam, mirror))

@@ -102,6 +102,11 @@ class TestSkewAdjoint:
         v = impedance_eval(skew.system, 1.5j)
         assert rel_err(v, rat_eval(skew_impedance_closed(2 + 1j), 1.5j)) < 1e-12
 
+    def test_is_elementary_system_of_mirrored_parameter(self, rng):
+        for lam in (1j, 1 + 1j, -2 + 0.5j, draw_upper(rng)):
+            skew, mirror = make_skew_adjoint(lam), make_elementary(-lam.conjugate())
+            assert skew == mirror and skew.lambda0 == -lam.conjugate()
+
     def test_imag_part_preserved(self, rng):
         for _ in range(20):
             lam = draw_upper(rng)
