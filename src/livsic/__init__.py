@@ -10,7 +10,6 @@ matrix-resolvent counterpart so the two routes can be cross-checked.
 from .analysis import (
     DonoghueClass,
     DonoghueClassification,
-    EntropyReport,
     c_entropy,
     c_entropy_elementary_closed,
     classify_at_i,
@@ -20,6 +19,7 @@ from .analysis import (
     coupling_dissipation_closed,
     coupling_entropy_closed,
     dissipation_elementary_closed,
+    dissipation_from_entropy,
     entropy_surface,
 )
 from .circuit import (
@@ -29,10 +29,8 @@ from .circuit import (
     Netlist,
     classify_foster,
     emit_netlist,
-    foster_from_json,
     foster_mass,
     foster_to_herglotz,
-    foster_to_json,
     measure_atoms,
     netlist_to_foster,
     positive_real_z,
@@ -44,8 +42,6 @@ from .colligation import (
     LSystem,
     ValidationReport,
     impedance_eval,
-    lsystem_from_json,
-    lsystem_to_json,
     transfer_eval,
     validate,
 )

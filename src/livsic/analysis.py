@@ -10,11 +10,12 @@ one of three classes by the size of a = Im V(i):
 The c-entropy of a system is S = -ln|W(-i)| and the dissipation
 coefficient D = 1 - exp(-2S).  Under coupling, S is additive and D
 composes as D1 + D2 - D1*D2.  Infinity is carried as the genuine IEEE
-infinity (never a large float) and serialized as the string "inf".
+infinity (never a large float).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -46,32 +47,25 @@ class DonoghueClassification:
     a: float
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    S: float
-    D: float
-
-    @classmethod
-    def from_entropy(cls, s: float) -> "EntropyReport":
-        return cls(s, 1.0 if math.isinf(s) else 1.0 - math.exp(-2.0 * s))
-
-
-def classify_at_i(v_at_i: complex, tol: float = TAU_CLASS) -> DonoghueClassification:
-    """Classify a Herglotz function from its value at z = i."""
+def classify_at_i(v_at_i: complex) -> DonoghueClassification:
+    """Classify a Herglotz function from its value at z = i, which must be
+    finite with a positive imaginary part."""
     v_at_i = complex(v_at_i)
     a = v_at_i.imag
+    if not cmath.isfinite(v_at_i):
+        raise NotHerglotzError(f"V(i) = {v_at_i} is not finite")
     if a <= 0:
         raise NotHerglotzError(f"Im V(i) = {a} is not positive")
-    if abs(v_at_i.real) > tol:
+    if abs(v_at_i.real) > TAU_CLASS:
         return DonoghueClassification(DonoghueClass.NONE, None, a)
-    if abs(a - 1.0) <= tol:
+    if abs(a - 1.0) <= TAU_CLASS:
         return DonoghueClassification(DonoghueClass.M_HAT, 0.0, a)
     if a < 1.0:
         return DonoghueClassification(DonoghueClass.M_HAT_KAPPA, (1.0 - a) / (1.0 + a), a)
     return DonoghueClassification(DonoghueClass.M_HAT_KAPPA_INVERSE, (a - 1.0) / (1.0 + a), a)
 
 
-def classify_elementary(lambda0: complex, tol: float = TAU_CLASS) -> DonoghueClassification:
+def classify_elementary(lambda0: complex) -> DonoghueClassification:
     """Classify the elementary system's impedance from its parameter.
 
     V(i) = Im(l)/(Re(l) - i), so membership requires Re(l) = 0 and the
@@ -79,7 +73,7 @@ def classify_elementary(lambda0: complex, tol: float = TAU_CLASS) -> DonoghueCla
     """
     lambda0 = _check_upper(lambda0)
     v_at_i = lambda0.imag / (lambda0.real - 1j)
-    return classify_at_i(v_at_i, tol)
+    return classify_at_i(v_at_i)
 
 
 def c_entropy(sys: LSystem) -> float:
@@ -89,6 +83,11 @@ def c_entropy(sys: LSystem) -> float:
     if mag <= TAU_ZERO:
         return INF
     return -math.log(mag)
+
+
+def dissipation_from_entropy(s: float) -> float:
+    """D = 1 - exp(-2S), with D = 1 at S = +inf."""
+    return 1.0 if math.isinf(s) else 1.0 - math.exp(-2.0 * s)
 
 
 def _elementary_entropy(x, y):

@@ -71,14 +71,14 @@ class Netlist:
 
     series_capacitor: float | None
     stages: tuple[LCStage, ...]
-    topology: str = "series chain of parallel LC blocks"
 
     def __post_init__(self):
-        if self.series_capacitor is not None and self.series_capacitor <= 0:
-            raise FosterSpecError("series capacitance must be positive")
+        c0 = self.series_capacitor
+        if c0 is not None and not 0 < c0 < math.inf:
+            raise FosterSpecError(f"series capacitance must be finite and positive, got {c0}")
         for s in self.stages:
-            if s.inductance <= 0 or s.capacitance <= 0:
-                raise FosterSpecError("stage component values must be positive")
+            if not (0 < s.inductance < math.inf and 0 < s.capacitance < math.inf):
+                raise FosterSpecError(f"stage component values must be finite and positive, got {s}")
 
 
 def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
@@ -179,11 +179,3 @@ def emit_netlist(netlist: Netlist) -> str:
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
-
-def foster_to_json(spec: FosterSpec) -> dict:
-    return {"a0": spec.a0, "stages": [{"a": s.a, "b": s.b} for s in spec.stages]}
-
-
-def foster_from_json(doc: dict) -> FosterSpec:
-    return FosterSpec(float(doc["a0"]),
-                      [(float(s["a"]), float(s["b"])) for s in doc.get("stages", [])])

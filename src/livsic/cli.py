@@ -1,9 +1,11 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that reads and writes JSON.
 
 Subcommands build, couple, classify and analyze systems from inline
-parameters or JSON descriptors, and emit reports (JSON), grids (CSV) or
-netlists (text).  Output is deterministic: floats are rounded to 12
-significant digits, infinity prints as "inf", line endings are LF.
+parameters, JSON descriptors or Foster data JSON, and emit reports (JSON),
+grids (CSV) or netlists (text).  Output is deterministic: floats are
+rounded to 12 significant digits, line endings are LF, and infinity, which
+the library carries as the genuine IEEE infinity, is serialized as the
+string "inf".
 
 Exit codes: 0 success, 1 malformed input, 2 invariant violation,
 3 domain error.
@@ -17,7 +19,7 @@ import math
 import sys
 
 from . import analysis, circuit, coupling, elementary, verify
-from .colligation import LSystem, impedance_eval, lsystem_from_json, validate
+from .colligation import LSystem, impedance_eval, validate
 from .errors import DomainError, LivsicError
 from .ratfun import RationalFunction
 
@@ -74,6 +76,10 @@ def _print_report(report: dict, out: str | None = None) -> None:
 
 # -- input parsing -------------------------------------------------------
 
+def _complex(doc) -> complex:
+    return complex(float(doc["re"]), float(doc["im"]))
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -105,17 +111,18 @@ def _factor_systems(doc) -> tuple[LSystem, LSystem]:
 
 def system_from_descriptor(doc) -> LSystem:
     """Assemble a system from any supported descriptor shape:
-    {"T","K","J"}, {"lambda0"}, {"factors": [...]} (recursively), or a
-    bare two-element list treated as factors."""
+    {"T","K","J"} with {"re","im"} entries and J = 1 by default,
+    {"lambda0"}, {"factors": [...]} (recursively), or a bare two-element
+    list treated as factors."""
     if isinstance(doc, list):
         doc = {"factors": doc}
     if not isinstance(doc, dict):
         raise ValueError(f"descriptor must be an object or list, got {type(doc).__name__}")
     if "T" in doc:
-        return lsystem_from_json(doc)
+        return LSystem([[_complex(v) for v in row] for row in doc["T"]],
+                       [_complex(v) for v in doc["K"]], doc.get("J", 1))
     if "lambda0" in doc:
-        lam = doc["lambda0"]
-        return elementary.make_elementary(complex(float(lam["re"]), float(lam["im"]))).system
+        return elementary.make_elementary(_complex(doc["lambda0"])).system
     if "factors" in doc:
         return coupling.couple(*_factor_systems(doc)).system
     raise ValueError("descriptor has none of the keys 'T', 'lambda0', 'factors'")
@@ -132,7 +139,7 @@ def _require_valid(sys: LSystem) -> None:
 # -- subcommand handlers --------------------------------------------------
 
 def _entropy_fields(s: float) -> dict:
-    return {"entropy": _num(s), "dissipation": _num(analysis.EntropyReport.from_entropy(s).D)}
+    return {"entropy": _num(s), "dissipation": _num(analysis.dissipation_from_entropy(s))}
 
 
 def _cmd_elementary(args) -> int:
@@ -148,7 +155,7 @@ def _cmd_elementary(args) -> int:
     }
     _print_report(report)
     if args.out:
-        _emit(json.dumps(_system_json(built.system, lam), indent=2) + "\n", args.out)
+        _print_report(report["system"], args.out)
     return EXIT_OK
 
 
@@ -177,7 +184,7 @@ def _cmd_skew(args) -> int:
     }
     _print_report(report)
     if args.out:
-        _emit(json.dumps(_system_json(skew.system, lam), indent=2) + "\n", args.out)
+        _print_report(report["skew_system"], args.out)
     return EXIT_OK
 
 
@@ -204,7 +211,7 @@ def _cmd_couple(args) -> int:
         "system": _system_json(coupled.system),
         **_entropy_fields(analysis.compose_entropy(s1, s2)),
         "factor_entropies": [_num(s1), _num(s2)],
-        "factor_dissipations": [_num(analysis.EntropyReport.from_entropy(s).D) for s in (s1, s2)],
+        "factor_dissipations": [_num(analysis.dissipation_from_entropy(s)) for s in (s1, s2)],
     }
     for i, sub in enumerate((sys1, sys2)):
         try:
@@ -224,17 +231,15 @@ def _cmd_couple(args) -> int:
         pass
     _print_report(report)
     if args.out:
-        _emit(json.dumps(_system_json(coupled.system), indent=2) + "\n", args.out)
+        _print_report(report["system"], args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     if args.infile:
         sys_ = system_from_descriptor(_load_json(args.infile))
-        source = "resolvent"
     elif args.lambda0 is not None:
         sys_ = elementary.make_elementary(args.lambda0).system
-        source = "resolvent"
     else:
         raise ValueError("classify needs --in or --lambda0")
     _require_valid(sys_)
@@ -242,7 +247,7 @@ def _cmd_classify(args) -> int:
     report = {
         "impedance_at_i": _cnum(v_i),
         "classification": _classification(analysis.classify_at_i(v_i)),
-        "source": source,
+        "source": "resolvent",
     }
     if args.lambda0 is not None and not args.infile:
         report["closed_form"] = _classification(analysis.classify_elementary(args.lambda0))
@@ -274,7 +279,7 @@ def _cmd_surface(args) -> int:
     for iy in range(len(ys)):
         for ix in range(len(xs)):
             sv = float(s[iy, ix])
-            dv = analysis.EntropyReport.from_entropy(sv).D
+            dv = analysis.dissipation_from_entropy(sv)
             lines.append(f"{xs[ix]:.12g},{ys[iy]:.12g},{sv:.12g},{dv:.12g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -283,7 +288,8 @@ def _cmd_surface(args) -> int:
 def _cmd_synth(args) -> int:
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
-    spec = circuit.foster_from_json(_load_json(args.infile))
+    doc = _load_json(args.infile)
+    spec = circuit.FosterSpec(doc["a0"], [(s["a"], s["b"]) for s in doc.get("stages", [])])
     _emit(circuit.emit_netlist(circuit.synthesize(spec)), args.out)
     return EXIT_OK
 

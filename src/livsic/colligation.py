@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, SingularResolventError
 
-#: Default bound on ||Im T - K J K*|| / (1 + ||T||) for a valid system.
+#: Bound on ||Im T - K J K*|| / (1 + ||T||) for a valid system.
 TAU_COLLIGATION = 1e-9
 
 _EPS = float(np.finfo(float).eps)
@@ -92,18 +92,17 @@ class LSystem:
 class ValidationReport:
     residual: float
     threshold: float
-    tol: float
     passed: bool
 
 
-def validate(sys: LSystem, tol: float = TAU_COLLIGATION) -> ValidationReport:
+def validate(sys: LSystem) -> ValidationReport:
     """Check the colligation identity Im T = K J K*.
 
     The residual ||(T - T*)/2i - J K K*|| (Frobenius) is compared against
-    tol * (1 + ||T||).
+    TAU_COLLIGATION * (1 + ||T||).
     """
-    threshold = tol * (1.0 + float(np.linalg.norm(sys.T)))
-    return ValidationReport(sys.residual, threshold, tol, sys.residual <= threshold)
+    threshold = TAU_COLLIGATION * (1.0 + float(np.linalg.norm(sys.T)))
+    return ValidationReport(sys.residual, threshold, sys.residual <= threshold)
 
 
 def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: complex) -> np.ndarray:
@@ -146,27 +145,3 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z)
     return complex(np.vdot(sys.K, x))
 
-
-# -- JSON wire format ---------------------------------------------------
-
-def _c_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _c_from_json(doc) -> complex:
-    return complex(float(doc["re"]), float(doc["im"]))
-
-
-def lsystem_to_json(sys: LSystem) -> dict:
-    """Descriptor of the form {"T": [[{re,im},..],..], "K": [{re,im},..], "J": 1}."""
-    return {
-        "T": [[_c_to_json(v) for v in row] for row in sys.T],
-        "K": [_c_to_json(v) for v in sys.K],
-        "J": sys.J,
-    }
-
-
-def lsystem_from_json(doc: dict) -> LSystem:
-    t = [[_c_from_json(v) for v in row] for row in doc["T"]]
-    k = [_c_from_json(v) for v in doc["K"]]
-    return LSystem(t, k, int(doc.get("J", 1)))

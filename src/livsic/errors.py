@@ -25,8 +25,8 @@ class NotHerglotzAtomicError(LivsicError):
 
 
 class NotHerglotzError(LivsicError):
-    """A value that must come from a Herglotz function has a non-positive
-    imaginary part."""
+    """A value that must come from a Herglotz function is not finite or has
+    a non-positive imaginary part."""
 
 
 class DimensionError(LivsicError):

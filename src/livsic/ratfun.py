@@ -145,9 +145,6 @@ class RationalFunction:
     def __call__(self, z: complex) -> complex:
         return rat_eval(self, z)
 
-    def poles(self) -> np.ndarray:
-        return self.den.roots()
-
     def __str__(self) -> str:
         return f"[{self.num}] / [{self.den}]"
 
@@ -197,15 +194,17 @@ def cayley_v_to_w(v: RationalFunction) -> RationalFunction:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finitely many point masses on the real line, weights > 0."""
+    """Finitely many point masses at finite real locations, finite weights > 0."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __init__(self, atoms):
         pairs = sorted((float(t) + 0.0, float(w)) for t, w in atoms)
         for i, (t, w) in enumerate(pairs):
-            if w <= 0:
-                raise ValueError(f"weight at t={t} must be positive, got {w}")
+            # a NaN leaves the sort order undefined, but is still rejected here
+            if not (cmath.isfinite(t) and 0 < w < cmath.inf):
+                raise ValueError(f"atom at t={t} needs a finite location and a finite "
+                                 f"positive weight, got {w}")
             if i and pairs[i - 1][0] == t:
                 raise ValueError(f"duplicate atom location t={t}")
         object.__setattr__(self, "atoms", tuple(pairs))

@@ -9,7 +9,6 @@ from conftest import draw_upper, rel_err
 from livsic import (
     DomainError,
     DonoghueClass,
-    EntropyReport,
     NotHerglotzError,
     RangeError,
     c_entropy,
@@ -22,6 +21,7 @@ from livsic import (
     coupling_dissipation_closed,
     coupling_entropy_closed,
     dissipation_elementary_closed,
+    dissipation_from_entropy,
     entropy_surface,
     make_elementary,
     make_skew_adjoint,
@@ -52,6 +52,12 @@ class TestClassifyAtI:
             classify_at_i(-1j)
         with pytest.raises(NotHerglotzError):
             classify_at_i(2.0)
+
+    @pytest.mark.parametrize("v", [complex(0, math.nan), complex(math.nan, 0.5),
+                                   complex(0, INF), complex(INF, 1.0), complex(math.nan, -1.0)])
+    def test_non_finite_value_is_not_herglotz(self, v):
+        with pytest.raises(NotHerglotzError, match=r"V\(i\) = .*(nan|inf).* is not finite"):
+            classify_at_i(v)
 
     def test_tolerance_band(self):
         assert classify_at_i(complex(0, 1 + 1e-12)).class_tag is DonoghueClass.M_HAT
@@ -199,12 +205,10 @@ class TestCoherence:
 
 class TestEntropyReport:
     def test_finite(self):
-        rep = EntropyReport.from_entropy(math.log(3))
-        assert abs(rep.D - 8 / 9) < 1e-15
+        assert abs(dissipation_from_entropy(math.log(3)) - 8 / 9) < 1e-15
 
     def test_infinite(self):
-        rep = EntropyReport.from_entropy(INF)
-        assert rep.S == INF and rep.D == 1.0
+        assert dissipation_from_entropy(INF) == 1.0
 
 
 class TestEntropySurface:

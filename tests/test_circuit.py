@@ -10,14 +10,14 @@ from livsic import (
     DonoghueClass,
     FosterSpec,
     FosterSpecError,
+    LCStage,
+    Netlist,
     RationalFunction,
     classify_at_i,
     classify_foster,
     emit_netlist,
-    foster_from_json,
     foster_mass,
     foster_to_herglotz,
-    foster_to_json,
     measure_atoms,
     netlist_to_foster,
     partial_fractions_real_poles,
@@ -58,10 +58,6 @@ class TestFosterSpec:
     def test_rejects_non_finite_data(self, a0, stages, bad):
         with pytest.raises(FosterSpecError, match=f"finite.*{bad}"):
             FosterSpec(a0, stages)
-
-    def test_json_round_trip(self):
-        spec = FosterSpec(1.5, [(2.0, 1.0), (0.5, 3.0)])
-        assert foster_from_json(foster_to_json(spec)) == spec
 
 
 class TestFosterToHerglotz:
@@ -162,6 +158,14 @@ class TestSynthesize:
             assert abs(back.a0 - spec.a0) < 1e-12
             for s1, s2 in zip(spec.stages, back.stages):
                 assert abs(s1.a - s2.a) < 1e-12 and abs(s1.b - s2.b) < 1e-12
+
+    @pytest.mark.parametrize("c0, stages", [
+        (0.0, ()), (math.nan, ()), (math.inf, ()),
+        (None, ((-1.0, 1.0),)), (None, ((math.nan, 1.0),)), (1.0, ((1.0, math.inf),)),
+    ])
+    def test_netlist_rejects_non_finite_or_nonpositive_values(self, c0, stages):
+        with pytest.raises(FosterSpecError, match="finite and positive"):
+            Netlist(c0, tuple(LCStage(*s) for s in stages))
 
 
 class TestPositiveRealZ:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from livsic.cli import main
+from livsic.cli import main, system_from_descriptor
 
 
 def run(capsys, *argv):
@@ -56,6 +56,33 @@ class TestElementary:
         assert doc["T"] == [[{"re": 0.0, "im": 1.0}]]
         assert doc["K"] == [{"re": 1.0, "im": 0.0}]
         assert doc["J"] == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["elementary", "--lambda0", "1,1"], "system"),
+        (["skew", "--lambda0", "1,1"], "skew_system"),
+        (["couple", "--lambda0", "0,0.5", "--mu0", "1,2"], "system"),
+    ])
+    def test_out_file_is_the_reported_system(self, capsys, tmp_path, argv, key):
+        path = tmp_path / "sys.json"
+        report = run_json(capsys, *argv, "--out", str(path))
+        assert path.read_text() == json.dumps(report[key], indent=2) + "\n"
+
+
+class TestDescriptor:
+    T_K = {"T": [[{"re": 0.0, "im": 1.0}]], "K": [{"re": 1.0, "im": 0.0}]}
+
+    def test_default_directing_sign(self):
+        assert system_from_descriptor(self.T_K).J == 1
+
+    @pytest.mark.parametrize("j, written", [
+        (1.7, "1.7"), (-1.5, "-1.5"), (0.5, "0.5"), ("1", "'1'"), (2, "2"),
+    ])
+    def test_directing_sign_is_not_truncated(self, capsys, tmp_path, j, written):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({**self.T_K, "J": j}))
+        code, out, err = run(capsys, "classify", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"invariant violation: directing sign must be +1 or -1, got {written}\n"
 
 
 class TestSkew:

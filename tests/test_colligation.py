@@ -12,8 +12,6 @@ from livsic import (
     SingularResolventError,
     couple,
     impedance_eval,
-    lsystem_from_json,
-    lsystem_to_json,
     make_elementary,
     transfer_eval,
     validate,
@@ -107,19 +105,6 @@ class TestAnalyticIdentities:
             for _ in range(50):
                 z = draw_z_upper(rng)
                 assert impedance_eval(sys, z).imag > 0
-
-
-class TestJson:
-    def test_round_trip(self):
-        sys = couple(make_elementary(0.5 + 1j).system,
-                     make_elementary(-1 + 2j).system).system
-        back = lsystem_from_json(lsystem_to_json(sys))
-        assert np.allclose(back.T, sys.T) and np.allclose(back.K, sys.K)
-        assert back.J == sys.J
-
-    def test_default_directing_sign(self):
-        doc = {"T": [[{"re": 0.0, "im": 1.0}]], "K": [{"re": 1.0, "im": 0.0}]}
-        assert lsystem_from_json(doc).J == 1
 
 
 def _chain(lams):

@@ -223,6 +223,14 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError):
             AtomicMeasure([(1.0, 1.0), (1.0, 2.0)])
 
+    @pytest.mark.parametrize("atoms", [
+        [(0.0, math.nan)], [(0.0, math.inf)],
+        [(math.nan, 1.0), (1.0, 1.0)], [(1.0, 1.0), (math.inf, 1.0)],
+    ])
+    def test_rejects_non_finite_atoms(self, atoms):
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(atoms)
+
     def test_cauchy_transform_at_i_splits_moments(self):
         m = AtomicMeasure([(-1.0, 1.0), (0.0, 1.0), (1.0, 1.0)])
         at_i = m.cauchy_transform(1j)
