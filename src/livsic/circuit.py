@@ -19,6 +19,7 @@ resonating at b_k = 1/sqrt(L_k C_k).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .analysis import DonoghueClassification, classify_at_i
@@ -45,9 +46,14 @@ class FosterSpec:
             for s in stages)
         if not 0 <= a0 < math.inf:
             raise FosterSpecError(f"origin weight a0 must be finite and >= 0, got {a0}")
-        for s in stages:
+        for k, s in enumerate(stages, 1):
             if not (0 < s.a < math.inf and 0 < s.b < math.inf):
                 raise FosterSpecError(f"stage weights must be finite and positive, got {s}")
+            # every consumer divides by b^2; a zero or subnormal b^2 has lost its precision
+            if s.b * s.b < sys.float_info.min:
+                raise FosterSpecError(
+                    f"stage {k} resonance {s.b!r} is too small: b^2 = {s.b * s.b!r} "
+                    f"is below the smallest normal float")
         bs = [s.b for s in stages]
         if len(set(bs)) != len(bs):
             raise FosterSpecError(f"resonances must be pairwise distinct, got {bs}")

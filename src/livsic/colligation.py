@@ -27,12 +27,6 @@ TAU_COLLIGATION = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class LSystem:
     """Colligation (T, K, J) with scalar input-output space.
@@ -48,19 +42,33 @@ class LSystem:
     J: int
 
     def __init__(self, T, K, J=1):
-        T = np.atleast_2d(np.asarray(T, dtype=complex))
-        K = np.asarray(K, dtype=complex).reshape(-1)
+        T = np.array(T, dtype=complex, ndmin=2)
+        K = np.array(K, dtype=complex).reshape(-1)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise DimensionError(f"main operator must be square, got {T.shape}")
         if K.shape[0] != T.shape[0]:
             raise DimensionError(
                 f"channel length {K.shape[0]} != state dimension {T.shape[0]}")
-        if J not in (1, -1):
+        # True == 1, so a bool would pass the membership test as J = +1
+        if isinstance(J, (bool, np.bool_)) or J not in (1, -1):
             raise DimensionError(f"directing sign must be +1 or -1, got {J!r}")
         if not (np.isfinite(T).all() and np.isfinite(K).all()):
             raise ValueError("non-finite entries in system matrices")
-        object.__setattr__(self, "T", _freeze(T))
-        object.__setattr__(self, "K", _freeze(K))
+        self._store(T, K, J)
+
+    @classmethod
+    def _adopt(cls, T: np.ndarray, K: np.ndarray, J: int) -> LSystem:
+        """Take fresh, finite complex arrays of matching shape without a
+        copy or a check.  The caller must hold no other reference to them."""
+        self = object.__new__(cls)
+        self._store(T, K, J)
+        return self
+
+    def _store(self, T: np.ndarray, K: np.ndarray, J) -> None:
+        T.flags.writeable = False
+        K.flags.writeable = False
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "K", K)
         object.__setattr__(self, "J", int(J))
 
     @property
@@ -130,7 +138,8 @@ def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: compl
 def transfer_eval(sys: LSystem, z: complex) -> complex:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
     z = complex(z)
-    a = sys.T - z * np.eye(sys.dim)
+    a = sys.T.copy()
+    a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
     x = _solve_guarded(a, sys.K, max(lo - z.imag, z.imag - hi), "T - zI", z)
     return complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)
@@ -139,9 +148,10 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
 def impedance_eval(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
-    re_t = (sys.T + sys.T.conj().T) / 2.0
-    a = re_t - z * np.eye(sys.dim)
-    # re_t is exactly Hermitian, so a is normal with sigma_min >= |Im z|
+    a = sys.T + sys.T.conj().T
+    a /= 2.0
+    # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
+    a.flat[:: sys.dim + 1] -= z
     x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z)
     return complex(np.vdot(sys.K, x))
 

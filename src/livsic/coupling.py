@@ -41,12 +41,19 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
     n1, n2 = sys1.dim, sys2.dim
-    t = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    # one allocation: every entry of t is written exactly once
+    t = np.empty((n1 + n2, n1 + n2), dtype=complex)
     t[:n1, :n1] = sys1.T
+    t[n1:, :n1] = 0.0
     t[n1:, n1:] = sys2.T
-    t[:n1, n1:] = 2j * np.outer(sys1.K, sys2.K.conj())
+    block = t[:n1, n1:]
+    np.multiply.outer(sys1.K, sys2.K.conj(), out=block)
+    block *= 2j
+    # the factors' blocks are finite already; only the new one can overflow
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite entries in system matrices")
     k = np.concatenate([sys1.K, sys2.K])
-    return CoupledSystem(LSystem(t, k, 1), (sys1, sys2))
+    return CoupledSystem(LSystem._adopt(t, k, 1), (sys1, sys2))
 
 
 def coupling_transfer_closed(lambda0: complex, mu0: complex) -> RationalFunction:

@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .colligation import LSystem
 from .errors import DomainError
 from .ratfun import RationalFunction
@@ -44,8 +46,9 @@ class ElementarySystem:
 def make_elementary(lambda0: complex) -> ElementarySystem:
     """Build the 1x1 system ([lambda0], [sqrt(Im lambda0)], +1)."""
     lambda0 = _check_upper(lambda0)
-    k = math.sqrt(lambda0.imag)
-    return ElementarySystem(lambda0, LSystem([[lambda0]], [k], 1))
+    t = np.array([[lambda0]], dtype=complex)
+    k = np.array([math.sqrt(lambda0.imag)], dtype=complex)
+    return ElementarySystem(lambda0, LSystem._adopt(t, k, 1))
 
 
 def make_skew_adjoint(lambda0: complex) -> ElementarySystem:

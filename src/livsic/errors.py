@@ -52,4 +52,4 @@ class RangeError(LivsicError):
 class FosterSpecError(LivsicError):
     """Foster circuit data violates its invariants (finite values, a
     nonnegative origin weight, positive stage weights, distinct positive
-    resonances)."""
+    resonances whose squares are normal floats)."""

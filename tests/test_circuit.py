@@ -1,6 +1,7 @@
 """Foster data, representing measures, classification, LC synthesis."""
 
 import math
+import sys
 
 import pytest
 from conftest import assert_rat_equal, assert_rat_value, rel_err
@@ -58,6 +59,18 @@ class TestFosterSpec:
     def test_rejects_non_finite_data(self, a0, stages, bad):
         with pytest.raises(FosterSpecError, match=f"finite.*{bad}"):
             FosterSpec(a0, stages)
+
+    @pytest.mark.parametrize("b", [1e-200, 1e-155, 1e-160, 1e-154])
+    def test_rejects_resonance_whose_square_is_not_normal(self, b):
+        # 1e-200**2 underflows to 0; 1e-155**2 is subnormal, silently imprecise
+        with pytest.raises(FosterSpecError, match=rf"stage 2 resonance {b!r} is too small"):
+            FosterSpec(0.0, [(1.0, 2.0), (1.0, b)])
+
+    def test_accepts_resonance_whose_square_is_normal(self):
+        b = 2e-154
+        assert b * b >= sys.float_info.min
+        spec = FosterSpec(0.0, [(1.0, b)])
+        assert synthesize(spec).stages[0].inductance == 1.0 / (b * b)
 
 
 class TestFosterToHerglotz:

@@ -84,6 +84,14 @@ class TestDescriptor:
         assert code == 2 and out == ""
         assert err == f"invariant violation: directing sign must be +1 or -1, got {written}\n"
 
+    @pytest.mark.parametrize("j, written", [(True, "True"), (False, "False")])
+    def test_boolean_directing_sign_exits_2(self, capsys, tmp_path, j, written):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({**self.T_K, "J": j}))
+        code, out, err = run(capsys, "classify", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"invariant violation: directing sign must be +1 or -1, got {written}\n"
+
 
 class TestSkew:
     def test_doubling_identities(self, capsys):
@@ -249,6 +257,14 @@ class TestSynth:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "synth", "--in", str(path))
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("b", [1e-200, 1e-155])
+    def test_tiny_resonance_exits_2(self, capsys, tmp_path, b):
+        path = tmp_path / "foster.json"
+        path.write_text(json.dumps({"a0": 0.0, "stages": [{"a": 1.0, "b": b}]}))
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"invariant violation: stage 1 resonance {b!r} is too small")
 
 
 class TestVerify:

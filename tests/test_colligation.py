@@ -1,6 +1,7 @@
 """Matrix colligations: validation and resolvent evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from livsic import (
     DimensionError,
     LSystem,
     SingularResolventError,
+    colligation,
     couple,
     impedance_eval,
     make_elementary,
@@ -31,6 +33,38 @@ class TestConstruction:
         sys = make_elementary(1j).system
         with pytest.raises(ValueError):
             sys.T[0, 0] = 0.0
+
+    def test_public_constructor_copies_its_input(self):
+        t = np.array([[1j, 2j], [0.0, 1j]])
+        k = [1.0, 1.0]
+        sys = LSystem(t, k, 1)
+        t[0, 0] = 5.0
+        assert sys.T[0, 0] == 1j and t.flags.writeable
+        assert not sys.T.flags.writeable and not sys.K.flags.writeable
+        assert sys.T.dtype == sys.K.dtype == complex
+        assert LSystem(1j, 1.0).T.shape == (1, 1)
+        assert LSystem([[1j]], [[1.0]]).K.shape == (1,)
+
+    @pytest.mark.parametrize("j", [True, False, np.True_, np.False_])
+    def test_directing_sign_rejects_booleans(self, j):
+        message = f"directing sign must be +1 or -1, got {j!r}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            LSystem([[1j]], [1.0], j)
+
+    @pytest.mark.parametrize("j, stored", [(1, 1), (1.0, 1), (-1, -1), (np.int64(1), 1)])
+    def test_directing_sign_accepts_integral_values(self, j, stored):
+        sys = LSystem([[1j]], [1.0], j)
+        assert sys.J == stored and type(sys.J) is int
+
+    def test_elementary_equals_public_construction(self, rng):
+        lams = [draw_upper(rng) for _ in range(50)]
+        lams += [complex(0.0, 1.0), complex(-0.0, 1.0), complex(-0.0, 1e-300), 1e300 + 1e300j]
+        for lam in lams:
+            sys = make_elementary(lam).system
+            ref = LSystem([[lam]], [math.sqrt(lam.imag)], 1)
+            assert sys.T.tobytes() == ref.T.tobytes() and sys.T.shape == ref.T.shape
+            assert sys.K.tobytes() == ref.K.tobytes() and sys.K.shape == ref.K.shape
+            assert sys.J == ref.J == 1 and type(sys.J) is int
 
     def test_spectrum_of_triangular_block(self):
         c = couple(make_elementary(1j).system, make_elementary(2j).system)
@@ -222,3 +256,46 @@ class TestGuard:
         with pytest.raises(SingularResolventError,
                            match=r"z=1j .*singular or ill-conditioned: n=1, sigma_min=0\.000e\+00"):
             transfer_eval(make_elementary(1j).system, 1j)
+
+
+class TestShift:
+    """T - zI and Re T - zI are built by shifting the diagonal of one copy."""
+
+    def test_equal_to_eye_reference(self, rng, monkeypatch):
+        guarded = colligation._solve_guarded
+        shifted = []
+
+        def capture(a, *args):
+            shifted.append(a.copy())
+            return guarded(a, *args)
+
+        monkeypatch.setattr(colligation, "_solve_guarded", capture)
+        values = 0
+        for sys in _guard_systems(rng):
+            eye = np.eye(sys.dim)
+            re_t = (sys.T + sys.T.conj().T) / 2.0
+            zs = [draw_z_upper(rng) for _ in range(3)] + [-draw_z_upper(rng) for _ in range(3)]
+            for z in zs + [1j, -1j, complex(-0.5, 2.0), complex(0.5, -2.0)]:
+                for ev, ref, value in (
+                        (transfer_eval, sys.T - z * eye,
+                         lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
+                        (impedance_eval, re_t - z * eye,
+                         lambda x: complex(np.vdot(sys.K, x)))):
+                    shifted.clear()
+                    try:
+                        got = ev(sys, z)
+                    except SingularResolventError:
+                        got = None
+                    # == rather than bytes: a zero may differ in sign from the reference
+                    assert len(shifted) == 1 and (shifted[0] == ref).all(), (ev.__name__, z)
+                    if got is not None:
+                        values += 1
+                        assert got == value(np.linalg.solve(ref, sys.K)), (ev.__name__, z)
+        assert values > 0
+
+    def test_system_is_not_modified(self, rng):
+        sys = _draw_chain(rng, 8)
+        t, k = sys.T.copy(), sys.K.copy()
+        transfer_eval(sys, -1j)
+        impedance_eval(sys, 1j)
+        assert sys.T.tobytes() == t.tobytes() and sys.K.tobytes() == k.tobytes()

@@ -57,6 +57,91 @@ class TestCouple:
             couple(make_elementary(1j).system, bad)
 
 
+def _couple_reference(sys1, sys2):
+    """The coupling formula written out with np.zeros and np.outer."""
+    n1, n2 = sys1.dim, sys2.dim
+    t = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    t[:n1, :n1] = sys1.T
+    t[n1:, n1:] = sys2.T
+    t[:n1, n1:] = 2j * np.outer(sys1.K, sys2.K.conj())
+    return t, np.concatenate([sys1.K, sys2.K]), 1
+
+
+def _assert_bitwise(sys, ref):
+    t, k, j = ref
+    # tobytes also tells +0.0 from -0.0
+    assert sys.T.shape == t.shape and sys.T.tobytes() == t.tobytes()
+    assert sys.K.shape == k.shape and sys.K.tobytes() == k.tobytes()
+    assert sys.J == j and type(sys.J) is int
+
+
+def _dense(rng, n):
+    """A J = +1 system with arbitrary entries (not a colligation)."""
+    return LSystem(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                   rng.normal(size=n) + 1j * rng.normal(size=n), 1)
+
+
+class TestCoupleInPlace:
+    def test_chain_bitwise_equal_to_reference(self, rng):
+        lams = [draw_upper(rng) for _ in range(64)]
+        lams[1] = complex(-0.0, 0.5)
+        lams[2] = complex(0.0, 1.5)
+        sys = make_elementary(lams[0]).system
+        for lam in lams[1:]:
+            factor = make_elementary(lam).system
+            ref = _couple_reference(sys, factor)
+            sys = couple(sys, factor).system
+            _assert_bitwise(sys, ref)
+        assert sys.dim == 64
+
+    def test_unequal_and_nested_factors(self, rng):
+        chain3 = couple(couple(make_elementary(draw_upper(rng)).system,
+                               make_elementary(draw_upper(rng)).system).system,
+                        make_elementary(draw_upper(rng)).system).system
+        pairs = [(_dense(rng, 3), _dense(rng, 5)), (_dense(rng, 5), _dense(rng, 3)),
+                 (chain3, _dense(rng, 5))]
+        for sys1, sys2 in pairs:
+            _assert_bitwise(couple(sys1, sys2).system, _couple_reference(sys1, sys2))
+        # couplings of couplings, both ways round
+        left = couple(couple(*pairs[0]).system, couple(*pairs[2]).system).system
+        _assert_bitwise(left, _couple_reference(couple(*pairs[0]).system,
+                                                couple(*pairs[2]).system))
+        right = couple(chain3, couple(*pairs[1]).system).system
+        _assert_bitwise(right, _couple_reference(chain3, couple(*pairs[1]).system))
+
+    def test_arrays_are_read_only_and_own_their_memory(self, rng):
+        systems = [make_elementary(1j).system,
+                   couple(make_elementary(1j).system, make_elementary(2j).system).system,
+                   couple(_dense(rng, 3), _dense(rng, 5)).system]
+        for sys in systems:
+            for a in (sys.T, sys.K):
+                assert not a.flags.writeable and a.flags.owndata
+            with pytest.raises(ValueError):
+                sys.T[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                sys.K[0] = 0.0
+
+    def test_factors_are_left_untouched(self, rng):
+        sys1, sys2 = _dense(rng, 3), _dense(rng, 5)
+        t1, k2 = sys1.T.copy(), sys2.K.copy()
+        c = couple(sys1, sys2)
+        assert c.factors[0] is sys1 and c.factors[1] is sys2
+        assert sys1.T.tobytes() == t1.tobytes() and sys2.K.tobytes() == k2.tobytes()
+        assert not np.shares_memory(c.system.T, sys1.T)
+        assert not np.shares_memory(c.system.K, sys2.K)
+
+    def test_overflowing_coupling_block_raises(self):
+        big = LSystem([[1j]], [1e160], 1)
+        # 2i K1 K2* = 2e320 i overflows; numpy's overflow warning is not the point here
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite entries in system matrices"):
+                couple(big, big)
+            with pytest.raises(ValueError, match="non-finite"):
+                couple(couple(make_elementary(1j).system, big).system, big)
+        # a block that stays finite is accepted
+        assert couple(big, make_elementary(1j).system).system.dim == 2
+
+
 class TestTransferClosed:
     def test_equal_unit_factors(self):
         prod = coupling_transfer_closed(1j, 1j)
