@@ -1,7 +1,8 @@
 """Canonical Livsic L-systems with scalar multiplication operators.
 
 Construction and coupling of finite-dimensional operator colligations,
-resolvent-based evaluation of their transfer and impedance functions,
+evaluation of their transfer and impedance functions (read off the
+diagonal of a triangular main operator, or by dense resolvent solves),
 Donoghue-class classification, c-entropy and dissipation coefficients,
 and Foster-form LC circuit synthesis.  Every closed form has a
 matrix-resolvent counterpart so the two routes can be cross-checked.
@@ -12,6 +13,7 @@ from .analysis import (
     DonoghueClassification,
     c_entropy,
     c_entropy_elementary_closed,
+    c_entropy_resolvent,
     classify_at_i,
     classify_elementary,
     compose_dissipation,
@@ -43,6 +45,7 @@ from .colligation import (
     ValidationReport,
     impedance_eval,
     transfer_eval,
+    transfer_resolvent,
     validate,
 )
 from .coupling import (

@@ -8,9 +8,12 @@ one of three classes by the size of a = Im V(i):
     a > 1  ->  M_hat_kappa_inverse (kappa = (a - 1)/(1 + a))
 
 The c-entropy of a system is S = -ln|W(-i)| and the dissipation
-coefficient D = 1 - exp(-2S).  Under coupling, S is additive and D
-composes as D1 + D2 - D1*D2.  Infinity is carried as the genuine IEEE
-infinity (never a large float).
+coefficient D = 1 - exp(-2S).  ``c_entropy`` reads S off a triangular
+system as the sum of the elementary entropies of the diagonal of T (the
+triangular model; see ``colligation``), so a long chain neither cancels
+nor underflows; any other system goes to ``c_entropy_resolvent``.  Under
+coupling, S is additive and D composes as D1 + D2 - D1*D2.  Infinity is
+carried as the genuine IEEE infinity (never a large float).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import LSystem, transfer_eval
+from .colligation import LSystem, _check_off_diagonal, transfer_resolvent
 from .elementary import _check_upper
 from .errors import DomainError, NotHerglotzError, RangeError
 
@@ -77,8 +80,20 @@ def classify_elementary(lambda0: complex) -> DonoghueClassification:
 
 
 def c_entropy(sys: LSystem) -> float:
+    """S = -ln|W(-i)|: the sum of the elementary entropies of the diagonal
+    of T when the system has a triangular diagonal (see
+    ``LSystem.triangular_diagonal``), else :func:`c_entropy_resolvent`.
+    +inf exactly when a diagonal entry is i."""
+    d = sys.triangular_diagonal
+    if d is None:
+        return c_entropy_resolvent(sys)
+    _check_off_diagonal(d, complex(0.0, -1.0))
+    return float(_elementary_entropy(d.real, d.imag).sum())
+
+
+def c_entropy_resolvent(sys: LSystem) -> float:
     """S = -ln|W(-i)| via the resolvent; +inf when W(-i) underflows."""
-    w = transfer_eval(sys, -1j)
+    w = transfer_resolvent(sys, -1j)
     mag = abs(w)
     if mag <= TAU_ZERO:
         return INF

@@ -49,11 +49,17 @@ class FosterSpec:
         for k, s in enumerate(stages, 1):
             if not (0 < s.a < math.inf and 0 < s.b < math.inf):
                 raise FosterSpecError(f"stage weights must be finite and positive, got {s}")
-            # every consumer divides by b^2; a zero or subnormal b^2 has lost its precision
-            if s.b * s.b < sys.float_info.min:
+            # every consumer divides by b^2; a zero or subnormal b^2 has lost its
+            # precision, and an infinite one reads as an open circuit
+            b2 = s.b * s.b
+            if b2 < sys.float_info.min:
                 raise FosterSpecError(
-                    f"stage {k} resonance {s.b!r} is too small: b^2 = {s.b * s.b!r} "
+                    f"stage {k} resonance {s.b!r} is too small: b^2 = {b2!r} "
                     f"is below the smallest normal float")
+            if b2 == math.inf:
+                raise FosterSpecError(
+                    f"stage {k} resonance {s.b!r} is too large: b^2 overflows "
+                    f"the largest float")
         bs = [s.b for s in stages]
         if len(set(bs)) != len(bs):
             raise FosterSpecError(f"resonances must be pairwise distinct, got {bs}")

@@ -265,7 +265,7 @@ def _cmd_entropy(args) -> int:
         sys_ = elementary.make_elementary(lam).system
         report = {"lambda0": _cnum(lam),
                   **_entropy_fields(analysis.c_entropy_elementary_closed(lam)),
-                  "entropy_resolvent": _num(analysis.c_entropy(sys_))}
+                  "entropy_resolvent": _num(analysis.c_entropy_resolvent(sys_))}
     else:
         raise ValueError("entropy needs --in or --lambda0")
     _print_report(report, args.out)

@@ -1,19 +1,30 @@
-"""Matrix-backed canonical L-systems and resolvent evaluation.
+"""Matrix-backed canonical L-systems and their transfer and impedance functions.
 
 An L-system here is a colligation (T, K, J) on a finite-dimensional state
 space with a one-dimensional input-output space: T is the main operator,
 K the channel column, and J = +/-1 the directing sign, tied together by
 the colligation identity Im T = K J K*.
 
-The two evaluators below work directly off dense linear solves and serve
+The resolvent evaluators work directly off dense linear solves and serve
 as the independent oracle for every closed form in the package:
 
-    transfer(z)  = 1 - 2i K* (T - zI)^(-1) K J
-    impedance(z) = K* (Re T - zI)^(-1) K
+    transfer_resolvent(z) = 1 - 2i K* (T - zI)^(-1) K J
+    impedance_eval(z)     = K* (Re T - zI)^(-1) K
+
+``transfer_eval`` picks its path.  For a valid colligation T - 2iJ KK* = T*,
+so the matrix determinant lemma gives W(z) = det(T* - zI)/det(T - zI).
+When T is upper triangular with diagonal t_1, ..., t_n (every elementary
+system and every chain of couplings) that is Livsic's triangular model,
+
+    W(z) = prod_j (conj(t_j) - z)/(t_j - z),
+
+which costs O(n) and stays exact where the dense solve loses precision.
+Any other system goes to the resolvent (see ``LSystem.triangular_diagonal``).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +36,10 @@ from .errors import DimensionError, SingularResolventError
 TAU_COLLIGATION = 1e-9
 
 _EPS = float(np.finfo(float).eps)
+
+#: Bound on |t_j| for the triangular path: the elementary entropy squares
+#: the parts of t_j, and x^2 + (1 + y)^2 must stay finite.
+_TRIANGULAR_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,18 @@ class LSystem:
         jk2 = self.J * float(np.vdot(self.K, self.K).real)
         return min(0.0, jk2) - self.residual, max(0.0, jk2) + self.residual
 
+    @cached_property
+    def triangular_diagonal(self) -> np.ndarray | None:
+        """Diagonal of T when T is upper triangular, the system passes
+        :func:`validate` and no diagonal entry exceeds 1e150 in modulus,
+        else None.  W and the c-entropy are then read off it (the
+        triangular model); None sends them to the resolvent."""
+        d = self.T.diagonal()
+        if (np.tril(self.T, -1).any() or np.abs(d).max() > _TRIANGULAR_MAX
+                or not validate(self).passed):
+            return None
+        return d
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -135,7 +162,36 @@ def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: compl
     return np.linalg.solve(a, b)
 
 
+def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
+    """Raise unless z differs from every entry of the triangular diagonal d."""
+    hits = np.flatnonzero(d == z)
+    if hits.size:
+        raise SingularResolventError(
+            f"T - zI at z={z} is singular: z is an eigenvalue of T "
+            f"(diagonal entry {hits[0]} of the triangular T, n={d.size})")
+
+
 def transfer_eval(sys: LSystem, z: complex) -> complex:
+    """Transfer function W(z): the triangular product when the system has
+    a triangular diagonal (see :attr:`LSystem.triangular_diagonal`) and z
+    is finite, else :func:`transfer_resolvent`."""
+    z = complex(z)
+    d = sys.triangular_diagonal
+    if d is None or not cmath.isfinite(z):
+        return transfer_resolvent(sys, z)
+    _check_off_diagonal(d, z)
+    # for a valid system every |factor| lies on one side of 1, so a partial
+    # product overflows only if the whole product does
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = complex(np.prod((d.conj() - z) / (d - z)))
+    if not cmath.isfinite(w):
+        raise SingularResolventError(
+            f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
+            f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
+    return w
+
+
+def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
     z = complex(z)
     a = sys.T.copy()

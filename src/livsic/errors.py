@@ -34,10 +34,14 @@ class DimensionError(LivsicError):
 
 
 class SingularResolventError(LivsicError):
-    """Resolvent solve refused: the shifted operator A - zI is numerically
-    singular or ill-conditioned (sigma_min <= n*eps*sigma_max).  z may lie
+    """Evaluation at z refused because z is in or too near the spectrum.
+
+    On the resolvent path the shifted operator A - zI is numerically
+    singular or ill-conditioned (sigma_min <= n*eps*sigma_max); z may lie
     in the spectrum or merely near enough to it for the solve to lose all
-    precision; the message gives z, n, sigma_min and sigma_max."""
+    precision, and the message gives z, n, sigma_min and sigma_max.  On
+    the triangular path z equals a diagonal entry of T (an eigenvalue), or
+    W(z) overflows; the message says which."""
 
 
 class IncompatibleError(LivsicError):
@@ -52,4 +56,4 @@ class RangeError(LivsicError):
 class FosterSpecError(LivsicError):
     """Foster circuit data violates its invariants (finite values, a
     nonnegative origin weight, positive stage weights, distinct positive
-    resonances whose squares are normal floats)."""
+    resonances whose squares are finite normal floats)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, coupling, elementary, ratfun
-from .colligation import TAU_COLLIGATION, impedance_eval, transfer_eval, validate
+from .colligation import TAU_COLLIGATION, impedance_eval, transfer_resolvent, validate
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,11 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         vx_closed = elementary.skew_impedance_closed(lam)
         for _ in range(N_POINTS):
             z = _draw_z(rng, avoid=(lam, -lam.conjugate()))
-            w = transfer_eval(sys, z)
+            w = transfer_resolvent(sys, z)
             v = impedance_eval(sys, z)
             elem_w = max(elem_w, _rel(ratfun.rat_eval(w_closed, z), w))
             elem_v = max(elem_v, _rel(ratfun.rat_eval(v_closed, z), v))
-            skew_w = max(skew_w, _rel(ratfun.rat_eval(wx_closed, z), transfer_eval(xsys, z)))
+            skew_w = max(skew_w, _rel(ratfun.rat_eval(wx_closed, z), transfer_resolvent(xsys, z)))
             skew_v = max(skew_v, _rel(ratfun.rat_eval(vx_closed, z), impedance_eval(xsys, z)))
             cayley_sys = max(cayley_sys, _rel(1j * (w - 1.0) / (w + 1.0), v))
 
@@ -88,10 +88,11 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         v_closed = coupling.coupling_impedance_closed(lam, mu)
         for _ in range(N_POINTS):
             z = _draw_z(rng, avoid=(lam, mu))
-            product = transfer_eval(coupled.factors[0], z) * transfer_eval(coupled.factors[1], z)
-            mult = max(mult, _rel(transfer_eval(coupled.system, z), product))
+            product = (transfer_resolvent(coupled.factors[0], z)
+                       * transfer_resolvent(coupled.factors[1], z))
+            mult = max(mult, _rel(transfer_resolvent(coupled.system, z), product))
             imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), impedance_eval(coupled.system, z)))
-        s_oracle = analysis.c_entropy(coupled.system)
+        s_oracle = analysis.c_entropy_resolvent(coupled.system)
         d_oracle = analysis.dissipation_from_entropy(s_oracle)
         ent = max(ent, _rel(s_oracle, analysis.coupling_entropy_closed(lam, mu)))
         d_comp = analysis.compose_dissipation(analysis.dissipation_elementary_closed(lam),
@@ -114,7 +115,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         block = coupling.self_skew_coupling(lam)
         s_single = analysis.c_entropy_elementary_closed(lam)
         d_single = analysis.dissipation_elementary_closed(lam)
-        s_oracle = analysis.c_entropy(block.system)
+        s_oracle = analysis.c_entropy_resolvent(block.system)
         d_oracle = analysis.dissipation_from_entropy(s_oracle)
         selfskew = max(selfskew, _rel(s_oracle, 2.0 * s_single))
         selfskew = max(selfskew, _rel(d_oracle, 2.0 * d_single - d_single ** 2))

@@ -1,6 +1,7 @@
 """Foster data, representing measures, classification, LC synthesis."""
 
 import math
+import re
 import sys
 
 import pytest
@@ -65,6 +66,18 @@ class TestFosterSpec:
         # 1e-200**2 underflows to 0; 1e-155**2 is subnormal, silently imprecise
         with pytest.raises(FosterSpecError, match=rf"stage 2 resonance {b!r} is too small"):
             FosterSpec(0.0, [(1.0, 2.0), (1.0, b)])
+
+    @pytest.mark.parametrize("b", [1e200, 1e155, 1.35e154])
+    def test_rejects_resonance_whose_square_overflows(self, b):
+        assert b * b == math.inf
+        with pytest.raises(FosterSpecError, match=re.escape(f"stage 2 resonance {b!r} is too large")):
+            FosterSpec(0.0, [(1.0, 2.0), (1.0, b)])
+
+    def test_accepts_large_resonance_whose_square_is_finite(self):
+        b = 1e150
+        spec = FosterSpec(0.0, [(1.0, b)])
+        assert synthesize(spec).stages[0].inductance == 1.0 / (b * b)
+        assert classify_foster(spec).a > 0.0
 
     def test_accepts_resonance_whose_square_is_normal(self):
         b = 2e-154

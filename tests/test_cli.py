@@ -191,6 +191,24 @@ class TestEntropySubcommand:
         assert report["entropy"] == pytest.approx(math.log(3), rel=1e-11)
         assert report["entropy_resolvent"] == pytest.approx(math.log(3), rel=1e-10)
 
+    def test_long_chain_reads_the_sum_of_factor_entropies(self, capsys, tmp_path):
+        import math
+
+        from livsic import c_entropy_elementary_closed
+        lams = [complex(0.25 * k - 4.0, 0.1 + 0.075 * k) for k in range(32)]
+
+        def tree(ls):
+            if len(ls) == 1:
+                return {"lambda0": {"re": ls[0].real, "im": ls[0].imag}}
+            return {"factors": [tree(ls[:len(ls) // 2]), tree(ls[len(ls) // 2:])]}
+
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(tree(lams)))
+        report = run_json(capsys, "entropy", "--in", str(path))
+        s_sum = sum(c_entropy_elementary_closed(lam) for lam in lams)
+        assert report["entropy"] == pytest.approx(s_sum, rel=1e-11)
+        assert report["dissipation"] == pytest.approx(1.0 - math.exp(-2.0 * s_sum), rel=1e-11)
+
     def test_descriptor_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"lambda0": {"re": 1.0, "im": 1.0}}))
@@ -265,6 +283,15 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--in", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"invariant violation: stage 1 resonance {b!r} is too small")
+
+
+    @pytest.mark.parametrize("b", [1e200, 1.35e154])
+    def test_huge_resonance_exits_2(self, capsys, tmp_path, b):
+        path = tmp_path / "foster.json"
+        path.write_text(json.dumps({"a0": 0.0, "stages": [{"a": 1.0, "b": b}]}))
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"invariant violation: stage 1 resonance {b!r} is too large")
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Matrix colligations: validation and resolvent evaluation."""
+"""Matrix colligations: validation, the triangular path and resolvent evaluation."""
 
 import math
 import re
@@ -11,11 +11,17 @@ from livsic import (
     DimensionError,
     LSystem,
     SingularResolventError,
+    c_entropy,
+    c_entropy_elementary_closed,
+    c_entropy_resolvent,
     colligation,
     couple,
     impedance_eval,
     make_elementary,
+    rat_eval,
+    transfer_closed,
     transfer_eval,
+    transfer_resolvent,
     validate,
 )
 
@@ -205,7 +211,7 @@ class TestGuard:
             for z in _guard_points(rng, sys):
                 z = complex(z)
                 for ev, a, value in (
-                        (transfer_eval, sys.T - z * eye,
+                        (transfer_resolvent, sys.T - z * eye,
                          lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
                         (impedance_eval, re_t - z * eye,
                          lambda x: complex(np.vdot(sys.K, x)))):
@@ -232,7 +238,7 @@ class TestGuard:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         v = impedance_eval(sys, 1j)
-        w = transfer_eval(sys, -1j)
+        w = transfer_resolvent(sys, -1j)
         w_ref = math.prod((lam.conjugate() + 1j) / (lam + 1j) for lam in lams)
         assert v.imag > 0
         assert rel_err(w, w_ref) < 1e-10
@@ -255,7 +261,7 @@ class TestGuard:
     def test_singular_message_states_conditioning(self):
         with pytest.raises(SingularResolventError,
                            match=r"z=1j .*singular or ill-conditioned: n=1, sigma_min=0\.000e\+00"):
-            transfer_eval(make_elementary(1j).system, 1j)
+            transfer_resolvent(make_elementary(1j).system, 1j)
 
 
 class TestShift:
@@ -277,7 +283,7 @@ class TestShift:
             zs = [draw_z_upper(rng) for _ in range(3)] + [-draw_z_upper(rng) for _ in range(3)]
             for z in zs + [1j, -1j, complex(-0.5, 2.0), complex(0.5, -2.0)]:
                 for ev, ref, value in (
-                        (transfer_eval, sys.T - z * eye,
+                        (transfer_resolvent, sys.T - z * eye,
                          lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
                         (impedance_eval, re_t - z * eye,
                          lambda x: complex(np.vdot(sys.K, x)))):
@@ -296,6 +302,111 @@ class TestShift:
     def test_system_is_not_modified(self, rng):
         sys = _draw_chain(rng, 8)
         t, k = sys.T.copy(), sys.K.copy()
-        transfer_eval(sys, -1j)
+        transfer_resolvent(sys, -1j)
         impedance_eval(sys, 1j)
         assert sys.T.tobytes() == t.tobytes() and sys.K.tobytes() == k.tobytes()
+
+
+def _similar(sys, rng):
+    """Q T Q*, Q K for a random unitary Q: a valid colligation with a dense T."""
+    q, _ = np.linalg.qr(rng.normal(size=(sys.dim, sys.dim))
+                        + 1j * rng.normal(size=(sys.dim, sys.dim)))
+    return LSystem(q @ sys.T @ q.conj().T, q @ sys.K, sys.J)
+
+
+class TestTriangular:
+    """W and S read off the diagonal of an upper-triangular T (the triangular model)."""
+
+    def test_matches_resolvent_on_short_chains(self, rng):
+        cases = []
+        for k in (1, 2, 5, 16):
+            lams = [draw_upper(rng) for _ in range(k)]
+            cases.append((_chain(lams), lams))
+        flipped = _draw_chain(rng, 8)
+        # entrywise conjugation gives an upper-triangular J = -1 system
+        j_minus = LSystem(flipped.T.conj(), flipped.K.conj(), -1)
+        cases.append((j_minus, list(j_minus.T.diagonal())))
+        for sys, poles in cases:
+            assert sys.triangular_diagonal is not None
+            for _ in range(10):
+                z = draw_z(rng, avoid=poles)
+                assert rel_err(transfer_eval(sys, z), transfer_resolvent(sys, z)) < 1e-10
+            assert rel_err(c_entropy(sys), c_entropy_resolvent(sys)) < 1e-10
+        assert c_entropy(j_minus) < 0.0
+
+    @pytest.mark.parametrize("k", [64, 256])
+    def test_long_chains_match_factor_closed_forms(self, rng, k):
+        lams = [draw_upper(rng) for _ in range(k)]
+        sys = _chain(lams)
+        s_ref = sum(c_entropy_elementary_closed(lam) for lam in lams)
+        assert rel_err(c_entropy(sys), s_ref) < 1e-10
+        w_ref = math.prod(rat_eval(transfer_closed(lam), 1j) for lam in lams)
+        assert rel_err(transfer_eval(sys, 1j), w_ref) < 1e-10
+
+    def test_exact_pole_raises(self, rng):
+        lams = [draw_upper(rng) for _ in range(12)]
+        sys = _chain(lams)
+        with pytest.raises(SingularResolventError, match=r"z is an eigenvalue of T \(diagonal entry 7"):
+            transfer_eval(sys, lams[7])
+        # W has its pole at -i, so S = -ln|W(-i)| is refused, not -inf
+        with pytest.raises(SingularResolventError, match=r"z is an eigenvalue of T \(diagonal entry 0"):
+            c_entropy(LSystem([[-1j]], [1.0], -1))
+
+    def test_unit_parameter_gives_infinite_entropy(self, rng):
+        sys = _chain([draw_upper(rng), 1j, draw_upper(rng)])
+        assert c_entropy(sys) == math.inf
+        assert transfer_eval(sys, -1j) == 0.0
+
+    def test_overflow_raises_instead_of_inf(self):
+        sys = _chain([1j] * 128)
+        # each factor has modulus about 2000 at z, and 2000**128 exceeds the float range
+        with pytest.raises(SingularResolventError, match=r"\|W\(z\)\| exceeds the largest float"):
+            transfer_eval(sys, 1.001j)
+        assert abs(transfer_eval(sys, 3j)) == pytest.approx(2.0 ** 128, rel=1e-12)
+
+    def test_long_lower_half_plane_product_does_not_underflow_entropy(self):
+        sys = _chain([0.99j] * 256)
+        # |W(-i)| = (1/199)**256 underflows to 0, but S is a sum, never -ln|W(-i)|
+        assert transfer_eval(sys, -1j) == 0.0
+        assert c_entropy(sys) == pytest.approx(256 * math.log(199.0), rel=1e-13)
+
+    def test_fallback_is_bit_identical(self, rng):
+        systems = [_similar(_draw_chain(rng, k), rng) for k in (3, 8)]
+        systems += [make_elementary(1e152 + 1j).system,  # diagonal beyond 1e150
+                    LSystem([[2j]], [1.0], 1),  # triangular but not a colligation
+                    LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+                            rng.normal(size=6) + 1j * rng.normal(size=6), 1)]
+        for sys in systems:
+            assert sys.triangular_diagonal is None
+            pts = [draw_z(rng) for _ in range(6)] + [1j, -1j] + list(sys.spectrum()[:2])
+            for z in pts:
+                outcomes = []
+                for ev in (transfer_eval, transfer_resolvent):
+                    try:
+                        outcomes.append(ev(sys, z))
+                    except SingularResolventError as exc:
+                        outcomes.append(str(exc))
+                assert repr(outcomes[0]) == repr(outcomes[1]), (sys.dim, z)
+            assert repr(c_entropy(sys)) == repr(c_entropy_resolvent(sys))
+
+    def test_non_finite_z_goes_to_resolvent(self):
+        sys = make_elementary(1 + 1j).system
+        for z in (complex(math.inf, 0.0), complex(0.0, math.inf)):
+            assert transfer_eval(sys, z) == transfer_resolvent(sys, z) == 1.0
+
+    def test_eligibility_checked_once_per_system(self, rng, monkeypatch):
+        calls = []
+        checked = colligation.validate
+
+        def counting(sys):
+            calls.append(1)
+            return checked(sys)
+
+        monkeypatch.setattr(colligation, "validate", counting)
+        sys = _draw_chain(rng, 16)
+        for z in (1j, -1j, 2.0 + 0.5j):
+            transfer_eval(sys, z)
+        c_entropy(sys)
+        assert len(calls) == 1
+        d = sys.triangular_diagonal
+        assert not d.flags.writeable and (d == np.diagonal(sys.T)).all()

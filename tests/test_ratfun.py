@@ -22,7 +22,7 @@ from livsic import (
     rat_eval,
     rat_mul,
     rat_sampled_equal,
-    transfer_eval,
+    transfer_resolvent,
 )
 
 # Frequently used fixtures: the two degree-one pairs from the worked
@@ -94,7 +94,7 @@ class TestRatEval:
         # cross-checked against the 1x1 resolvent evaluation
         expected = 0.2 - 0.4j
         assert rel_err(rat_eval(W_1I, -1j), expected) < 1e-15
-        oracle = transfer_eval(LSystem([[1 + 1j]], [1.0], 1), -1j)
+        oracle = transfer_resolvent(LSystem([[1 + 1j]], [1.0], 1), -1j)
         assert rel_err(oracle, expected) < 1e-14
 
     def test_pole_raises(self):
