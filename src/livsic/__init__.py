@@ -44,6 +44,7 @@ from .colligation import (
     LSystem,
     ValidationReport,
     impedance_eval,
+    impedance_resolvent,
     transfer_eval,
     transfer_resolvent,
     validate,

@@ -105,13 +105,29 @@ def dissipation_from_entropy(s: float) -> float:
     return 1.0 if math.isinf(s) else 1.0 - math.exp(-2.0 * s)
 
 
+def _square_sum(x, y):
+    """x*x + y**2 as the closed forms write it, inf where it overflows (a
+    Python float ** raises OverflowError where numpy returns inf)."""
+    try:
+        return x * x + y ** 2
+    except OverflowError:
+        return INF
+
+
 def _elementary_entropy(x, y):
     """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)], elementwise over
-    parameters x + iy; +inf where x + iy = i."""
-    hi = x * x + (1.0 + y) ** 2
-    lo = x * x + (1.0 - y) ** 2
-    with np.errstate(divide="ignore"):
-        return 0.5 * np.log(np.divide(hi, lo))
+    parameters x + iy; +inf where x + iy = i.  Where a sum of squares
+    overflows, S = (1/2) log1p(4 (y/h)/h) with h = hypot(x, 1 - y), the
+    same ratio written without squares."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hi = _square_sum(x, 1.0 + y)
+        lo = _square_sum(x, 1.0 - y)
+        s = 0.5 * np.log(np.divide(hi, lo))
+        big = np.isinf(hi) | np.isinf(lo)
+        if big.any():
+            h = np.hypot(x, 1.0 - y)
+            s = np.where(big, 0.5 * np.log1p(4.0 * (y / h) / h), s)
+    return s
 
 
 def c_entropy_elementary_closed(lambda0: complex) -> float:
@@ -121,10 +137,15 @@ def c_entropy_elementary_closed(lambda0: complex) -> float:
 
 
 def dissipation_elementary_closed(lambda0: complex) -> float:
-    """D = 4y/(x^2 + (1+y)^2) for lambda0 = x + iy; always in (0, 1]."""
+    """D = 4y/(x^2 + (1+y)^2) for lambda0 = x + iy; always in (0, 1].
+    Where the sum of squares overflows, D = 4 (y/g)/g with g = hypot(x, 1 + y)."""
     lambda0 = _check_upper(lambda0)
     x, y = lambda0.real, lambda0.imag
-    return 4.0 * y / (x * x + (1.0 + y) ** 2)
+    den = _square_sum(x, 1.0 + y)
+    if den < INF:
+        return 4.0 * y / den
+    g = math.hypot(x, 1.0 + y)
+    return 4.0 * (y / g) / g
 
 
 def compose_entropy(s1: float, s2: float) -> float:
@@ -155,13 +176,20 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
     """
     lambda0 = _check_upper(lambda0)
     mu0 = _check_upper(mu0)
-    lam2 = lambda0.real ** 2 + lambda0.imag ** 2
-    mu2 = mu0.real ** 2 + mu0.imag ** 2
-    num = (4.0 * lambda0.imag * (mu2 + 1.0)
-           + 4.0 * mu0.imag * (lam2 + 1.0))
-    den = ((lambda0.real ** 2 + (1.0 + lambda0.imag) ** 2)
-           * (mu0.real ** 2 + (1.0 + mu0.imag) ** 2))
-    return num / den
+    try:
+        lam2 = lambda0.real ** 2 + lambda0.imag ** 2
+        mu2 = mu0.real ** 2 + mu0.imag ** 2
+        num = (4.0 * lambda0.imag * (mu2 + 1.0)
+               + 4.0 * mu0.imag * (lam2 + 1.0))
+        den = ((lambda0.real ** 2 + (1.0 + lambda0.imag) ** 2)
+               * (mu0.real ** 2 + (1.0 + mu0.imag) ** 2))
+    except OverflowError:
+        num = den = INF
+    if num < INF and den < INF:
+        return num / den
+    # the same D without squares: 1 - (1 - D1)(1 - D2)
+    return compose_dissipation(dissipation_elementary_closed(lambda0),
+                               dissipation_elementary_closed(mu0))
 
 
 def entropy_surface(x_min: float, x_max: float, y_min: float, y_max: float,

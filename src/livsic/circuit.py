@@ -85,12 +85,21 @@ class Netlist:
     stages: tuple[LCStage, ...]
 
     def __post_init__(self):
+        # a subnormal value has lost digits, so its netlist line would be wrong
+        tiny = sys.float_info.min
         c0 = self.series_capacitor
-        if c0 is not None and not 0 < c0 < math.inf:
-            raise FosterSpecError(f"series capacitance must be finite and positive, got {c0}")
+        if c0 is not None:
+            if not 0 < c0 < math.inf:
+                raise FosterSpecError(f"series capacitance must be finite and positive, got {c0}")
+            if c0 < tiny:
+                raise FosterSpecError(f"component value {c0!r} is below the smallest normal float")
         for s in self.stages:
-            if not (0 < s.inductance < math.inf and 0 < s.capacitance < math.inf):
+            ind, cap = s.inductance, s.capacitance
+            if not (0 < ind < math.inf and 0 < cap < math.inf):
                 raise FosterSpecError(f"stage component values must be finite and positive, got {s}")
+            if ind < tiny or cap < tiny:
+                v = ind if ind < tiny else cap
+                raise FosterSpecError(f"component value {v!r} is below the smallest normal float")
 
 
 def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import analysis, circuit, coupling, elementary, verify
-from .colligation import LSystem, impedance_eval, validate
+from .colligation import LSystem, impedance_resolvent, validate
 from .errors import DomainError, LivsicError
 from .ratfun import RationalFunction
 
@@ -215,7 +215,7 @@ def _cmd_couple(args) -> int:
     }
     for i, sub in enumerate((sys1, sys2)):
         try:
-            cls = analysis.classify_at_i(impedance_eval(sub, 1j))
+            cls = analysis.classify_at_i(impedance_resolvent(sub, 1j))
             report["factors"][i]["classification"] = _classification(cls)
         except LivsicError:
             pass
@@ -224,7 +224,7 @@ def _cmd_couple(args) -> int:
         report["impedance"] = _rat(coupling.coupling_impedance_closed(lam, mu))
         report["dissipation_closed"] = _num(analysis.coupling_dissipation_closed(lam, mu))
     try:
-        v_i = impedance_eval(coupled.system, 1j)
+        v_i = impedance_resolvent(coupled.system, 1j)
         report["impedance_at_i"] = _cnum(v_i)
         report["classification"] = _classification(analysis.classify_at_i(v_i))
     except LivsicError:
@@ -243,7 +243,7 @@ def _cmd_classify(args) -> int:
     else:
         raise ValueError("classify needs --in or --lambda0")
     _require_valid(sys_)
-    v_i = impedance_eval(sys_, 1j)
+    v_i = impedance_resolvent(sys_, 1j)
     report = {
         "impedance_at_i": _cnum(v_i),
         "classification": _classification(analysis.classify_at_i(v_i)),

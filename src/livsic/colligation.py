@@ -8,23 +8,30 @@ the colligation identity Im T = K J K*.
 The resolvent evaluators work directly off dense linear solves and serve
 as the independent oracle for every closed form in the package:
 
-    transfer_resolvent(z) = 1 - 2i K* (T - zI)^(-1) K J
-    impedance_eval(z)     = K* (Re T - zI)^(-1) K
+    transfer_resolvent(z)  = 1 - 2i K* (T - zI)^(-1) K J
+    impedance_resolvent(z) = K* (Re T - zI)^(-1) K
 
-``transfer_eval`` picks its path.  For a valid colligation T - 2iJ KK* = T*,
-so the matrix determinant lemma gives W(z) = det(T* - zI)/det(T - zI).
-When T is upper triangular with diagonal t_1, ..., t_n (every elementary
-system and every chain of couplings) that is Livsic's triangular model,
+``transfer_eval`` and ``impedance_eval`` pick their path.  For a valid
+colligation T - 2iJ KK* = T*, so the matrix determinant lemma gives
+W(z) = det(T* - zI)/det(T - zI).  When T is upper triangular with
+diagonal t_1, ..., t_n (every elementary system and every chain of
+couplings) that is Livsic's triangular model,
 
     W(z) = prod_j (conj(t_j) - z)/(t_j - z),
 
 which costs O(n) and stays exact where the dense solve loses precision.
+V follows from W by the Cayley link V = iJ(W - 1)/(W + 1), evaluated
+through the product u = 1/W or u = W, whichever has |u| <= 1 at z:
+
+    V(z) = +/- iJ (1 - u)/(1 + u).
+
 Any other system goes to the resolvent (see ``LSystem.triangular_diagonal``).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,6 +108,11 @@ class LSystem:
         return float(np.linalg.norm(im_t - self.J * np.outer(self.K, self.K.conj())))
 
     @cached_property
+    def t_norm(self) -> float:
+        """||T|| (Frobenius)."""
+        return float(np.linalg.norm(self.T))
+
+    @cached_property
     def im_strip(self) -> tuple[float, float]:
         """Interval [lo, hi] holding Im x*Tx for every unit vector x.
 
@@ -136,7 +148,7 @@ def validate(sys: LSystem) -> ValidationReport:
     The residual ||(T - T*)/2i - J K K*|| (Frobenius) is compared against
     TAU_COLLIGATION * (1 + ||T||).
     """
-    threshold = TAU_COLLIGATION * (1.0 + float(np.linalg.norm(sys.T)))
+    threshold = TAU_COLLIGATION * (1.0 + sys.t_norm)
     return ValidationReport(sys.residual, threshold, sys.residual <= threshold)
 
 
@@ -171,6 +183,18 @@ def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
             f"(diagonal entry {hits[0]} of the triangular T, n={d.size})")
 
 
+def _diagonal_factors(d: np.ndarray, z: complex, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the triangular product over the diagonal d at z,
+    oriented by sign: f_j = (conj(t_j) - z)/(t_j - z), whose product is
+    W(z), for sign = 1 and 1/f_j for sign = -1.  Also returns f_j - 1 =
+    (a_j - b_j)/(b_j - z) for f_j = (a_j - z)/(b_j - z), without the
+    cancellation of f_j - 1.  Floating-point warnings and non-finite
+    results are the caller's to handle."""
+    a, b = (d.conj(), d) if sign > 0 else (d, d.conj())
+    den = b - z
+    return (a - z) / den, (a - b) / den
+
+
 def transfer_eval(sys: LSystem, z: complex) -> complex:
     """Transfer function W(z): the triangular product when the system has
     a triangular diagonal (see :attr:`LSystem.triangular_diagonal`) and z
@@ -183,7 +207,7 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     # for a valid system every |factor| lies on one side of 1, so a partial
     # product overflows only if the whole product does
     with np.errstate(over="ignore", invalid="ignore"):
-        w = complex(np.prod((d.conj() - z) / (d - z)))
+        w = complex(np.prod(_diagonal_factors(d, z, 1)[0]))
     if not cmath.isfinite(w):
         raise SingularResolventError(
             f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
@@ -202,6 +226,52 @@ def transfer_resolvent(sys: LSystem, z: complex) -> complex:
 
 
 def impedance_eval(sys: LSystem, z: complex) -> complex:
+    """Impedance function V(z): the Cayley link of the triangular product
+    when the system has a triangular diagonal (see
+    :attr:`LSystem.triangular_diagonal`), else :func:`impedance_resolvent`.
+
+    With f_j = (t_j - z)/(conj(t_j) - z), u = prod f_j = 1/W(z) and
+    V = iJ(1 - u)/(1 + u) when J Im z > 0; otherwise the reciprocal
+    factors give u = W(z) and V = -iJ(1 - u)/(1 + u).  Every |f_j| <= 1 for
+    a valid system, so u cannot overflow, and a pole z = t_j of W gives
+    u = 0, the correct limit V = iJ.
+
+    Error bound: each f_j is correct to a few eps, so the computed u is off
+    by |du| <= c n eps |u| <= c n eps.  As dV/du = -2iJ/(1 + u)^2 and the
+    path requires |1 + u| >= 1/2, V is off by at most
+    2|du|/|1 + u|^2 <= 8 c n eps.  Far from the spectrum u is near 1 and V
+    is small, so 1 - u is summed instead from the telescoped form
+    u - 1 = sum_k (f_k - 1) f_1 ... f_(k-1) when s = sum_k |f_k - 1| |f_1 ... f_(k-1)|
+    is below 1.  Its error c n eps s keeps the bound, and is relative to V
+    where the terms do not cancel.
+
+    The resolvent is called instead, with bit-identical values and
+    errors, unless z is finite and off the real axis with
+    |Im z| > 2 n eps (||T||_F + sqrt(n) |z|), u is finite and
+    |1 + u| >= 1/2.  The first bound exceeds 2 n eps ||Re T - zI||_F, so
+    the resolvent's guard could not fire at z (see :func:`_solve_guarded`).
+    """
+    z = complex(z)
+    d = sys.triangular_diagonal
+    n = sys.dim
+    if (d is None or not cmath.isfinite(z)
+            or not abs(z.imag) > 2.0 * n * _EPS * (sys.t_norm + math.sqrt(n) * abs(z))):
+        return impedance_resolvent(sys, z)
+    sign = 1 if sys.J * z.imag > 0 else -1
+    with np.errstate(all="ignore"):
+        f, steps = _diagonal_factors(d, z, -sign)
+        p = np.cumprod(f)
+        # the telescoped terms (f_k - 1) f_1 ... f_(k-1)
+        terms = steps * np.concatenate(([1.0], p[:-1]))
+        u = complex(p[-1])
+        telescoped = float(np.abs(terms).sum()) < 1.0
+        one_minus_u = -complex(terms.sum()) if telescoped else 1.0 - u
+    if not (cmath.isfinite(u) and cmath.isfinite(one_minus_u)) or abs(1.0 + u) < 0.5:
+        return impedance_resolvent(sys, z)
+    return sign * sys.J * 1j * one_minus_u / (1.0 + u)
+
+
+def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
     a = sys.T + sys.T.conj().T
@@ -210,4 +280,3 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     a.flat[:: sys.dim + 1] -= z
     x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z)
     return complex(np.vdot(sys.K, x))
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, coupling, elementary, ratfun
-from .colligation import TAU_COLLIGATION, impedance_eval, transfer_resolvent, validate
+from .colligation import TAU_COLLIGATION, impedance_resolvent, transfer_resolvent, validate
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         for _ in range(N_POINTS):
             z = _draw_z(rng, avoid=(lam, -lam.conjugate()))
             w = transfer_resolvent(sys, z)
-            v = impedance_eval(sys, z)
+            v = impedance_resolvent(sys, z)
             elem_w = max(elem_w, _rel(ratfun.rat_eval(w_closed, z), w))
             elem_v = max(elem_v, _rel(ratfun.rat_eval(v_closed, z), v))
             skew_w = max(skew_w, _rel(ratfun.rat_eval(wx_closed, z), transfer_resolvent(xsys, z)))
-            skew_v = max(skew_v, _rel(ratfun.rat_eval(vx_closed, z), impedance_eval(xsys, z)))
+            skew_v = max(skew_v, _rel(ratfun.rat_eval(vx_closed, z), impedance_resolvent(xsys, z)))
             cayley_sys = max(cayley_sys, _rel(1j * (w - 1.0) / (w + 1.0), v))
 
     mult = imp = ent = diss = 0.0
@@ -91,7 +91,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
             product = (transfer_resolvent(coupled.factors[0], z)
                        * transfer_resolvent(coupled.factors[1], z))
             mult = max(mult, _rel(transfer_resolvent(coupled.system, z), product))
-            imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), impedance_eval(coupled.system, z)))
+            imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), impedance_resolvent(coupled.system, z)))
         s_oracle = analysis.c_entropy_resolvent(coupled.system)
         d_oracle = analysis.dissipation_from_entropy(s_oracle)
         ent = max(ent, _rel(s_oracle, analysis.coupling_entropy_closed(lam, mu)))
@@ -105,7 +105,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         a1, a2 = rng.uniform(0.05, 0.95, 2)
         coupled = coupling.couple(elementary.make_elementary(1j * a1).system,
                                   elementary.make_elementary(1j * a2).system)
-        k12 = analysis.classify_at_i(impedance_eval(coupled.system, 1j)).kappa
+        k12 = analysis.classify_at_i(impedance_resolvent(coupled.system, 1j)).kappa
         k1 = analysis.classify_elementary(1j * a1).kappa
         k2 = analysis.classify_elementary(1j * a2).kappa
         kap = max(kap, abs(k12 - k1 * k2))
@@ -119,7 +119,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         d_oracle = analysis.dissipation_from_entropy(s_oracle)
         selfskew = max(selfskew, _rel(s_oracle, 2.0 * s_single))
         selfskew = max(selfskew, _rel(d_oracle, 2.0 * d_single - d_single ** 2))
-        v_i = impedance_eval(block.system, 1j)
+        v_i = impedance_resolvent(block.system, 1j)
         v_expected = 2j * lam.imag / (abs(lam) ** 2 + 1.0)
         selfskew = max(selfskew, _rel(v_i, v_expected))
 

@@ -144,6 +144,54 @@ class TestDissipation:
             assert 0.0 < d <= 1.0
 
 
+def _plain_entropy(lam):
+    """The elementary entropy exactly as the plain formula computes it."""
+    x, y = lam.real, lam.imag
+    return float(0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2)))
+
+
+class TestLargeParameters:
+    """Closed forms whose sums of squares overflow a float."""
+
+    def test_entropy_without_overflow(self):
+        # S ~ 2y/(x^2 + y^2) once the squares overflow
+        assert c_entropy_elementary_closed(1e160 + 1j) == pytest.approx(2e-320, rel=1e-3)
+        assert c_entropy_elementary_closed(1e300 + 1e300j) == pytest.approx(1e-300, rel=1e-12)
+        assert c_entropy_elementary_closed(1e-3 + 1e200j) == pytest.approx(2e-200, rel=1e-12)
+        assert c_entropy_elementary_closed(1j) == INF
+
+    def test_dissipation_without_overflow(self):
+        assert dissipation_elementary_closed(1e300 + 1e300j) == pytest.approx(2e-300, rel=1e-12)
+        assert dissipation_elementary_closed(1e160 + 1j) == pytest.approx(4e-320, rel=1e-3)
+        assert dissipation_elementary_closed(1e200j) == pytest.approx(4e-200, rel=1e-12)
+        for lam, mu in ((1e300 + 1e300j, 0.5 + 1j), (1e200j, 1e-3 + 1e200j), (1e300j, 1j)):
+            d = coupling_dissipation_closed(lam, mu)
+            assert d == pytest.approx(compose_dissipation(dissipation_elementary_closed(lam),
+                                                          dissipation_elementary_closed(mu)),
+                                      rel=1e-12)
+
+    def test_unchanged_where_the_plain_formula_is_finite(self, rng):
+        lams = [draw_upper(rng) for _ in range(200)]
+        lams += [complex(x, y) for x in (0.0, -3e150, 1e100) for y in (1e-300, 1e-5, 1e150)]
+        for lam in lams:
+            x, y = lam.real, lam.imag
+            assert repr(c_entropy_elementary_closed(lam)) == repr(_plain_entropy(lam))
+            assert repr(dissipation_elementary_closed(lam)) == repr(4.0 * y / (x * x + (1.0 + y) ** 2))
+        xs, ys, s = entropy_surface(-2.0, 2.0, 0.05, 3.0, 9, 7)
+        x, y = np.meshgrid(xs, ys)
+        with np.errstate(divide="ignore"):
+            plain = 0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2))
+        assert s.tobytes() == plain.tobytes()
+
+    def test_surface_with_huge_bounds(self):
+        xs, ys, s = entropy_surface(-1e300, 1e300, 1e-3, 1e300, 3, 3)
+        assert np.isfinite(s).all() and (s >= 0.0).all()
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                assert s[iy, ix] == pytest.approx(c_entropy_elementary_closed(complex(x, y)),
+                                                  rel=1e-12)
+
+
 class TestComposition:
     def test_entropy_sum(self):
         assert abs(compose_entropy(0.5 * math.log(5), math.log(3))

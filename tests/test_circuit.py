@@ -193,6 +193,24 @@ class TestSynthesize:
         with pytest.raises(FosterSpecError, match="finite and positive"):
             Netlist(c0, tuple(LCStage(*s) for s in stages))
 
+    @pytest.mark.parametrize("c0, stages", [
+        (5e-324, ()), (None, ((1e-310, 1.0),)), (1.0, ((1.0, 2.0), (1.0, 2e-308))),
+    ])
+    def test_netlist_rejects_subnormal_values(self, c0, stages):
+        with pytest.raises(FosterSpecError, match="below the smallest normal float"):
+            Netlist(c0, tuple(LCStage(*s) for s in stages))
+
+    def test_netlist_accepts_the_smallest_normal_value(self):
+        tiny = sys.float_info.min
+        net = Netlist(tiny, (LCStage(tiny, tiny),))
+        assert net.series_capacitor == net.stages[0].inductance == tiny
+
+    def test_synthesis_with_subnormal_inductance_raises(self):
+        # b^2 is finite, but a/b^2 = 1/1.44e308 is subnormal
+        spec = FosterSpec(0.0, [(1.0, 1.2e154), (1.0, 1.3e154)])
+        with pytest.raises(FosterSpecError, match=r"component value 6\.94.*e-309 is below"):
+            synthesize(spec)
+
 
 class TestPositiveRealZ:
     def test_pure_capacitor(self):

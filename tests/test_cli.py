@@ -37,6 +37,11 @@ class TestElementary:
         assert report["classification"]["class"] == "M_hat"
         assert report["classification"]["kappa"] == 0.0
 
+    @pytest.mark.parametrize("lam, entropy", [("1e300,1e300", 1e-300), ("1e160,1", 2e-320)])
+    def test_huge_parameter_reports_tiny_entropy(self, capsys, lam, entropy):
+        report = run_json(capsys, "elementary", "--lambda0", lam)
+        assert report["entropy"] == entropy
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "elementary", "--lambda0", "1,-1")
         assert code == 3 and "domain" in err
@@ -292,6 +297,16 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--in", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"invariant violation: stage 1 resonance {b!r} is too large")
+
+
+    def test_subnormal_inductance_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "foster.json"
+        path.write_text(json.dumps({"a0": 0.0, "stages": [{"a": 1.0, "b": 1.2e154},
+                                                          {"a": 1.0, "b": 1.3e154}]}))
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invariant violation: component value 6.94")
+        assert "below the smallest normal float" in err
 
 
 class TestVerify:

@@ -17,6 +17,7 @@ from livsic import (
     colligation,
     couple,
     impedance_eval,
+    impedance_resolvent,
     make_elementary,
     rat_eval,
     transfer_closed,
@@ -213,7 +214,7 @@ class TestGuard:
                 for ev, a, value in (
                         (transfer_resolvent, sys.T - z * eye,
                          lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
-                        (impedance_eval, re_t - z * eye,
+                        (impedance_resolvent, re_t - z * eye,
                          lambda x: complex(np.vdot(sys.K, x)))):
                     x = _plain_guard(a, sys.K)
                     try:
@@ -237,7 +238,7 @@ class TestGuard:
             raise AssertionError("SVD should be skipped")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        v = impedance_eval(sys, 1j)
+        v = impedance_resolvent(sys, 1j)
         w = transfer_resolvent(sys, -1j)
         w_ref = math.prod((lam.conjugate() + 1j) / (lam + 1j) for lam in lams)
         assert v.imag > 0
@@ -285,7 +286,7 @@ class TestShift:
                 for ev, ref, value in (
                         (transfer_resolvent, sys.T - z * eye,
                          lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
-                        (impedance_eval, re_t - z * eye,
+                        (impedance_resolvent, re_t - z * eye,
                          lambda x: complex(np.vdot(sys.K, x)))):
                     shifted.clear()
                     try:
@@ -303,7 +304,7 @@ class TestShift:
         sys = _draw_chain(rng, 8)
         t, k = sys.T.copy(), sys.K.copy()
         transfer_resolvent(sys, -1j)
-        impedance_eval(sys, 1j)
+        impedance_resolvent(sys, 1j)
         assert sys.T.tobytes() == t.tobytes() and sys.K.tobytes() == k.tobytes()
 
 
@@ -410,3 +411,136 @@ class TestTriangular:
         assert len(calls) == 1
         d = sys.triangular_diagonal
         assert not d.flags.writeable and (d == np.diagonal(sys.T)).all()
+
+
+def _outcome(ev, sys, z):
+    """The value of ev at z, or the message of the SingularResolventError it raises."""
+    try:
+        return ev(sys, z)
+    except SingularResolventError as exc:
+        return str(exc)
+
+
+class TestTriangularImpedance:
+    """V as the Cayley link of the triangular product, against the resolvent."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The points at which impedance_eval calls the resolvent."""
+        resolvent = colligation.impedance_resolvent
+        points = []
+
+        def recording(sys, z):
+            points.append(z)
+            return resolvent(sys, z)
+
+        monkeypatch.setattr(colligation, "impedance_resolvent", recording)
+        return points
+
+    @staticmethod
+    def _fast(fallbacks, sys, z):
+        """impedance_eval at z, which must not fall back to the resolvent."""
+        fallbacks.clear()
+        v = impedance_eval(sys, z)
+        assert not fallbacks, z
+        return v
+
+    @staticmethod
+    def _cases(rng):
+        cases = [_chain([draw_upper(rng) for _ in range(k)]) for k in (1, 2, 5, 16, 64)]
+        flipped = _draw_chain(rng, 8)
+        # entrywise conjugation gives an upper-triangular J = -1 system
+        cases.append(LSystem(flipped.T.conj(), flipped.K.conj(), -1))
+        return cases
+
+    def test_matches_resolvent_on_chains(self, rng, fallbacks):
+        evals = 0
+        for sys in self._cases(rng):
+            assert sys.triangular_diagonal is not None
+            poles = list(sys.T.diagonal())
+            for z in [draw_z(rng, avoid=poles) for _ in range(10)] + [1j, -1j]:
+                evals += 1
+                got = impedance_eval(sys, z)
+                assert rel_err(got, impedance_resolvent(sys, z)) < 1e-12, (sys.dim, sys.J, z)
+        # only points near a pole of V (|1 + u| < 1/2) go to the resolvent
+        assert len(fallbacks) < evals // 4
+
+    def test_raise_decisions_and_fallback_values_are_the_resolvents(self, rng, fallbacks):
+        systems = self._cases(rng) + _guard_systems(rng)
+        systems += [_similar(_draw_chain(rng, 6), rng), make_elementary(1e152 + 1j).system]
+        fast = 0
+        for sys in systems:
+            for z in _guard_points(rng, sys):
+                fallbacks.clear()
+                got = _outcome(impedance_eval, sys, complex(z))
+                want = _outcome(impedance_resolvent, sys, complex(z))
+                if fallbacks:
+                    assert repr(got) == repr(want), (sys.dim, z)
+                else:
+                    fast += 1
+                    assert sys.triangular_diagonal is not None
+                    assert not isinstance(want, str), (sys.dim, z, want)
+                    assert rel_err(got, want) < 1e-12, (sys.dim, z)
+        assert fast > 0
+
+    def test_gated_points_are_bit_identical(self, rng):
+        lam = 0.5 + 1j
+        chain = _draw_chain(rng, 16)
+        cases = [
+            # 1 + u vanishes at Re lambda on the axis: the Cayley link would lose
+            # about eps/|1 + u| there, so the |1 + u| >= 1/2 gate sends it on
+            (make_elementary(lam).system,
+             [complex(lam.real, 1e-14), complex(lam.real, -1e-14), 0.5, 0.0, -3.0]),
+            (chain, [1.25, complex(0.1, 1e-300), complex(math.inf, 1.0)]),
+            (_similar(chain, rng), [1j, complex(0.1, 1e-300)]),
+            (LSystem([[2j]], [1.0], 1), [1j, 0.5j]),
+            # the second state is cut off from the channel: 0.7 is an eigenvalue
+            # of Re T but no pole of V, so only the guard keeps the refusal
+            (LSystem([[0.3 + 1j, 0.0], [0.0, 0.7]], [1.0, 0.0], 1),
+             [complex(0.7, 1e-17), complex(0.7, -1e-17)]),
+            # passes validate with Im t = -1e-12: z = conj(t) divides by zero
+            (LSystem([[0.3 - 1e-12j]], [0.0], 1), [complex(0.3, 1e-12)]),
+        ]
+        raised = 0
+        for sys, points in cases:
+            for z in points:
+                want = _outcome(impedance_resolvent, sys, z)
+                raised += isinstance(want, str)
+                assert repr(_outcome(impedance_eval, sys, z)) == repr(want), (sys.dim, z)
+        assert raised >= 3
+
+    def test_long_chains_near_a_pole_of_w(self, fallbacks):
+        # |W| is about 2000**128 at these points, beyond the float range;
+        # the product oriented to |u| <= 1 underflows to 0 instead
+        chain = _chain([1j] * 128)
+        for sys, z in ((chain, 1.001j), (LSystem(chain.T.conj(), chain.K.conj(), -1), -1.001j)):
+            got = self._fast(fallbacks, sys, z)
+            assert rel_err(got, impedance_resolvent(sys, z)) < 1e-12
+
+    def test_pole_of_w_on_the_diagonal(self, rng, fallbacks):
+        sys = _chain([draw_upper(rng), 1j, draw_upper(rng)])
+        got = self._fast(fallbacks, sys, 1j)
+        assert rel_err(got, impedance_resolvent(sys, 1j)) < 1e-12
+
+    def test_far_from_the_spectrum_keeps_relative_accuracy(self, rng, fallbacks):
+        sys = _draw_chain(rng, 16)
+        for z in (1e6j, 1e8 - 1e8j, 3e3 + 1.0j):
+            got = self._fast(fallbacks, sys, z)
+            want = impedance_resolvent(sys, z)
+            # V is about -tr Im T / z here, far below the floor of rel_err
+            assert abs(got - want) <= 1e-13 * abs(want), z
+
+    def test_against_mpmath(self, rng, fallbacks):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for k in (1, 4, 12):
+            lams = [draw_upper(rng) for _ in range(k)]
+            sys = _chain(lams)
+            t = mpmath.matrix(sys.T.tolist())
+            kk = mpmath.matrix(sys.K.tolist())
+            re_t = (t + t.H) / 2
+            for z in (draw_z(rng, avoid=lams), 1j, lams[-1] + 1e-8, -2e5j):
+                x = mpmath.lu_solve(re_t - mpmath.mpc(z) * mpmath.eye(k), kk)
+                truth = complex((kk.H * x)[0])
+                got = self._fast(fallbacks, sys, z)
+                assert abs(got - truth) <= 1e-14 * abs(truth), (k, z)
