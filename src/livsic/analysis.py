@@ -101,8 +101,10 @@ def c_entropy_resolvent(sys: LSystem) -> float:
 
 
 def dissipation_from_entropy(s: float) -> float:
-    """D = 1 - exp(-2S), with D = 1 at S = +inf."""
-    return 1.0 if math.isinf(s) else 1.0 - math.exp(-2.0 * s)
+    """D = 1 - exp(-2S), computed as -expm1(-2S) so that a small S keeps
+    its relative accuracy, with D = 1 at S = +inf and D = +0.0 at S = -0.0
+    (the subtraction from 0.0 turns -0.0 into +0.0)."""
+    return 1.0 if math.isinf(s) else 0.0 - math.expm1(-2.0 * s)
 
 
 def _square_sum(x, y):

@@ -7,21 +7,25 @@ The coupled system lives on the direct sum of the factor state spaces:
 
 Its transfer function is the product of the factor transfer functions
 (multiplication theorem), which is what makes the c-entropy of a coupling
-additive.  Closed forms are provided for couplings of two elementary
-systems and for the self-coupling of an elementary system with its
-skew-adjoint companion.  The latter stay explicit: coupling_*_closed(l,
--conj(l)) is equal but flips the sign of zero coefficient parts.
+additive.  T is fixed entry by entry by the leaf systems (the uncoupled
+factors) and K, so ``couple`` records only the leaves and the coupled
+system builds K and T on first read: a chain of k factors folds with
+O(k^2) pointer copies, not O(k^3) bytes of matrix copies.
+
+Closed forms are provided for couplings of two elementary systems and
+for the self-coupling of an elementary system with its skew-adjoint
+companion.  The latter stay explicit: coupling_*_closed(l, -conj(l)) is
+equal but flips the sign of zero coefficient parts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .colligation import LSystem
+from .colligation import LSystem, _Coupling
 from .elementary import _check_upper, make_elementary, make_skew_adjoint, transfer_closed
-from .errors import IncompatibleError
+from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
 
 
@@ -37,23 +41,15 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     Both factors must carry directing sign +1; the coupling block
     2i K1 K2* presumes that convention.  Factors of any state dimension
     are accepted, so couplings can be chained.
+
+    The coupled system records the leaf systems of both factors and builds
+    its K and T on first read (see :class:`LSystem`), so a call costs
+    O(number of leaves) and a chain of k factors is folded without copying
+    a matrix.  ValueError if the new block 2i K1 K2* overflows.
     """
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
-    n1, n2 = sys1.dim, sys2.dim
-    # one allocation: every entry of t is written exactly once
-    t = np.empty((n1 + n2, n1 + n2), dtype=complex)
-    t[:n1, :n1] = sys1.T
-    t[n1:, :n1] = 0.0
-    t[n1:, n1:] = sys2.T
-    block = t[:n1, n1:]
-    np.multiply.outer(sys1.K, sys2.K.conj(), out=block)
-    block *= 2j
-    # the factors' blocks are finite already; only the new one can overflow
-    if not np.isfinite(block).all():
-        raise ValueError("non-finite entries in system matrices")
-    k = np.concatenate([sys1.K, sys2.K])
-    return CoupledSystem(LSystem._adopt(t, k, 1), (sys1, sys2))
+    return CoupledSystem(_Coupling._of(sys1, sys2), (sys1, sys2))
 
 
 def coupling_transfer_closed(lambda0: complex, mu0: complex) -> RationalFunction:
@@ -84,10 +80,24 @@ def self_skew_coupling(lambda0: complex) -> CoupledSystem:
                   make_skew_adjoint(lambda0).system)
 
 
+def _modulus_squared(lambda0: complex) -> float:
+    """|lambda0|^2 as Re^2 + Im^2, the constant coefficient of the self-skew
+    closed forms; RangeError where it exceeds the float range."""
+    try:
+        m2 = lambda0.real ** 2 + lambda0.imag ** 2
+    except OverflowError:  # a Python float ** raises where * returns inf
+        m2 = math.inf
+    if math.isinf(m2):
+        raise RangeError(
+            f"|lambda0|^2 overflows for lambda0 = {lambda0}: the self-skew closed form's "
+            f"coefficients exceed the float range")
+    return m2
+
+
 def self_skew_transfer_closed(lambda0: complex) -> RationalFunction:
     """W(z) = (|l|^2 - 2i Im(l) z - z^2)/(|l|^2 + 2i Im(l) z - z^2)."""
     lambda0 = _check_upper(lambda0)
-    m2 = lambda0.real ** 2 + lambda0.imag ** 2
+    m2 = _modulus_squared(lambda0)
     b = 2.0 * lambda0.imag
     return RationalFunction((m2, -1j * b, -1.0), (m2, 1j * b, -1.0))
 
@@ -95,5 +105,5 @@ def self_skew_transfer_closed(lambda0: complex) -> RationalFunction:
 def self_skew_impedance_closed(lambda0: complex) -> RationalFunction:
     """V(z) = 2 Im(lambda0) z / (|lambda0|^2 - z^2)."""
     lambda0 = _check_upper(lambda0)
-    m2 = lambda0.real ** 2 + lambda0.imag ** 2
+    m2 = _modulus_squared(lambda0)
     return RationalFunction((0.0, 2.0 * lambda0.imag), (m2, 0.0, -1.0))

@@ -30,6 +30,7 @@ from livsic import (
 )
 
 INF = float("inf")
+EPS = float(np.finfo(float).eps)
 
 
 class TestClassifyAtI:
@@ -258,6 +259,16 @@ class TestEntropyReport:
 
     def test_infinite(self):
         assert dissipation_from_entropy(INF) == 1.0
+
+    def test_small_entropy_keeps_relative_accuracy(self):
+        for s in np.geomspace(1e-300, 1e-8, 60):
+            s = float(s)
+            # D = 2S (1 - S + 2S^2/3 - ...), the series exact to well below eps here
+            exact = 2.0 * s * (1.0 - s + 2.0 * s * s / 3.0)
+            assert abs(dissipation_from_entropy(s) - exact) <= 4 * EPS * exact
+        assert dissipation_from_entropy(2e-320) == 4e-320
+        for zero in (0.0, -0.0):
+            assert math.copysign(1.0, dissipation_from_entropy(zero)) == 1.0
 
 
 class TestEntropySurface:

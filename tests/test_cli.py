@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from livsic import dissipation_elementary_closed
 from livsic.cli import main, system_from_descriptor
 
 
@@ -41,6 +42,11 @@ class TestElementary:
     def test_huge_parameter_reports_tiny_entropy(self, capsys, lam, entropy):
         report = run_json(capsys, "elementary", "--lambda0", lam)
         assert report["entropy"] == entropy
+
+    def test_tiny_entropy_keeps_its_dissipation(self, capsys):
+        # D = 1 - exp(-2S) cancels to 0.0 here; -expm1(-2S) keeps 2S
+        report = run_json(capsys, "elementary", "--lambda0", "1e160,1")
+        assert report["dissipation"] == dissipation_elementary_closed(1e160 + 1j) == 4e-320
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "elementary", "--lambda0", "1,-1")
@@ -110,6 +116,11 @@ class TestSkew:
         assert block["dissipation_identity"] == pytest.approx(0.96, rel=1e-11)
         assert block["impedance_at_i"]["im"] == pytest.approx(2 / 3, rel=1e-11)
         assert block["classification"]["class"] == "M_hat_kappa"
+
+    def test_overflowing_modulus_is_a_mapped_error(self, capsys):
+        code, out, err = run(capsys, "skew", "--lambda0", "1e300,1e300")
+        assert code == 2 and out == ""
+        assert "|lambda0|^2 overflows" in err and "Traceback" not in err
 
     def test_self_skew_system_matches_original(self, capsys):
         report = run_json(capsys, "skew", "--lambda0", "0,1")

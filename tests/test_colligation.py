@@ -94,6 +94,28 @@ class TestValidate:
         rep = validate(c.system)
         assert rep.residual <= 1e-14 and rep.passed
 
+    def test_norms_past_the_float_range_are_rescaled(self):
+        # ||T||^2 = 2e600 overflows; the norm itself does not
+        good = make_elementary(1e300 + 1e300j).system
+        assert good.t_norm == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+        rep = validate(good)
+        assert math.isfinite(rep.threshold) and rep.passed
+        broken = LSystem([[1e300 + 1e300j]], [1.0], 1)
+        rep = validate(broken)
+        assert rep.residual == pytest.approx(1e300, rel=1e-15)
+        assert math.isfinite(rep.threshold) and not rep.passed
+        big = LSystem([[1e300 + 1e300j, 1e300], [0.0, 1e300j]], [1e150, 0.5e150], 1)
+        assert big.residual == pytest.approx(np.linalg.norm(
+            (big.T - big.T.conj().T) / 2e300j - np.outer(big.K, big.K.conj()) / 1e300) * 1e300,
+            rel=1e-14)
+
+    def test_plain_norm_kept_where_finite(self, rng):
+        sys = LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+                      rng.normal(size=6) + 1j * rng.normal(size=6), 1)
+        assert sys.t_norm == float(np.linalg.norm(sys.T))
+        im_t = (sys.T - sys.T.conj().T) / 2j
+        assert sys.residual == float(np.linalg.norm(im_t - np.outer(sys.K, sys.K.conj())))
+
 
 class TestTransferEval:
     def test_value_at_minus_i(self):

@@ -1,6 +1,7 @@
 """Coupling of systems: block structure, product law, closed forms."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import assert_rat_equal, assert_rat_value, draw_upper, draw_z, rel
 from livsic import (
     IncompatibleError,
     LSystem,
+    RangeError,
     RationalFunction,
     cayley_w_to_v,
     classify_at_i,
@@ -141,6 +143,130 @@ class TestCoupleInPlace:
                 couple(couple(make_elementary(1j).system, big).system, big)
         # a block that stays finite is accepted
         assert couple(big, make_elementary(1j).system).system.dim == 2
+
+
+def _leaf_reference(leaves):
+    """T and K of a coupling over ``leaves`` written out with np.zeros and
+    np.outer: leaf T's on the diagonal, 2i K_p K_q* above, zeros below."""
+    k = np.concatenate([leaf.K for leaf in leaves])
+    t = np.zeros((k.size, k.size), dtype=complex)
+    r = 0
+    for leaf in leaves:
+        e = r + leaf.dim
+        t[r:e, r:e] = leaf.T
+        t[r:e, e:] = 2j * np.outer(leaf.K, k[e:].conj())
+        r = e
+    return t, k, 1
+
+
+def _fold(systems, shape):
+    """Couple ``systems`` in order as a left fold, a right fold or a
+    balanced binary tree."""
+    if shape == "left":
+        acc = systems[0]
+        for s in systems[1:]:
+            acc = couple(acc, s).system
+        return acc
+    if shape == "right":
+        acc = systems[-1]
+        for s in reversed(systems[:-1]):
+            acc = couple(s, acc).system
+        return acc
+    if len(systems) == 1:
+        return systems[0]
+    half = len(systems) // 2
+    return couple(_fold(systems[:half], shape), _fold(systems[half:], shape)).system
+
+
+class TestLazyCoupling:
+    """A coupling records its leaves and builds K and T on first read."""
+
+    @pytest.mark.parametrize("shape", ["left", "right", "balanced"])
+    @pytest.mark.parametrize("count", [2, 3, 17, 64, 256])
+    def test_trees_bitwise_equal_to_reference(self, rng, shape, count):
+        lams = [draw_upper(rng) for _ in range(count)]
+        lams[0] = complex(-0.0, 0.5)
+        lams[-1] = complex(0.0, 1.5)
+        leaves = [make_elementary(lam).system for lam in lams]
+        sys = _fold(leaves, shape)
+        assert sys.dim == count
+        _assert_bitwise(sys, _leaf_reference(leaves))
+
+    def test_dense_leaves_and_couplings_of_couplings(self, rng):
+        a, b = _dense(rng, 3), _dense(rng, 5)
+        k = a.K.copy()
+        k[0] = complex(-0.0, k[0].imag)
+        a = LSystem(a.T, k, 1)
+        elem = make_elementary(complex(-0.0, 0.7)).system
+        empty = LSystem(np.zeros((0, 0)), [], 1)
+        for leaves in ([a, b], [b, a], [a, elem, b], [b, elem, a, b, elem], [elem, empty, elem]):
+            for shape in ("left", "right", "balanced"):
+                _assert_bitwise(_fold(leaves, shape), _leaf_reference(leaves))
+        inner = couple(a, b).system
+        outer = couple(couple(elem, inner).system, couple(inner, elem).system).system
+        _assert_bitwise(outer, _leaf_reference([elem, a, b, a, b, elem]))
+
+    def test_built_arrays_are_read_only(self, rng):
+        sys = _fold([make_elementary(draw_upper(rng)).system for _ in range(8)] + [_dense(rng, 3)],
+                    "balanced")
+        for a in (sys.T, sys.K):
+            assert not a.flags.writeable and a.flags.owndata
+        with pytest.raises(ValueError):
+            sys.T[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            sys.K[-1] = 0.0
+
+    def test_first_read_emits_no_warning(self):
+        # the leaf's own K K* block, 1e320, overflows in the outer product;
+        # only the block above the leaves is kept.  pytest turns warnings
+        # into errors, so a leaked overflow warning fails here
+        big = LSystem([[1j]], [1e160], 1)
+        small = LSystem([[2j]], [1e-160], 1)
+        for leaves in ([big, small], [small, big], [small, big, small]):
+            sys = _fold(leaves, "left")
+            _assert_bitwise(sys, _leaf_reference(leaves))
+            assert np.isfinite(sys.T).all()
+
+    def test_couple_builds_nothing(self, rng):
+        left = couple(make_elementary(1j).system, _dense(rng, 3)).system
+        right = couple(_dense(rng, 5), make_elementary(2j).system).system
+        both = couple(left, right).system
+        for sys in (left, right, both):
+            assert "T" not in vars(sys) and "K" not in vars(sys)
+        assert both.dim == 10
+        assert "T" not in vars(both)
+        both.T
+        assert "T" in vars(both) and "T" not in vars(left) and "T" not in vars(right)
+
+    def test_intermediate_fold_systems_are_released(self):
+        sys = couple(make_elementary(1j).system, make_elementary(2j).system).system
+        sys.T  # a built T must not keep it alive either
+        ref = weakref.ref(sys)
+        sys = couple(sys, make_elementary(3j).system).system
+        assert ref() is None
+        assert sys.T.shape == (3, 3)
+
+    @pytest.mark.parametrize("parts", ["real", "imag", "both"])
+    def test_overflow_gate_agrees_with_the_exact_check(self, parts):
+        # the gate clears 4 k1 k2 <= 2^1023; the block overflows near
+        # 2 k1 k2 = 2^1024 (real or imaginary K) or 4 k1 k2 = 2^1024 (both)
+        unit = {"real": 1.0, "imag": 1j, "both": 1.0 + 1j}[parts]
+        mags = []
+        for e in (1021, 1022, 1023, 1024):
+            m = 2.0 ** (e / 2.0) / math.sqrt(abs(unit.real) + abs(unit.imag))
+            mags += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+        elem = make_elementary(0.5j).system
+        for m1 in mags:
+            for m2 in (mags[0], mags[4], m1):
+                leaves = [LSystem([[1j]], [m1 * unit], 1), elem, LSystem([[1j]], [m2 * unit], 1)]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(_leaf_reference(leaves)[0]).all()
+                sys2 = couple(*leaves[1:]).system
+                if not finite:
+                    with pytest.raises(ValueError, match="non-finite entries in system matrices"):
+                        couple(leaves[0], sys2)
+                else:
+                    _assert_bitwise(couple(leaves[0], sys2).system, _leaf_reference(leaves))
 
 
 class TestTransferClosed:
@@ -278,6 +404,21 @@ class TestSelfSkewCoupling:
             (t1, w1), (t2, w2) = m.atoms
             assert abs(t1 + mod) < 1e-10 and abs(t2 - mod) < 1e-10
             assert abs(w1 - lam.imag) < 1e-10 and abs(w2 - lam.imag) < 1e-10
+
+
+class TestSelfSkewOverflow:
+    def test_overflowing_modulus_raises(self):
+        # the squares overflow (1e300) or only their sum does (1e154)
+        for lam in (1e300 + 1e300j, 1e154 + 1e154j, 1e200 + 1j):
+            for form in (self_skew_transfer_closed, self_skew_impedance_closed):
+                with pytest.raises(RangeError, match="overflows"):
+                    form(lam)
+
+    def test_largest_finite_modulus_kept(self):
+        lam = 1e150 + 1e150j
+        m2 = lam.real ** 2 + lam.imag ** 2
+        assert self_skew_impedance_closed(lam).den.coeffs[0] == -m2
+        assert self_skew_transfer_closed(lam).num.coeffs[0] == -m2
 
 
 class TestExplicitSkewForms:
