@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .analysis import DonoghueClassification, classify_at_i
 from .elementary import _check_upper
 from .errors import FosterSpecError
-from .ratfun import AtomicMeasure, RationalFunction, rat_add
+from .ratfun import AtomicMeasure, RationalFunction, _PoleResidue, rat_add
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ class Netlist:
 
 
 def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
-    """sign*a0/z + sum a_k z/(b_k^2 + sign*z^2) over a common denominator.
+    """sign*a0/z + sum a_k z/(b_k^2 + sign*z^2) over a common denominator,
+    the coefficients of a Foster function, expanded when first read.
     The origin term is omitted entirely when a0 = 0 so the denominator
     carries no spurious root there."""
     terms = []
@@ -120,8 +122,9 @@ def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
 
 
 def foster_to_herglotz(spec: FosterSpec) -> RationalFunction:
-    """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2)."""
-    return _foster_sum(spec, -1.0)
+    """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) = sum w_j/(t_j - z), recorded
+    by the atoms (t_j, w_j) of :func:`measure_atoms`."""
+    return _PoleResidue(measure_atoms(spec).atoms, partial(_foster_sum, spec, -1.0))
 
 
 def measure_atoms(spec: FosterSpec) -> AtomicMeasure:
@@ -129,9 +132,12 @@ def measure_atoms(spec: FosterSpec) -> AtomicMeasure:
     atoms = []
     if spec.a0 > 0:
         atoms.append((0.0, spec.a0))
-    for s in spec.stages:
-        atoms.append((s.b, s.a / 2.0))
-        atoms.append((-s.b, s.a / 2.0))
+    for k, s in enumerate(spec.stages, 1):
+        w = s.a / 2.0
+        if w == 0.0:
+            raise FosterSpecError(f"stage {k} weight {s.a!r} is too small: a/2 underflows to 0")
+        atoms.append((s.b, w))
+        atoms.append((-s.b, w))
     return AtomicMeasure(atoms)
 
 
@@ -159,8 +165,11 @@ def netlist_to_foster(netlist: Netlist) -> FosterSpec:
 
 
 def positive_real_z(spec: FosterSpec) -> RationalFunction:
-    """Z(p) = M(ip)/i = a0/p + sum a_k p/(b_k^2 + p^2), positive-real in p."""
-    return _foster_sum(spec, 1.0)
+    """Z(p) = M(ip)/i = a0/p + sum a_k p/(b_k^2 + p^2), positive-real in p,
+    recorded by its poles -i t_j and weights -w_j, for the atoms (t_j, w_j)
+    of :func:`measure_atoms`."""
+    atoms = [(complex(0.0, -t), -w) for t, w in measure_atoms(spec).atoms]
+    return _PoleResidue(atoms, partial(_foster_sum, spec, 1.0))
 
 
 def skew_coupling_foster(lambda0: complex) -> FosterSpec:

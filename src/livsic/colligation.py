@@ -239,7 +239,8 @@ def validate(sys: LSystem) -> ValidationReport:
     return ValidationReport(sys.residual, threshold, sys.residual <= threshold)
 
 
-def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: complex) -> np.ndarray:
+def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: complex,
+                   bound: float) -> np.ndarray:
     """Solve a x = b unless a is numerically singular: sigma_min(a) <= n*eps*sigma_max(a).
 
     ``floor`` is a proven lower bound on sigma_min(a), from the numerical
@@ -250,9 +251,14 @@ def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: compl
     absorbs the O(eps*||a||) rounding in floor and in the SVD, so the SVD
     test could not fire.  n reaches 256 on chains of couplings, where the
     SVD costs several times the solve.
+
+    ``bound`` is an upper bound on ||a||_F, ||T||_F + sqrt(n)|z|.  When
+    floor > 4*n*eps*bound, floor exceeds 2*n*eps*||a||_F even after the
+    rounding in bound, and ||a||_F is not computed.  Where it is, it is
+    rescaled if its plain sum of squares overflows (see :func:`_frobenius`).
     """
     tol = a.shape[0] * _EPS
-    if floor <= 0.0 or floor <= 2.0 * tol * float(np.linalg.norm(a)):
+    if floor <= 0.0 or (not floor > 4.0 * tol * bound and floor <= 2.0 * tol * _frobenius(a)):
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= tol * s[0]:
             raise SingularResolventError(
@@ -308,7 +314,8 @@ def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     a = sys.T.copy()
     a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
-    x = _solve_guarded(a, sys.K, max(lo - z.imag, z.imag - hi), "T - zI", z)
+    x = _solve_guarded(a, sys.K, max(lo - z.imag, z.imag - hi), "T - zI", z,
+                       sys.t_norm + math.sqrt(sys.dim) * abs(z))
     return complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)
 
 
@@ -365,5 +372,7 @@ def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     a /= 2.0
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
     a.flat[:: sys.dim + 1] -= z
-    x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z)
+    # ||Re T||_F <= ||T||_F
+    x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z,
+                       sys.t_norm + math.sqrt(sys.dim) * abs(z))
     return complex(np.vdot(sys.K, x))

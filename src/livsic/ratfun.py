@@ -13,7 +13,11 @@ Conventions:
   symbolic gcd cancellation is attempted, since exact cancellation is
   ill-posed in floating point;
 * rational functions are compared by evaluation on a fixed seeded point
-  set, never by coefficient equality.
+  set, never by coefficient equality;
+* a function known by its poles t_j and weights w_j, r(z) = sum
+  w_j/(t_j - z) (the Foster functions of ``circuit``), is recorded by them:
+  it is evaluated and split into atoms from that record in O(m), and its
+  coefficients are expanded only when first read.
 """
 
 from __future__ import annotations
@@ -149,13 +153,52 @@ class RationalFunction:
         return f"[{self.num}] / [{self.den}]"
 
 
+class _PoleResidue(RationalFunction):
+    """r(z) = sum w_j/(t_j - z), recorded by its atoms (t_j, w_j) with real
+    weights w_j.  ``num`` and ``den`` are built by the zero-argument
+    ``expand`` on first read and then stored like a plain instance's."""
+
+    def __init__(self, atoms, expand):
+        self.__dict__.update(atoms=tuple(atoms), _expand=expand)
+
+    def __getattr__(self, name: str):
+        # reached only for a name missing from the instance: num or den
+        # before its first read
+        if name not in ("num", "den"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        r = self._expand()
+        self.__dict__.update(num=r.num, den=r.den)
+        return self.__dict__[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    __hash__ = RationalFunction.__hash__
+
+
 def rat_eval(r: RationalFunction, z: complex) -> complex:
     """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
 
     Raises PoleError when the denominator value falls below the scaled
     pole guard, signalling evaluation at or too close to a pole.
+
+    A function recorded by its poles and weights is summed directly,
+    sum w_j/(t_j - z); its guard is per pole, raising PoleError when
+    |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j.
     """
     z = complex(z)
+    if isinstance(r, _PoleResidue):
+        acc = 0j
+        for t, w in r.atoms:
+            d = t - z
+            # |d| <= TAU_POLE * max(1, |t|), spelled out: max() would double the loop's cost
+            ad = abs(d)
+            if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
+                raise PoleError(f"z={z} is at or too near the pole {t}")
+            acc += w / d
+        return acc
     den = r.den(z)
     scale = max(1.0, max(abs(c) for c in r.den.coeffs))
     if abs(den) < TAU_POLE * scale:
@@ -228,8 +271,12 @@ def partial_fractions_real_poles(r: RationalFunction) -> AtomicMeasure:
 
     Requires a strictly proper function whose poles are real and simple
     and whose weights come out positive real — i.e. the rational part of
-    a Herglotz function with purely atomic representing measure.
+    a Herglotz function with purely atomic representing measure.  A
+    function recorded by its poles and weights gives its atoms directly
+    when every pole is real and every weight positive.
     """
+    if isinstance(r, _PoleResidue) and all(t.imag == 0 and w > 0 for t, w in r.atoms):
+        return AtomicMeasure((t.real, w) for t, w in r.atoms)
     if r.num.is_zero:
         return AtomicMeasure(())
     if r.num.degree >= r.den.degree:

@@ -1,9 +1,11 @@
 """Foster data, representing measures, classification, LC synthesis."""
 
+import functools
 import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from conftest import assert_rat_equal, assert_rat_value, rel_err
 
@@ -14,6 +16,8 @@ from livsic import (
     FosterSpecError,
     LCStage,
     Netlist,
+    NotHerglotzAtomicError,
+    PoleError,
     RationalFunction,
     classify_at_i,
     classify_foster,
@@ -24,6 +28,7 @@ from livsic import (
     netlist_to_foster,
     partial_fractions_real_poles,
     positive_real_z,
+    rat_add,
     rat_eval,
     self_skew_impedance_closed,
     skew_coupling_circuit,
@@ -39,6 +44,23 @@ def random_spec(rng, max_stages=4, with_origin=True):
     while any(abs(b1 - b2) < 1e-3 for b1, b2 in zip(bs, bs[1:])):
         bs = sorted(rng.uniform(0.2, 5.0, n))
     return FosterSpec(a0, [(rng.uniform(0.1, 3.0), b) for b in bs])
+
+
+def spec_with(rng, m, a0):
+    """m stages with distinct resonances in [0.2, 5] and weights in [0.1, 3]."""
+    bs = rng.uniform(0.2, 5.0, m)
+    return FosterSpec(a0, [(rng.uniform(0.1, 3.0), b) for b in bs])
+
+
+def coefficient_fold(spec, sign):
+    """sign*a0/z + sum a z/(b^2 + sign*z^2), folded pairwise with rat_add."""
+    terms = [RationalFunction((sign * spec.a0,), (0.0, 1.0))] if spec.a0 > 0 else []
+    terms += [RationalFunction((0.0, s.a), (s.b * s.b, 0.0, sign)) for s in spec.stages]
+    return functools.reduce(rat_add, terms) if terms else RationalFunction((0.0,), (1.0,))
+
+
+def coefficient_bytes(r):
+    return np.array(r.num.coeffs).tobytes(), np.array(r.den.coeffs).tobytes()
 
 
 class TestFosterSpec:
@@ -116,6 +138,84 @@ class TestFosterToHerglotz:
         assert len(extracted.atoms) == len(expected.atoms)
         for (t1, w1), (t2, w2) in zip(extracted.atoms, expected.atoms):
             assert abs(t1 - t2) < 1e-10 and abs(w1 - w2) < 1e-10
+
+
+class TestPoleResidueRecord:
+    """M and Z are recorded by their poles and weights; their coefficients are
+    the pairwise fold's, expanded on first read."""
+
+    @pytest.mark.parametrize("build, sign", [(foster_to_herglotz, -1.0), (positive_real_z, 1.0)])
+    def test_coefficients_are_the_folds_bytes(self, rng, build, sign):
+        for m in range(25):
+            for a0 in (0.0, rng.uniform(0.1, 3.0)):
+                spec = spec_with(rng, m, a0)
+                r, ref = build(spec), coefficient_fold(spec, sign)
+                assert "num" not in vars(r) and "den" not in vars(r)
+                # tobytes, so that a signed zero counts
+                assert coefficient_bytes(r) == coefficient_bytes(ref)
+                assert r == ref and ref == r and hash(r) == hash(ref)
+                assert str(r) == str(ref) and r.degrees == ref.degrees
+
+    def test_atoms_are_the_measure_at_24_stages(self, rng):
+        for a0 in (0.0, 1.5):
+            spec = spec_with(rng, 24, a0)
+            m = foster_to_herglotz(spec)
+            assert partial_fractions_real_poles(m).atoms == measure_atoms(spec).atoms
+            rat_eval(m, 1j)
+            assert "num" not in vars(m)
+
+    def test_z_matches_the_direct_sum_at_24_stages(self, rng):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for a0 in (0.0, 0.7):
+            spec = spec_with(rng, 24, a0)
+            z = positive_real_z(spec)
+            for _ in range(20):
+                p = complex(rng.uniform(0.01, 2.0), rng.uniform(-5.0, 5.0))
+                direct = (a0 / p if a0 > 0 else 0.0) + sum(
+                    s.a * p / (s.b * s.b + p * p) for s in spec.stages)
+                pm = mp.mpc(p)
+                truth = (a0 / pm if a0 > 0 else 0) + mp.fsum(
+                    mp.mpf(s.a) * pm / (mp.mpf(s.b) ** 2 + pm * pm) for s in spec.stages)
+                got = rat_eval(z, p)
+                assert abs(got - direct) <= 1e-13 * abs(direct)
+                assert abs(mp.mpc(got) - truth) <= 1e-13 * abs(truth)
+
+    def test_pole_error_on_every_pole(self):
+        spec = FosterSpec(1.0, [(2.0, 0.5), (1.0, 3.0)])
+        m, z = foster_to_herglotz(spec), positive_real_z(spec)
+        for b in (0.0, 0.5, -0.5, 3.0, -3.0):
+            with pytest.raises(PoleError):
+                rat_eval(m, b)
+            with pytest.raises(PoleError):
+                rat_eval(z, 1j * b)
+        # no pole at the origin without a capacitor
+        assert rat_eval(foster_to_herglotz(FosterSpec(0.0, [(2.0, 0.5)])), 0.0) == 0.0
+
+    def test_close_resonances_give_exact_atoms(self):
+        # the companion-matrix roots of the expanded M called these a repeated pole
+        spec = FosterSpec(0.0, [(1.0, 1.0), (2.0, 1.0 + 1e-9)])
+        atoms = partial_fractions_real_poles(foster_to_herglotz(spec)).atoms
+        assert atoms == measure_atoms(spec).atoms
+        assert atoms == ((-1.000000001, 1.0), (-1.0, 0.5), (1.0, 0.5), (1.000000001, 1.0))
+
+    @pytest.mark.parametrize("a0, stages", [(0.0, [(1.0, 2.0)]), (1.0, [])])
+    def test_z_has_no_atoms(self, a0, stages):
+        # complex poles, or the real pole at 0 with weight -a0
+        with pytest.raises(NotHerglotzAtomicError):
+            partial_fractions_real_poles(positive_real_z(FosterSpec(a0, stages)))
+
+    def test_empty_spec_is_the_zero_function(self):
+        spec = FosterSpec(0.0)
+        for r in (foster_to_herglotz(spec), positive_real_z(spec)):
+            assert rat_eval(r, 1j) == 0j and r.num.is_zero
+        assert partial_fractions_real_poles(foster_to_herglotz(spec)).atoms == ()
+
+    def test_weight_whose_half_underflows_is_a_typed_error(self):
+        spec = FosterSpec(0.0, [(1.0, 2.0), (5e-324, 1.0)])
+        for build in (measure_atoms, foster_to_herglotz, positive_real_z):
+            with pytest.raises(FosterSpecError, match=r"stage 2 weight 5e-324 is too small"):
+                build(spec)
 
 
 class TestMeasureAtoms:

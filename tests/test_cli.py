@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,16 @@ class TestElementary:
         path = tmp_path / "sys.json"
         report = run_json(capsys, *argv, "--out", str(path))
         assert path.read_text() == json.dumps(report[key], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["classify", "--lambda0", "1e300,1e300"],
+                                  ["couple", "--lambda0", "1e300,1e300", "--mu0", "1,1"]])
+def test_huge_parameter_prints_no_numpy_warning(capsys, argv):
+    # the resolvent guard's norm of a system this large used to overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, err = run(capsys, *argv)
+    assert caught == [] and "Warning" not in err
 
 
 class TestDescriptor:

@@ -266,6 +266,31 @@ class TestGuard:
         assert v.imag > 0
         assert rel_err(w, w_ref) < 1e-10
 
+    @pytest.mark.parametrize("lams, z", [
+        ([1e300 + 1e300j], 1j), ([1e300 + 1e300j, 1 + 1j], 1j), ([1 + 1j], 2e154j),
+        ([1 + 1e300j], 2e154j)])
+    def test_norm_past_the_float_range_keeps_decision_and_value(self, lams, z):
+        # the plain sum of squares of ||T - zI||_F and ||Re T - zI||_F overflows;
+        # the guard's norm is rescaled instead, without numpy's overflow warning
+        # (an error in this suite).  For V at 2e154i the floor clears the guard,
+        # by the bound ||T||_F + |z| for 1 + i and by the rescaled norm of
+        # Re T - zI = 1 - zI for 1 + 1e300i, so its SVD is skipped.
+        sys = _chain(lams)
+        eye = np.eye(sys.dim)
+        re_t = (sys.T + sys.T.conj().T) / 2.0
+        for ev, a, value in (
+                (transfer_resolvent, sys.T - z * eye,
+                 lambda x: complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)),
+                (impedance_resolvent, re_t - z * eye, lambda x: complex(np.vdot(sys.K, x)))):
+            with np.errstate(over="ignore"):
+                assert np.linalg.norm(a) == math.inf
+            x = _plain_guard(a, sys.K)
+            if x is None:
+                with pytest.raises(SingularResolventError, match="singular or ill-conditioned"):
+                    ev(sys, z)
+            else:
+                assert ev(sys, z) == value(x)
+
     def test_numerical_range_inside_strip(self, rng):
         for sys in _guard_systems(rng):
             lo, hi = sys.im_strip

@@ -24,6 +24,7 @@ from livsic import (
     rat_sampled_equal,
     transfer_resolvent,
 )
+from livsic.ratfun import TAU_POLE, _PoleResidue
 
 # Frequently used fixtures: the two degree-one pairs from the worked
 # examples, W = (z+i)/(z-i) <-> V = -1/z and W = (1-i-z)/(1+i-z) <-> V = 1/(1-z).
@@ -214,6 +215,49 @@ class TestPartialFractions:
     def test_zero_function_has_empty_measure(self):
         m = partial_fractions_real_poles(RationalFunction((0.0,), (0.0, 1.0)))
         assert m.atoms == ()
+
+
+def counted_record(atoms, expanded):
+    """A pole-residue record whose expander counts its calls."""
+    calls = []
+
+    def expand():
+        calls.append(1)
+        return expanded
+
+    return _PoleResidue(atoms, expand), calls
+
+
+class TestPoleResidue:
+    # 2/(1 - z) + 1/(-1 - z) = (1 + 3z)/(1 - z^2)
+    ATOMS = ((1.0, 2.0), (-1.0, 1.0))
+    EXPANDED = RationalFunction((1.0, 3.0), (1.0, 0.0, -1.0))
+
+    def test_coefficients_expanded_once_on_first_read(self):
+        r, calls = counted_record(self.ATOMS, self.EXPANDED)
+        assert rel_err(rat_eval(r, 2j), (1 + 6j) / 5) < 1e-15
+        assert partial_fractions_real_poles(r).atoms == ((-1.0, 1.0), (1.0, 2.0))
+        assert calls == []
+        assert str(r) == str(self.EXPANDED) and r.degrees == (1, 2)
+        assert r == self.EXPANDED and self.EXPANDED == r and r != W_I
+        assert r.num is self.EXPANDED.num and r.den is self.EXPANDED.den
+        assert calls == [1]
+
+    @pytest.mark.parametrize("t", [0.5, -3e6])
+    def test_guard_is_per_pole(self, t):
+        r, _ = counted_record(((t, 1.0), (t + 10.0, 1.0)), self.EXPANDED)
+        reach = TAU_POLE * max(1.0, abs(t))
+        for z in (t, t + 0.9 * reach, complex(t, -0.9 * reach)):
+            with pytest.raises(PoleError, match=f"pole {t}"):
+                rat_eval(r, z)
+        assert rat_eval(r, complex(t, 1.1 * reach)).imag > 0
+
+    def test_complex_pole_takes_the_coefficient_path(self):
+        # 1/(i - z): the roots of the expanded denominator say why it has no atoms
+        r, calls = counted_record(((1j, 1.0),), RationalFunction((1.0,), (1j, -1.0)))
+        with pytest.raises(NotHerglotzAtomicError, match="complex pole"):
+            partial_fractions_real_poles(r)
+        assert calls == [1]
 
 
 class TestAtomicMeasure:
