@@ -34,6 +34,7 @@ TAU_CLASS = 1e-9
 TAU_ZERO = 1e-300
 
 INF = float("inf")
+_TINY = float(np.finfo(float).tiny)
 
 
 class DonoghueClass(enum.Enum):
@@ -120,15 +121,19 @@ def _elementary_entropy(x, y):
     """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)], elementwise over
     parameters x + iy; +inf where x + iy = i.  Where a sum of squares
     overflows, S = (1/2) log1p(4 (y/h)/h) with h = hypot(x, 1 - y), the
-    same ratio written without squares."""
+    same ratio written without squares.  Where either sum is below the
+    smallest normal float (x + iy near i, or near -i for a J = -1 system),
+    S = ln hypot(x, 1+y) - ln h."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = _square_sum(x, 1.0 + y)
         lo = _square_sum(x, 1.0 - y)
         s = 0.5 * np.log(np.divide(hi, lo))
         big = np.isinf(hi) | np.isinf(lo)
-        if big.any():
+        small = (lo < _TINY) | (hi < _TINY)
+        if (big | small).any():
             h = np.hypot(x, 1.0 - y)
             s = np.where(big, 0.5 * np.log1p(4.0 * (y / h) / h), s)
+            s = np.where(small, np.log(np.hypot(x, 1.0 + y)) - np.log(h), s)
     return s
 
 
@@ -140,12 +145,14 @@ def c_entropy_elementary_closed(lambda0: complex) -> float:
 
 def dissipation_elementary_closed(lambda0: complex) -> float:
     """D = 4y/(x^2 + (1+y)^2) for lambda0 = x + iy; always in (0, 1].
-    Where the sum of squares overflows, D = 4 (y/g)/g with g = hypot(x, 1 + y)."""
+    Where the sum of squares overflows, D = 4 (y/g)/g with g = hypot(x, 1 + y).
+    D <= 1 holds exactly, as (1+y)^2 - 4y = (1-y)^2, so a rounded value
+    above 1 (y within a few ulp of 1) is capped at 1."""
     lambda0 = _check_upper(lambda0)
     x, y = lambda0.real, lambda0.imag
     den = _square_sum(x, 1.0 + y)
     if den < INF:
-        return 4.0 * y / den
+        return min(4.0 * y / den, 1.0)
     g = math.hypot(x, 1.0 + y)
     return 4.0 * (y / g) / g
 
@@ -175,6 +182,9 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
 
         D = [4 Im(l)(|m|^2 + 1) + 4 Im(m)(|l|^2 + 1)]
             / [(Re(l)^2 + (1+Im(l))^2)(Re(m)^2 + (1+Im(m))^2)]
+
+    capped at 1, which D never exceeds but the rounded quotient can near
+    l = m = i.
     """
     lambda0 = _check_upper(lambda0)
     mu0 = _check_upper(mu0)
@@ -188,7 +198,7 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
     except OverflowError:
         num = den = INF
     if num < INF and den < INF:
-        return num / den
+        return min(num / den, 1.0)
     # the same D without squares: 1 - (1 - D1)(1 - D2)
     return compose_dissipation(dissipation_elementary_closed(lambda0),
                                dissipation_elementary_closed(mu0))

@@ -31,7 +31,6 @@ Any other system goes to the resolvent (see ``LSystem.triangular_diagonal``).
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,15 +44,6 @@ TAU_COLLIGATION = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
-#: Half the largest float.  A part of 2i a conj(b) is at most 4 p q (1 + eps)^3
-#: in modulus when every part of a and b is at most p and q, so it is finite
-#: when 4 p q is below this.
-_PRODUCT_SAFE = 2.0 ** 1023
-
-#: Bound on |t_j| for the triangular path: the elementary entropy squares
-#: the parts of t_j, and x^2 + (1 + y)^2 must stay finite.
-_TRIANGULAR_MAX = 1e150
-
 
 @dataclass(frozen=True)
 class LSystem:
@@ -63,20 +53,12 @@ class LSystem:
     dim is n.  Construction checks shapes only; use :func:`validate` to
     test the colligation identity itself (deliberately broken systems must
     remain constructible so that validation can report on them).
-
-    A coupling (see :func:`livsic.coupling.couple`) records its leaf
-    systems, the uncoupled factors in block order, and builds its K and T
-    once, on first read: K stacks the leaf K's, and T holds the leaf T's on
-    its diagonal, 2i K_i conj(K_j) above them and +0.0 below.
     """
 
     T: np.ndarray
     K: np.ndarray
     J: int
     dim: int = field(init=False, repr=False, compare=False)
-
-    #: The leaf systems of a coupling, in block order; None for a leaf.
-    _leaves = None
 
     def __init__(self, T, K, J=1):
         T = np.array(T, dtype=complex, ndmin=2)
@@ -106,11 +88,6 @@ class LSystem:
         K.flags.writeable = False
         self.__dict__.update(T=T, K=K, J=int(J), dim=T.shape[0])
 
-    def _part_max(self) -> float:
-        """Largest modulus among the real and imaginary parts of K (a list
-        beats numpy on a few entries)."""
-        return max(map(abs, self.K.view(float).tolist()), default=0.0)
-
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the main operator."""
         return np.linalg.eigvals(self.T)
@@ -138,75 +115,12 @@ class LSystem:
 
     @cached_property
     def triangular_diagonal(self) -> np.ndarray | None:
-        """Diagonal of T when T is upper triangular, the system passes
-        :func:`validate` and no diagonal entry exceeds 1e150 in modulus,
-        else None.  W and the c-entropy are then read off it (the
-        triangular model); None sends them to the resolvent."""
-        d = self.T.diagonal()
-        if (np.tril(self.T, -1).any() or np.abs(d).max() > _TRIANGULAR_MAX
-                or not validate(self).passed):
+        """Diagonal of T when T is upper triangular and the system passes
+        :func:`validate`, else None.  W and the c-entropy are then read off
+        it (the triangular model); None sends them to the resolvent."""
+        if np.tril(self.T, -1).any() or not validate(self).passed:
             return None
-        return d
-
-
-class _Coupling(LSystem):
-    """The J = +1 coupling of two systems, recorded without a matrix: its
-    leaf systems, dim and the largest part of K.  K and T are built on
-    first read and then stored like a leaf's.  Leaves stay plain LSystem
-    instances, whose attribute reads no ``__getattr__`` slows down."""
-
-    @classmethod
-    def _of(cls, sys1: LSystem, sys2: LSystem) -> _Coupling:
-        """The factors' own blocks are finite already, so only the new block
-        2i K1 K2* can overflow.  It is formed, and checked, only when the
-        bound on the parts of K1 and K2 cannot rule that out."""
-        k1, k2 = sys1._part_max(), sys2._part_max()
-        if not 4.0 * k1 * k2 <= _PRODUCT_SAFE:
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = np.multiply.outer(sys1.K, sys2.K.conj())
-                block *= 2j
-            if not np.isfinite(block).all():
-                raise ValueError("non-finite entries in system matrices")
-        self = object.__new__(cls)
-        leaves = (sys1._leaves or (sys1,)) + (sys2._leaves or (sys2,))
-        self.__dict__.update(J=1, dim=sys1.dim + sys2.dim, _leaves=leaves, _k_max=max(k1, k2))
-        return self
-
-    def _part_max(self) -> float:
-        return self._k_max
-
-    def __getattr__(self, name: str):
-        # reached only for a name missing from the instance: T or K before
-        # its first read
-        if name == "K":
-            value = np.concatenate([leaf.K for leaf in self._leaves])
-        elif name == "T":
-            value = self._build_t()
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value.flags.writeable = False
-        self.__dict__[name] = value
-        return value
-
-    def _build_t(self) -> np.ndarray:
-        """Entry (i, j) above the leaf blocks is fl(fl(K_i conj(K_j)) 2i),
-        the bytes the pairwise fold writes for every tree shape.  Only those
-        entries are known to be finite; the outer product's others may
-        overflow, unless the bound on the parts of K rules it out, and are
-        overwritten."""
-        k = self.K
-        quiet = (contextlib.nullcontext() if 4.0 * self._k_max * self._k_max <= _PRODUCT_SAFE
-                 else np.errstate(over="ignore", invalid="ignore"))
-        with quiet:
-            t = np.multiply.outer(k, k.conj())
-            t *= 2j
-        r = 0
-        for leaf in self._leaves:
-            e = r + leaf.dim
-            t[r:e, :r] = 0.0
-            t[r:e, r:e] = leaf.T
-            r = e
-        return t
+        return self.T.diagonal()
 
 
 def _frobenius(a: np.ndarray) -> float:

@@ -8,9 +8,12 @@ The coupled system lives on the direct sum of the factor state spaces:
 Its transfer function is the product of the factor transfer functions
 (multiplication theorem), which is what makes the c-entropy of a coupling
 additive.  T is fixed entry by entry by the leaf systems (the uncoupled
-factors) and K, so ``couple`` records only the leaves and the coupled
-system builds K and T on first read: a chain of k factors folds with
-O(k^2) pointer copies, not O(k^3) bytes of matrix copies.
+factors) and K, so ``couple`` returns a record of the leaves, in block
+order, with dim and a bound on the parts of K.  The record builds K and T
+on first read and then keeps them: K stacks the leaf K's, and T holds the
+leaf T's on its diagonal, 2i K_i conj(K_j) above them and +0.0 below.  A
+chain of k factors folds with O(k^2) pointer copies, not O(k^3) bytes of
+matrix copies.
 
 Closed forms are provided for couplings of two elementary systems and
 for the self-coupling of an elementary system with its skew-adjoint
@@ -20,19 +23,71 @@ equal but flips the sign of zero coefficient parts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .colligation import LSystem, _Coupling
+import numpy as np
+
+from .colligation import LSystem
 from .elementary import _check_upper, make_elementary, make_skew_adjoint, transfer_closed
 from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
+
+#: Half the largest float.  A part of 2i a conj(b) is at most 4 p q (1 + eps)^3
+#: in modulus when every part of a and b is at most p and q, so it is finite
+#: when 4 p q is below this.
+_PRODUCT_SAFE = 2.0 ** 1023
 
 
 @dataclass(frozen=True)
 class CoupledSystem:
     system: LSystem
     factors: tuple[LSystem, LSystem]
+
+
+class _Coupling(LSystem):
+    """The J = +1 coupling of systems, recorded without a matrix: its leaf
+    systems ``_leaves``, dim and the largest part of K ``_k_max``.  Leaves
+    stay plain LSystem instances."""
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        k = np.concatenate([leaf.K for leaf in self._leaves])
+        k.flags.writeable = False
+        return k
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """Entry (i, j) above the leaf blocks is fl(fl(K_i conj(K_j)) 2i),
+        the bytes the pairwise fold writes for every tree shape.  Only those
+        entries are known to be finite; the outer product's others may
+        overflow, unless the bound on the parts of K rules it out, and are
+        overwritten."""
+        k = self.K
+        quiet = (contextlib.nullcontext() if 4.0 * self._k_max * self._k_max <= _PRODUCT_SAFE
+                 else np.errstate(over="ignore", invalid="ignore"))
+        with quiet:
+            t = np.multiply.outer(k, k.conj())
+            t *= 2j
+        r = 0
+        for leaf in self._leaves:
+            e = r + leaf.dim
+            t[r:e, :r] = 0.0
+            t[r:e, r:e] = leaf.T
+            r = e
+        t.flags.writeable = False
+        return t
+
+
+def _split(sys: LSystem) -> tuple[tuple[LSystem, ...], float]:
+    """The leaf systems of sys, in block order, and the largest modulus
+    among the real and imaginary parts of its K: recorded for a coupling,
+    else read off K (a list beats numpy on a few entries)."""
+    if isinstance(sys, _Coupling):
+        return sys._leaves, sys._k_max
+    return (sys,), max(map(abs, sys.K.view(float).tolist()), default=0.0)
 
 
 def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
@@ -43,13 +98,25 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     are accepted, so couplings can be chained.
 
     The coupled system records the leaf systems of both factors and builds
-    its K and T on first read (see :class:`LSystem`), so a call costs
-    O(number of leaves) and a chain of k factors is folded without copying
-    a matrix.  ValueError if the new block 2i K1 K2* overflows.
+    its K and T on first read, so a call costs O(number of leaves) and a
+    chain of k factors is folded without copying a matrix.  The factors'
+    own blocks are finite already, so only the new block 2i K1 K2* can
+    overflow; it is formed, and checked, only when the bound on the parts
+    of K1 and K2 cannot rule that out.  ValueError if it overflows.
     """
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
-    return CoupledSystem(_Coupling._of(sys1, sys2), (sys1, sys2))
+    (leaves1, k1), (leaves2, k2) = _split(sys1), _split(sys2)
+    if not 4.0 * k1 * k2 <= _PRODUCT_SAFE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.multiply.outer(sys1.K, sys2.K.conj())
+            block *= 2j
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite entries in system matrices")
+    system = object.__new__(_Coupling)
+    system.__dict__.update(J=1, dim=sys1.dim + sys2.dim, _leaves=leaves1 + leaves2,
+                           _k_max=max(k1, k2))
+    return CoupledSystem(system, (sys1, sys2))
 
 
 def coupling_transfer_closed(lambda0: complex, mu0: complex) -> RationalFunction:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -155,20 +156,18 @@ class RationalFunction:
 
 class _PoleResidue(RationalFunction):
     """r(z) = sum w_j/(t_j - z), recorded by its atoms (t_j, w_j) with real
-    weights w_j.  ``num`` and ``den`` are built by the zero-argument
-    ``expand`` on first read and then stored like a plain instance's."""
+    weights w_j.  ``num`` and ``den`` come from one call of the
+    zero-argument ``expand``, on first read of either."""
 
     def __init__(self, atoms, expand):
         self.__dict__.update(atoms=tuple(atoms), _expand=expand)
 
-    def __getattr__(self, name: str):
-        # reached only for a name missing from the instance: num or den
-        # before its first read
-        if name not in ("num", "den"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        r = self._expand()
-        self.__dict__.update(num=r.num, den=r.den)
-        return self.__dict__[name]
+    @cached_property
+    def _expanded(self) -> RationalFunction:
+        return self._expand()
+
+    num = cached_property(lambda self: self._expanded.num)
+    den = cached_property(lambda self: self._expanded.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):

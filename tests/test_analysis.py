@@ -9,6 +9,7 @@ from conftest import draw_upper, rel_err
 from livsic import (
     DomainError,
     DonoghueClass,
+    LSystem,
     NotHerglotzError,
     RangeError,
     c_entropy,
@@ -193,6 +194,50 @@ class TestLargeParameters:
                                                   rel=1e-12)
 
 
+class TestNearUnitParameter:
+    """x + iy within about 1e-154 of i, where x^2 + (1 - y)^2 underflows."""
+
+    XS = (1e-154, 1e-160, 1e-170, 1e-300, 5e-324)
+
+    @pytest.mark.parametrize("y", [1.0, 1.0 + EPS, 1.0 - EPS / 2])
+    def test_entropy_against_mpmath(self, y):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for x in self.XS + tuple(-x for x in self.XS):
+            mx, my = mpmath.mpf(x), mpmath.mpf(y)
+            truth = float(mpmath.log((mx ** 2 + (1 + my) ** 2) / (mx ** 2 + (1 - my) ** 2)) / 2)
+            assert c_entropy_elementary_closed(complex(x, y)) == pytest.approx(truth, rel=1e-14), x
+        assert c_entropy_elementary_closed(complex(0.0, 1.0)) == INF
+
+    def test_surface_is_infinite_only_at_the_unit_node(self):
+        xs, ys, s = entropy_surface(-1e-160, 1e-160, 0.5, 1.5, 3, 3)
+        assert xs[1] == 0.0 and ys[1] == 1.0
+        assert s[1, 1] == INF and np.isinf(s).sum() == 1
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                assert s[iy, ix] == c_entropy_elementary_closed(complex(x, y))
+        assert s[1, 0] == s[1, 2] == pytest.approx(math.log(2.0) + 160 * math.log(10.0), rel=1e-14)
+
+    def test_mirror_near_minus_i(self):
+        # a J = -1 system has Im t < 0, where x^2 + (1 + y)^2 underflows near -i
+        for x in self.XS:
+            sys = LSystem([[complex(x, -1.0)]], [1.0], -1)
+            assert sys.triangular_diagonal is not None
+            assert c_entropy(sys) == -c_entropy_elementary_closed(complex(x, 1.0))
+            if x >= 1e-300:  # the resolvent returns nan for a subnormal x
+                assert rel_err(c_entropy(sys), c_entropy_resolvent(sys)) < 1e-14, x
+
+    def test_chain_holding_a_near_unit_factor(self, rng):
+        lams = [draw_upper(rng), complex(1e-170, 1.0), draw_upper(rng)]
+        sys = make_elementary(lams[0]).system
+        for lam in lams[1:]:
+            sys = couple(sys, make_elementary(lam).system).system
+        assert sys.triangular_diagonal is not None
+        s = c_entropy(sys)
+        assert math.isfinite(s)
+        assert s == pytest.approx(sum(c_entropy_elementary_closed(lam) for lam in lams), rel=1e-14)
+
+
 class TestComposition:
     def test_entropy_sum(self):
         assert abs(compose_entropy(0.5 * math.log(5), math.log(3))
@@ -204,6 +249,16 @@ class TestComposition:
         assert abs(compose_dissipation(8 / 9, 8 / 9) - 80 / 81) < 1e-15
         assert compose_dissipation(1.0, 0.3) == 1.0
         assert abs(compose_dissipation(0.8, 0.5) - 0.9) < 1e-15
+
+    def test_dissipation_never_exceeds_one_near_i(self):
+        ys = [1.0 + k * EPS for k in range(7)] + [1.0 - k * EPS / 2 for k in range(1, 7)]
+        for y1 in ys:
+            d1 = dissipation_elementary_closed(complex(0.0, y1))
+            assert 1.0 - 4 * EPS <= d1 <= 1.0, y1
+            for y2 in ys:
+                d = coupling_dissipation_closed(complex(0.0, y1), complex(0.0, y2))
+                assert 1.0 - 4 * EPS <= d <= 1.0, (y1, y2)
+                assert compose_dissipation(d1, d) <= 1.0
 
     def test_dissipation_range_error(self):
         with pytest.raises(RangeError):

@@ -146,6 +146,12 @@ class TestCouple:
         assert report["factors"][1]["classification"]["kappa"] == pytest.approx(third, rel=1e-11)
         assert report["classification"]["kappa"] == pytest.approx(1 / 9, rel=1e-11)
 
+    def test_huge_factor_reports_its_closed_form_entropy(self, capsys):
+        report = run_json(capsys, "couple", "--lambda0", "1e300,1e300", "--mu0", "1,1")
+        assert report["factor_entropies"][0] == 1e-300
+        assert report["factor_dissipations"][0] == 2e-300
+        assert report["factor_entropies"][1] == 0.804718956217
+
     def test_requires_both_parameters(self, capsys):
         code, _, _ = run(capsys, "couple", "--lambda0", "0,0.5")
         assert code == 1
@@ -236,6 +242,10 @@ class TestEntropySubcommand:
         assert report["entropy"] == pytest.approx(s_sum, rel=1e-11)
         assert report["dissipation"] == pytest.approx(1.0 - math.exp(-2.0 * s_sum), rel=1e-11)
 
+    def test_near_unit_parameter_is_finite(self, capsys):
+        report = run_json(capsys, "entropy", "--lambda0", "1e-170,1")
+        assert report["entropy"] == report["entropy_resolvent"] == 392.13261299
+
     def test_descriptor_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"lambda0": {"re": 1.0, "im": 1.0}}))
@@ -252,6 +262,13 @@ class TestSurface:
         assert len(lines) == 1 + 81 * 12
         assert "0,1,inf,1" in lines
         assert sum(1 for ln in lines if "inf" in ln) == 1
+
+    def test_infinity_only_at_the_unit_node_near_i(self, capsys):
+        code, out, _ = run(capsys, "surface", "--grid=-1e-160,1e-160,0.5,1.5,3,3")
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln for ln in lines if "inf" in ln] == ["0,1,inf,1"]
+        assert "1e-160,1,369.10676206,1" in lines and "-1e-160,1,369.10676206,1" in lines
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

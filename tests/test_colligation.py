@@ -418,10 +418,24 @@ class TestTriangular:
         assert transfer_eval(sys, -1j) == 0.0
         assert c_entropy(sys) == pytest.approx(256 * math.log(199.0), rel=1e-13)
 
+    @pytest.mark.parametrize("lam", [1e151 + 1j, 1e152 + 1j, -3e200 + 0.5j, 1e200j,
+                                     1e300 + 1e300j, 1e300j])
+    def test_huge_parameters_take_the_triangular_path(self, rng, lam):
+        others = [draw_upper(rng) for _ in range(3)]
+        for lams in ([lam], [others[0], lam, others[1]], [lam, 1e151 + 1j, others[2], 1e300j]):
+            sys = _chain(lams)
+            d = sys.triangular_diagonal
+            assert d is not None and np.abs(d).max() > 1e150
+            s_ref = sum(c_entropy_elementary_closed(x) for x in lams)
+            assert rel_err(c_entropy(sys), s_ref) < 1e-14 * max(1.0, s_ref)
+            for z in (1j, -1j, draw_z(rng, avoid=lams)):
+                w_ref = math.prod(rat_eval(transfer_closed(x), z) for x in lams)
+                assert rel_err(transfer_eval(sys, z), w_ref) < 1e-12, (lams, z)
+        assert c_entropy(make_elementary(lam).system) == c_entropy_elementary_closed(lam)
+
     def test_fallback_is_bit_identical(self, rng):
         systems = [_similar(_draw_chain(rng, k), rng) for k in (3, 8)]
-        systems += [make_elementary(1e152 + 1j).system,  # diagonal beyond 1e150
-                    LSystem([[2j]], [1.0], 1),  # triangular but not a colligation
+        systems += [LSystem([[2j]], [1.0], 1),  # triangular but not a colligation
                     LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
                             rng.normal(size=6) + 1j * rng.normal(size=6), 1)]
         for sys in systems:
