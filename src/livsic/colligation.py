@@ -88,10 +88,6 @@ class LSystem:
         K.flags.writeable = False
         self.__dict__.update(T=T, K=K, J=int(J), dim=T.shape[0])
 
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues of the main operator."""
-        return np.linalg.eigvals(self.T)
-
     @cached_property
     def residual(self) -> float:
         """Colligation residual ||Im T - J K K*|| (Frobenius)."""
@@ -153,32 +149,34 @@ def validate(sys: LSystem) -> ValidationReport:
     return ValidationReport(sys.residual, threshold, sys.residual <= threshold)
 
 
-def _solve_guarded(a: np.ndarray, b: np.ndarray, floor: float, op: str, z: complex,
-                   bound: float) -> np.ndarray:
-    """Solve a x = b unless a is numerically singular: sigma_min(a) <= n*eps*sigma_max(a).
+def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
+    """Whether the resolvent at z must run the SVD test of
+    :func:`_solve_guarded`: true unless floor > 4*n*eps*(||T||_F + sqrt(n)|z|).
 
-    ``floor`` is a proven lower bound on sigma_min(a), from the numerical
-    range W(A) of the unshifted operator: sigma_min(A - zI) >= dist(z, W(A)).
-    The SVD runs only when
-    floor <= 2*n*eps*||a||_F.  Above that, sigma_min exceeds twice the
-    threshold (||a||_F >= sigma_max), and the remaining n*eps*||a||_F
-    absorbs the O(eps*||a||) rounding in floor and in the SVD, so the SVD
-    test could not fire.  n reaches 256 on chains of couplings, where the
-    SVD costs several times the solve.
-
-    ``bound`` is an upper bound on ||a||_F, ||T||_F + sqrt(n)|z|.  When
-    floor > 4*n*eps*bound, floor exceeds 2*n*eps*||a||_F even after the
-    rounding in bound, and ||a||_F is not computed.  Where it is, it is
-    rescaled if its plain sum of squares overflows (see :func:`_frobenius`).
+    ``floor`` is a proven lower bound on sigma_min(a) for a = T - zI or
+    Re T - zI, from the numerical range of the unshifted operator:
+    sigma_min(A - zI) >= dist(z, W(A)).  The bound ||T||_F + sqrt(n)|z| is
+    at least ||a||_F >= sigma_max(a), as ||Re T||_F <= ||T||_F.  Past it,
+    sigma_min exceeds four times the threshold n*eps*sigma_max, and the
+    margin absorbs the O(eps*||a||) rounding in the bound, in floor and in
+    the SVD, so the SVD test could not fire.  n reaches 256 on chains of
+    couplings, where the SVD costs several times the solve.  The predicate
+    is true for every non-finite z, where the bound is inf or NaN.
     """
-    tol = a.shape[0] * _EPS
-    if floor <= 0.0 or (not floor > 4.0 * tol * bound and floor <= 2.0 * tol * _frobenius(a)):
+    return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
+
+
+def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
+    """Solve a x = K for a = T - zI or Re T - zI of sys, unless a is
+    numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  The SVD
+    runs only where :func:`_needs_svd` says so."""
+    if _needs_svd(sys, floor, z):
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= tol * s[0]:
+        if s[-1] <= sys.dim * _EPS * s[0]:
             raise SingularResolventError(
-                f"{op} at z={z} is numerically singular or ill-conditioned: n={a.shape[0]}, "
+                f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
                 f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(a, sys.K)
 
 
 def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
@@ -228,8 +226,7 @@ def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     a = sys.T.copy()
     a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
-    x = _solve_guarded(a, sys.K, max(lo - z.imag, z.imag - hi), "T - zI", z,
-                       sys.t_norm + math.sqrt(sys.dim) * abs(z))
+    x = _solve_guarded(a, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
     return complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)
 
 
@@ -254,16 +251,14 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     where the terms do not cancel.
 
     The resolvent is called instead, with bit-identical values and
-    errors, unless z is finite and off the real axis with
-    |Im z| > 2 n eps (||T||_F + sqrt(n) |z|), u is finite and
-    |1 + u| >= 1/2.  The first bound exceeds 2 n eps ||Re T - zI||_F, so
-    the resolvent's guard could not fire at z (see :func:`_solve_guarded`).
+    errors, unless u is finite, |1 + u| >= 1/2 and the resolvent would skip
+    its SVD at z: |Im z| > 4 n eps (||T||_F + sqrt(n) |z|), the rule of
+    :func:`_needs_svd` with floor |Im z|.  That rule holds only for a finite
+    z off the real axis, and there the resolvent's guard could not fire.
     """
     z = complex(z)
     d = sys.triangular_diagonal
-    n = sys.dim
-    if (d is None or not cmath.isfinite(z)
-            or not abs(z.imag) > 2.0 * n * _EPS * (sys.t_norm + math.sqrt(n) * abs(z))):
+    if d is None or _needs_svd(sys, abs(z.imag), z):
         return impedance_resolvent(sys, z)
     sign = 1 if sys.J * z.imag > 0 else -1
     with np.errstate(all="ignore"):
@@ -286,7 +281,5 @@ def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     a /= 2.0
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
     a.flat[:: sys.dim + 1] -= z
-    # ||Re T||_F <= ||T||_F
-    x = _solve_guarded(a, sys.K, abs(z.imag), "Re T - zI", z,
-                       sys.t_norm + math.sqrt(sys.dim) * abs(z))
+    x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)
     return complex(np.vdot(sys.K, x))

@@ -23,7 +23,6 @@ equal but flips the sign of zero coefficient parts.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,14 +60,11 @@ class _Coupling(LSystem):
     @cached_property
     def T(self) -> np.ndarray:
         """Entry (i, j) above the leaf blocks is fl(fl(K_i conj(K_j)) 2i),
-        the bytes the pairwise fold writes for every tree shape.  Only those
-        entries are known to be finite; the outer product's others may
-        overflow, unless the bound on the parts of K rules it out, and are
-        overwritten."""
+        the bytes the pairwise fold writes for every tree shape.  Those
+        entries are finite by the check in :func:`couple`.  The outer
+        product's other entries may overflow, quietly, and are overwritten."""
         k = self.K
-        quiet = (contextlib.nullcontext() if 4.0 * self._k_max * self._k_max <= _PRODUCT_SAFE
-                 else np.errstate(over="ignore", invalid="ignore"))
-        with quiet:
+        with np.errstate(over="ignore", invalid="ignore"):
             t = np.multiply.outer(k, k.conj())
             t *= 2j
         r = 0

@@ -89,15 +89,10 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            prod = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-            return Polynomial(prod)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self.is_zero or other.is_zero:
+            return Polynomial()
+        return Polynomial(np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs)))
 
     def scale(self, factor: complex) -> "Polynomial":
         return Polynomial([factor * c for c in self.coeffs])
