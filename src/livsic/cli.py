@@ -80,19 +80,24 @@ def _complex(doc) -> complex:
     return complex(float(doc["re"]), float(doc["im"]))
 
 
+# argparse reports an ArgumentTypeError by its message, and any other error
+# by the name of the parsing function
+
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        re_part, im_part = text.split(",")
+        return complex(float(re_part), float(im_part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from None
 
 
 def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError(f"expected 'xmin,xmax,ymin,ymax,nx,ny', got {text!r}")
-    return (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-            int(parts[4]), int(parts[5]))
+    try:
+        x_min, x_max, y_min, y_max, nx, ny = text.split(",")
+        return float(x_min), float(x_max), float(y_min), float(y_max), int(nx), int(ny)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'xmin,xmax,ymin,ymax,nx,ny', got {text!r}") from None
 
 
 def _load_json(path: str) -> dict:

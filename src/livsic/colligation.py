@@ -11,6 +11,10 @@ as the independent oracle for every closed form in the package:
     transfer_resolvent(z)  = 1 - 2i K* (T - zI)^(-1) K J
     impedance_resolvent(z) = K* (Re T - zI)^(-1) K
 
+Each returns a finite value or raises a typed error: DomainError for a z
+with a NaN part, SingularResolventError where the shifted operator is
+numerically singular or the value overflows.
+
 ``transfer_eval`` and ``impedance_eval`` pick their path.  For a valid
 colligation T - 2iJ KK* = T*, so the matrix determinant lemma gives
 W(z) = det(T* - zI)/det(T - zI).  When T is upper triangular with
@@ -37,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, SingularResolventError
+from .errors import DimensionError, DomainError, SingularResolventError
 
 #: Bound on ||Im T - K J K*|| / (1 + ||T||) for a valid system.
 TAU_COLLIGATION = 1e-9
@@ -45,7 +49,7 @@ TAU_COLLIGATION = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LSystem:
     """Colligation (T, K, J) with scalar input-output space.
 
@@ -53,6 +57,8 @@ class LSystem:
     dim is n.  Construction checks shapes only; use :func:`validate` to
     test the colligation identity itself (deliberately broken systems must
     remain constructible so that validation can report on them).
+
+    Systems compare by value (same J, K and T) and are unhashable.
     """
 
     T: np.ndarray
@@ -87,6 +93,13 @@ class LSystem:
         T.flags.writeable = False
         K.flags.writeable = False
         self.__dict__.update(T=T, K=K, J=int(J), dim=T.shape[0])
+
+    def __eq__(self, other):
+        # K before T, so that unequal couplings do not build T
+        if not isinstance(other, LSystem):
+            return NotImplemented
+        return (self.J == other.J and np.array_equal(self.K, other.K)
+                and np.array_equal(self.T, other.T))
 
     @cached_property
     def residual(self) -> float:
@@ -169,7 +182,10 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
 def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
     """Solve a x = K for a = T - zI or Re T - zI of sys, unless a is
     numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  The SVD
-    runs only where :func:`_needs_svd` says so."""
+    runs only where :func:`_needs_svd` says so.  DomainError for a z with a
+    NaN part, before any LAPACK call."""
+    if cmath.isnan(z):
+        raise DomainError(f"{op} at z={z}: z has a NaN part")
     if _needs_svd(sys, floor, z):
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= sys.dim * _EPS * s[0]:
@@ -177,6 +193,15 @@ def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: comple
                 f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
                 f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
     return np.linalg.solve(a, sys.K)
+
+
+def _finite(value: complex, name: str, z: complex, n: int) -> complex:
+    """The resolvent's value, unless the solve overflowed and left it
+    non-finite: then SingularResolventError."""
+    if not cmath.isfinite(value):
+        raise SingularResolventError(
+            f"{name} at z={z} overflows the float range: the resolvent gives {value} (n={n})")
+    return value
 
 
 def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
@@ -227,7 +252,7 @@ def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
     x = _solve_guarded(a, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
-    return complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J)
+    return _finite(complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J), "W(z)", z, sys.dim)
 
 
 def impedance_eval(sys: LSystem, z: complex) -> complex:
@@ -282,4 +307,4 @@ def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
     a.flat[:: sys.dim + 1] -= z
     x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)
-    return complex(np.vdot(sys.K, x))
+    return _finite(complex(np.vdot(sys.K, x)), "V(z)", z, sys.dim)

@@ -39,9 +39,10 @@ class SingularResolventError(LivsicError):
     On the resolvent path the shifted operator A - zI is numerically
     singular or ill-conditioned (sigma_min <= n*eps*sigma_max); z may lie
     in the spectrum or merely near enough to it for the solve to lose all
-    precision, and the message gives z, n, sigma_min and sigma_max.  On
-    the triangular path z equals a diagonal entry of T (an eigenvalue), or
-    W(z) overflows; the message says which."""
+    precision, and the message gives z, n, sigma_min and sigma_max; or the
+    solve overflows and leaves a value that is not finite.  On the
+    triangular path z equals a diagonal entry of T (an eigenvalue), or
+    W(z) overflows.  The message says which."""
 
 
 class IncompatibleError(LivsicError):

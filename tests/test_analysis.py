@@ -12,6 +12,7 @@ from livsic import (
     LSystem,
     NotHerglotzError,
     RangeError,
+    SingularResolventError,
     c_entropy,
     c_entropy_elementary_closed,
     c_entropy_resolvent,
@@ -224,8 +225,11 @@ class TestNearUnitParameter:
             sys = LSystem([[complex(x, -1.0)]], [1.0], -1)
             assert sys.triangular_diagonal is not None
             assert c_entropy(sys) == -c_entropy_elementary_closed(complex(x, 1.0))
-            if x >= 1e-300:  # the resolvent returns nan for a subnormal x
+            if x >= 1e-300:
                 assert rel_err(c_entropy(sys), c_entropy_resolvent(sys)) < 1e-14, x
+            else:  # the solve's 1/x overflows for a subnormal x
+                with pytest.raises(SingularResolventError, match="overflows the float range"):
+                    c_entropy_resolvent(sys)
 
     def test_chain_holding_a_near_unit_factor(self, rng):
         lams = [draw_upper(rng), complex(1e-170, 1.0), draw_upper(rng)]

@@ -80,6 +80,20 @@ class TestElementary:
         assert path.read_text() == json.dumps(report[key], indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["elementary", "--lambda0", "1"], "argument --lambda0: expected 're,im', got '1'"),
+    (["elementary", "--lambda0", "a,b"], "argument --lambda0: expected 're,im', got 'a,b'"),
+    (["surface", "--grid=1,2,3"],
+     "argument --grid: expected 'xmin,xmax,ymin,ymax,nx,ny', got '1,2,3'"),
+    (["surface", "--grid=-1,1,0.5,2,a,3"],
+     "argument --grid: expected 'xmin,xmax,ymin,ymax,nx,ny', got '-1,1,0.5,2,a,3'"),
+])
+def test_usage_error_names_the_expected_format(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: {expected}\n") and "_parse" not in err
+
+
 @pytest.mark.parametrize("argv", [["classify", "--lambda0", "1e300,1e300"],
                                   ["couple", "--lambda0", "1e300,1e300", "--mu0", "1,1"]])
 def test_huge_parameter_prints_no_numpy_warning(capsys, argv):
@@ -105,6 +119,28 @@ class TestDescriptor:
         code, out, err = run(capsys, "classify", "--in", str(path))
         assert code == 2 and out == ""
         assert err == f"invariant violation: directing sign must be +1 or -1, got {written}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"T": [[{"re": Infinity, "im": 0}]], "K": [{"re": 1, "im": 0}]}',
+         "non-finite entries in system matrices"),
+        ('{"T": [[{"re": 0, "im": 1}]], "K": [{"re": 1, "im": -Infinity}]}',
+         "non-finite entries in system matrices"),
+        ("5", "descriptor must be an object or list, got int"),
+        ('{"x": 1}', "descriptor has none of the keys 'T', 'lambda0', 'factors'"),
+    ])
+    @pytest.mark.parametrize("sub", ["classify", "entropy"])
+    def test_malformed_descriptor_exits_1(self, capsys, tmp_path, doc, message, sub):
+        path = tmp_path / "sys.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, sub, "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {message}\n"
+
+    @pytest.mark.parametrize("sub", ["classify", "entropy"])
+    def test_needs_a_system(self, capsys, sub):
+        code, out, err = run(capsys, sub)
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {sub} needs --in or --lambda0\n"
 
     @pytest.mark.parametrize("j, written", [(True, "True"), (False, "False")])
     def test_boolean_directing_sign_exits_2(self, capsys, tmp_path, j, written):

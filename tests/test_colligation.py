@@ -9,6 +9,7 @@ from conftest import draw_upper, draw_z, draw_z_upper, rel_err
 
 from livsic import (
     DimensionError,
+    DomainError,
     LSystem,
     SingularResolventError,
     c_entropy,
@@ -72,6 +73,12 @@ class TestConstruction:
             assert sys.T.tobytes() == ref.T.tobytes() and sys.T.shape == ref.T.shape
             assert sys.K.tobytes() == ref.K.tobytes() and sys.K.shape == ref.K.shape
             assert sys.J == ref.J == 1 and type(sys.J) is int
+
+    @pytest.mark.parametrize("t, k", [([[math.inf]], [1.0]), ([[complex(0.0, math.nan)]], [1.0]),
+                                      ([[1j]], [math.inf])])
+    def test_non_finite_entries_are_rejected(self, t, k):
+        with pytest.raises(ValueError, match="non-finite entries in system matrices"):
+            LSystem(t, k, 1)
 
     def test_spectrum_of_triangular_block(self):
         c = couple(make_elementary(1j).system, make_elementary(2j).system)
@@ -310,6 +317,59 @@ class TestGuard:
         with pytest.raises(SingularResolventError,
                            match=r"z=1j .*singular or ill-conditioned: n=1, sigma_min=0\.000e\+00"):
             transfer_resolvent(make_elementary(1j).system, 1j)
+
+
+class TestRefusal:
+    """The resolvent returns a finite value or raises a typed error."""
+
+    def test_overflowing_solve_raises(self):
+        mirror = LSystem([[1e-310 - 1j]], [1.0], -1)
+        with pytest.raises(SingularResolventError, match=r"W\(z\) at z=\(-0-1j\) overflows"):
+            transfer_resolvent(mirror, -1j)
+        with pytest.raises(SingularResolventError, match="overflows the float range"):
+            c_entropy_resolvent(mirror)
+        # a valid elementary system whose V = -1e310 at z = 2e-310 exceeds the float range
+        with pytest.raises(SingularResolventError, match=r"V\(z\) at z=\(2e-310\+0j\) overflows"):
+            impedance_eval(make_elementary(1e-310 + 1j).system, 2e-310)
+
+    @pytest.mark.parametrize("ev", [transfer_eval, transfer_resolvent, impedance_eval,
+                                    impedance_resolvent])
+    def test_infinite_z_raises(self, ev):
+        with pytest.raises(SingularResolventError, match="overflows the float range"):
+            ev(make_elementary(1 + 1j).system, complex(math.inf, math.inf))
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.nan, math.nan), complex(math.inf, math.nan)])
+    @pytest.mark.parametrize("ev", [transfer_eval, transfer_resolvent, impedance_eval,
+                                    impedance_resolvent])
+    def test_nan_z_is_a_domain_error_before_lapack(self, rng, monkeypatch, ev, z):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK should not be called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        for sys in (make_elementary(1 + 1j).system, _draw_chain(rng, 4)):
+            with pytest.raises(DomainError, match="z has a NaN part"):
+                ev(sys, z)
+
+    def test_cayley_gate_is_the_guards_rule(self, monkeypatch):
+        # |Im z| = 3 n eps (||T||_F + sqrt(n)|z|) lies between the old gate's
+        # factor 2 and the rule's 4: the resolvent answers, after its SVD
+        sys = make_elementary(1 + 1j).system
+        y = 3.0 * np.finfo(float).eps * (sys.t_norm + 2.0)
+        z, clear = complex(-2.0, y), complex(-2.0, 2.0 * y)
+        assert colligation._needs_svd(sys, y, z) and not colligation._needs_svd(sys, 2.0 * y, clear)
+        resolvent, calls = colligation.impedance_resolvent, []
+
+        def recording(sys, z):
+            calls.append(z)
+            return resolvent(sys, z)
+
+        monkeypatch.setattr(colligation, "impedance_resolvent", recording)
+        assert repr(impedance_eval(sys, z)) == repr(resolvent(sys, z)) and calls == [z]
+        calls.clear()
+        impedance_eval(sys, clear)
+        assert calls == []
 
 
 class TestShift:

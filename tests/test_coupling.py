@@ -268,6 +268,31 @@ class TestLazyCoupling:
                 else:
                     _assert_bitwise(couple(leaves[0], sys2).system, _leaf_reference(leaves))
 
+    def test_value_equality(self, rng):
+        a, b = make_elementary(1 + 1j).system, _dense(rng, 3)
+        first, second = couple(a, b), couple(a, b)
+        assert first.system == second.system and first == second
+        plain = LSystem(first.system.T, first.system.K, 1)
+        assert first.system == plain and plain == first.system
+        assert couple(b, a).system != first.system
+        assert LSystem(plain.T, plain.K, -1) != plain
+        assert plain != (plain.T, plain.K, 1)
+
+    def test_unequal_channels_build_no_t(self):
+        one = couple(make_elementary(1j).system, make_elementary(2j).system).system
+        other = couple(make_elementary(2j).system, make_elementary(1j).system).system
+        assert one != other
+        assert "T" not in vars(one) and "T" not in vars(other)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_elementary(1j).system,
+        lambda: couple(make_elementary(1j).system, make_elementary(2j).system).system,
+        lambda: couple(make_elementary(1j).system, make_elementary(2j).system)])
+    def test_systems_are_unhashable(self, build):
+        sys = build()
+        with pytest.raises(TypeError, match="unhashable type: '(LSystem|_Coupling)'"):
+            hash(sys)
+
 
 class TestTransferClosed:
     def test_equal_unit_factors(self):
