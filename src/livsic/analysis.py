@@ -104,8 +104,17 @@ def c_entropy_resolvent(sys: LSystem) -> float:
 def dissipation_from_entropy(s: float) -> float:
     """D = 1 - exp(-2S), computed as -expm1(-2S) so that a small S keeps
     its relative accuracy, with D = 1 at S = +inf and D = +0.0 at S = -0.0
-    (the subtraction from 0.0 turns -0.0 into +0.0)."""
-    return 1.0 if math.isinf(s) else 0.0 - math.expm1(-2.0 * s)
+    (the subtraction from 0.0 turns -0.0 into +0.0).  RangeError where D
+    is below the float range (S below about -354.9, or S = -inf)."""
+    if s == INF:
+        return 1.0
+    try:
+        e = math.expm1(-2.0 * s)
+    except OverflowError:
+        e = INF
+    if e == INF:
+        raise RangeError(f"D = 1 - exp(-2S) is below the float range for S = {s}")
+    return 0.0 - e
 
 
 def _square_sum(x, y):

@@ -108,7 +108,16 @@ def _load_json(path: str) -> dict:
 def _factor_systems(doc) -> tuple[LSystem, LSystem]:
     """The two factors of a coupling descriptor, {"factors": [...]} or a
     bare list; any other count of factors is malformed."""
-    factors = doc["factors"] if isinstance(doc, dict) else doc
+    factors = doc
+    if isinstance(doc, dict):
+        if "factors" not in doc:
+            raise ValueError("coupling descriptor has no key 'factors'")
+        factors = doc["factors"]
+        if not isinstance(factors, list):
+            raise ValueError(f"'factors' must be a list, got {type(factors).__name__}")
+    elif not isinstance(doc, list):
+        raise ValueError(
+            f"coupling descriptor must be an object or list, got {type(doc).__name__}")
     if len(factors) != 2:
         raise ValueError(f"coupling descriptor needs 2 factors, got {len(factors)}")
     return system_from_descriptor(factors[0]), system_from_descriptor(factors[1])

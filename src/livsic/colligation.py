@@ -104,7 +104,7 @@ class LSystem:
     @cached_property
     def residual(self) -> float:
         """Colligation residual ||Im T - J K K*|| (Frobenius)."""
-        im_t = (self.T - self.T.conj().T) / 2j
+        im_t = _hermitian_part(self.T, self.T.conj().T, True, self.t_norm)
         return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
 
     @cached_property
@@ -126,10 +126,45 @@ class LSystem:
     def triangular_diagonal(self) -> np.ndarray | None:
         """Diagonal of T when T is upper triangular and the system passes
         :func:`validate`, else None.  W and the c-entropy are then read off
-        it (the triangular model); None sends them to the resolvent."""
-        if np.tril(self.T, -1).any() or not validate(self).passed:
+        it (the triangular model); None sends them to the resolvent.
+
+        The diagonal comes from :meth:`_upper_diagonal`, and ``validate``
+        reads ``residual`` and ``t_norm``.  A coupling of 1x1 leaves with a
+        real K overrides all three, so for it none of them builds T."""
+        d = self._upper_diagonal()
+        if d is None or not validate(self).passed:
             return None
-        return self.T.diagonal()
+        return d
+
+    def _upper_diagonal(self) -> np.ndarray | None:
+        """Diagonal of T when T is upper triangular, else None."""
+        return None if np.tril(self.T, -1).any() else self.T.diagonal()
+
+
+#: No sum of two entries of a matrix overflows when its norm is below this.
+_SUM_SAFE = 2.0 ** 1022
+
+
+def _hermitian_part(t: np.ndarray, adj: np.ndarray, imag: bool, bound: float) -> np.ndarray:
+    """Re t = (t + adj)/2, or Im t = (t - adj)/2j when ``imag``, for adj the
+    adjoint of t (its conjugate transpose, or its conjugate for a diagonal)
+    and bound >= the modulus of every entry of t.  Where the plain sum
+    overflows, and only there, an entry is formed from the halved operands:
+    halving a subnormal rounds, so every finite entry keeps the plain bytes."""
+    if bound < _SUM_SAFE:
+        return _scaled_sum(t, adj, imag, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _scaled_sum(t, adj, imag, 2.0)
+    bad = ~np.isfinite(s)
+    s[bad] = _scaled_sum(t[bad] / 2.0, adj[bad] / 2.0, imag, 1.0)
+    return s
+
+
+def _scaled_sum(t: np.ndarray, adj: np.ndarray, imag: bool, scale: float) -> np.ndarray:
+    """(t - adj)/(scale i) when ``imag``, else (t + adj)/scale."""
+    s = t - adj if imag else t + adj
+    s /= scale * 1j if imag else scale
+    return s
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -302,8 +337,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
-    a = sys.T + sys.T.conj().T
-    a /= 2.0
+    a = _hermitian_part(sys.T, sys.T.conj().T, False, sys.t_norm)
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
     a.flat[:: sys.dim + 1] -= z
     x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)

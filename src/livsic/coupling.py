@@ -15,6 +15,14 @@ leaf T's on its diagonal, 2i K_i conj(K_j) above them and +0.0 below.  A
 chain of k factors folds with O(k^2) pointer copies, not O(k^3) bytes of
 matrix copies.
 
+When every leaf is 1x1 (a chain of elementary systems), T is upper
+triangular and its diagonal d is the leaf T entries.  The coupling then
+reads d off the leaves for ``triangular_diagonal``, and with a real K it
+also computes ``residual`` and ``t_norm`` from d and K in O(k).  So
+``validate``, W, V and S never build T.  T is built only by the resolvent,
+by ``==`` or by a reader of ``T``; a complex K or a leaf wider than 1x1
+keeps the dense ``residual`` and ``t_norm``, and so builds T to validate.
+
 Closed forms are provided for couplings of two elementary systems and
 for the self-coupling of an elementary system with its skew-adjoint
 companion.  The latter stay explicit: coupling_*_closed(l, -conj(l)) is
@@ -29,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem
+from .colligation import LSystem, _frobenius, _hermitian_part
 from .elementary import _check_upper, make_elementary, make_skew_adjoint, transfer_closed
 from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
@@ -75,6 +83,59 @@ class _Coupling(LSystem):
             r = e
         t.flags.writeable = False
         return t
+
+    @cached_property
+    def _leaf_diagonal(self) -> np.ndarray | None:
+        """The diagonal of T, read off the leaves when every leaf is 1x1,
+        else None."""
+        d = [leaf.T.item() for leaf in self._leaves if leaf.dim == 1]
+        if len(d) != len(self._leaves):
+            return None
+        d = np.array(d, dtype=complex)
+        d.flags.writeable = False
+        return d
+
+    def _upper_diagonal(self) -> np.ndarray | None:
+        d = self._leaf_diagonal
+        return super()._upper_diagonal() if d is None else d
+
+    @cached_property
+    def _real_leaves(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The diagonal d of T and the real K, when every leaf is 1x1 and K
+        is real, else None.  Then T = diag(d) + 2i k k^T strictly above the
+        diagonal, and the off-diagonal entries of Im T - K K* are exactly 0."""
+        d, k = self._leaf_diagonal, self.K
+        return None if d is None or k.imag.any() else (d, k.real)
+
+    @cached_property
+    def residual(self) -> float:
+        """The dense residual, from the diagonal alone when
+        ``_real_leaves`` applies.  The entries are the dense ones; only the
+        order of summation in the norm differs.  On a chain of elementary
+        systems each entry, Im t_j - fl(sqrt(Im t_j))^2, is a few ulp, so
+        the sum of squares is exact where the Im t_j span a few binades, and
+        the bytes are the dense ones.  Other 1x1 leaves can differ in the
+        last bits."""
+        leaves = self._real_leaves
+        if leaves is None:
+            return super().residual
+        d, k = leaves
+        return _frobenius(_hermitian_part(d, d.conj(), True, self.t_norm) - k * k)
+
+    @cached_property
+    def t_norm(self) -> float:
+        """||T||_F, as the hypot of the parts of d and 2 sqrt(sum_{a<b}
+        k_a^2 k_b^2) when ``_real_leaves`` applies.  The sum is taken over
+        k/max|k| with a prefix sum, which cannot cancel or overflow; the
+        value can differ from the dense norm in the last bits."""
+        leaves = self._real_leaves
+        if leaves is None:
+            return super().t_norm
+        d, k = leaves
+        m = self._k_max or 1.0
+        q = (k / m) ** 2
+        cross = float(q[1:] @ q.cumsum()[:-1])
+        return math.hypot(*d.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
 
 
 def _split(sys: LSystem) -> tuple[tuple[LSystem, ...], float]:

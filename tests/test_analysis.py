@@ -1,6 +1,7 @@
 """Classification, c-entropy, dissipation, composition laws, surface grid."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,12 @@ class TestEntropyReport:
 
     def test_infinite(self):
         assert dissipation_from_entropy(INF) == 1.0
+
+    @pytest.mark.parametrize("s", [-355.0, -714.5, -1e300, -INF])
+    def test_below_the_float_range_raises(self, s):
+        with pytest.raises(RangeError, match=re.escape(f"below the float range for S = {s}")):
+            dissipation_from_entropy(s)
+        assert dissipation_from_entropy(-354.0) == -math.expm1(708.0)
 
     def test_small_entropy_keeps_relative_accuracy(self):
         for s in np.geomspace(1e-300, 1e-8, 60):

@@ -104,6 +104,18 @@ def test_huge_parameter_prints_no_numpy_warning(capsys, argv):
     assert caught == [] and "Warning" not in err
 
 
+@pytest.mark.parametrize("lam, code, message", [
+    ("1,1e308", 0, ""),
+    # V(i) = 1/(1e308 - i) is finite, but its imaginary part underflows to 0
+    ("1e308,1", 2, "invariant violation: Im V(i) = 0.0 is not positive\n"),
+])
+def test_parts_near_the_float_maximum_do_not_overflow(capsys, lam, code, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(capsys, "classify", "--lambda0", lam)
+    assert caught == [] and (got, err) == (code, message)
+
+
 class TestDescriptor:
     T_K = {"T": [[{"re": 0.0, "im": 1.0}]], "K": [{"re": 1.0, "im": 0.0}]}
 
@@ -206,6 +218,18 @@ class TestCouple:
         assert len(report["system"]["T"]) == 2
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ("5", "coupling descriptor must be an object or list, got int"),
+        ('{"x": 1}', "coupling descriptor has no key 'factors'"),
+        ('{"factors": 5}', "'factors' must be a list, got int"),
+    ])
+    def test_malformed_coupling_descriptor_exits_1(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "factors.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "couple", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {message}\n"
+
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("bare_list", [False, True])
     def test_in_needs_exactly_two_factors(self, capsys, tmp_path, count, bare_list):
@@ -287,6 +311,16 @@ class TestEntropySubcommand:
         path.write_text(json.dumps({"lambda0": {"re": 1.0, "im": 1.0}}))
         report = run_json(capsys, "entropy", "--in", str(path))
         assert report["entropy"] == 0.804718956217
+
+    def test_dissipation_below_the_float_range_exits_2(self, capsys, tmp_path):
+        # S = ln(1e-310) - ln 2, so D = 1 - exp(-2S) is about -4e620
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"T": [[{"re": 1e-310, "im": -1}]],
+                                    "K": [{"re": 1, "im": 0}], "J": -1}))
+        code, out, err = run(capsys, "entropy", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invariant violation: D = 1 - exp(-2S) is below the float range "
+                              "for S = -714.49") and err.count("\n") == 1
 
 
 class TestSurface:

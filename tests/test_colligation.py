@@ -116,6 +116,31 @@ class TestValidate:
             (big.T - big.T.conj().T) / 2e300j - np.outer(big.K, big.K.conj()) / 1e300) * 1e300,
             rel=1e-14)
 
+    @pytest.mark.parametrize("lam", [1.0 + 1e308j, 1e308 + 1j, -1.7e308 + 1.7e308j])
+    def test_hermitian_parts_do_not_overflow(self, lam):
+        # (T - T*)/2j or (T + T*)/2 overflows in the plain sum; pytest turns
+        # a numpy warning into an error
+        sys = make_elementary(lam).system
+        assert validate(sys).passed
+        assert sys.residual <= 4.0 * np.spacing(lam.imag)
+        v = impedance_resolvent(sys, 1j)
+        assert rel_err(v, lam.imag / (lam.real - 1j)) < 1e-15
+
+    def test_hermitian_parts_keep_subnormal_bytes(self):
+        # halving a subnormal part rounds, so only overflowing entries are halved
+        sys = LSystem([[3e-323 + 1e308j, 1e-310 - 5e-324j], [5e-324, 1e308 + 7e-323j]],
+                      [1e154, 1e-310], 1)
+        t = sys.T
+        im_t = colligation._hermitian_part(t, t.conj().T, True, sys.t_norm)
+        re_t = colligation._hermitian_part(t, t.conj().T, False, sys.t_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain_im, plain_re = (t - t.conj().T) / 2j, (t + t.conj().T) / 2.0
+        for got, plain in ((im_t, plain_im), (re_t, plain_re)):
+            finite = np.isfinite(plain)
+            assert not finite.all() and np.isfinite(got).all()
+            assert got[finite].tobytes() == plain[finite].tobytes()
+        assert im_t[0, 0] == 1e308 and re_t[1, 1] == 1e308
+
     def test_plain_norm_kept_where_finite(self, rng):
         sys = LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
                       rng.normal(size=6) + 1j * rng.normal(size=6), 1)

@@ -12,6 +12,8 @@ from livsic import (
     LSystem,
     RangeError,
     RationalFunction,
+    SingularResolventError,
+    c_entropy,
     cayley_w_to_v,
     classify_at_i,
     classify_elementary,
@@ -20,6 +22,7 @@ from livsic import (
     coupling_transfer_closed,
     impedance_closed,
     impedance_eval,
+    impedance_resolvent,
     make_elementary,
     make_skew_adjoint,
     partial_fractions_real_poles,
@@ -292,6 +295,95 @@ class TestLazyCoupling:
         sys = build()
         with pytest.raises(TypeError, match="unhashable type: '(LSystem|_Coupling)'"):
             hash(sys)
+
+
+def _chain(lams):
+    return _fold([make_elementary(lam).system for lam in lams], "left")
+
+
+def _dense_values(sys):
+    """residual and t_norm of a plain system with the coupling's T, K and J."""
+    plain = LSystem(sys.T, sys.K, sys.J)
+    return plain.residual, plain.t_norm
+
+
+class TestLeafValues:
+    """A coupling of 1x1 leaves with a real K reads validate's inputs and
+    the triangular diagonal off its leaves, without building T."""
+
+    def test_chain_builds_no_t(self, rng):
+        lams = [draw_upper(rng) for _ in range(64)]
+        sys = _chain(lams)
+        assert validate(sys).passed
+        for z in (1j, -1j, 2.0 + 0.5j):
+            transfer_eval(sys, z)
+        c_entropy(sys)
+        # far from the real axis the Cayley link passes its gate
+        v = impedance_eval(sys, 0.3 + 1.5j)
+        assert "T" not in vars(sys)
+        assert v == pytest.approx(impedance_resolvent(_chain(lams), 0.3 + 1.5j), rel=1e-12)
+        d = sys.triangular_diagonal
+        assert not d.flags.writeable and d.tobytes() == np.diagonal(sys.T).tobytes()
+
+    def test_resolvent_fallback_builds_t(self, rng):
+        lams = [draw_upper(rng) for _ in range(16)]
+        sys = _chain(lams)
+        assert sys.triangular_diagonal is not None and "T" not in vars(sys)
+        # on the real axis, under a diagonal entry, the gate sends V to the resolvent
+        try:
+            impedance_eval(sys, lams[3].real)
+        except SingularResolventError:
+            pass
+        assert "T" in vars(sys)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 64])
+    def test_residual_has_the_dense_bytes_on_elementary_chains(self, rng, k):
+        for scale in (1.0, 1e-150, 1e150, 1e300):
+            sys = _chain([scale * draw_upper(rng) for _ in range(k)])
+            residual, t_norm = sys.residual, sys.t_norm
+            assert "T" not in vars(sys)
+            assert residual.hex() == _dense_values(sys)[0].hex()
+            assert t_norm == pytest.approx(_dense_values(sys)[1], rel=1e-15, abs=0.0)
+
+    def test_residual_of_other_real_leaves_differs_in_the_summation_only(self, rng):
+        # Im t != k^2: the entries are the dense ones, summed in another order
+        leaves = [LSystem([[draw_upper(rng)]], [rng.uniform(0.3, 1.5)], 1) for _ in range(40)]
+        sys = _fold(leaves, "balanced")
+        residual = sys.residual
+        assert "T" not in vars(sys) and residual > 1.0
+        assert residual == pytest.approx(_dense_values(sys)[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("im", [1.0, 1e200])
+    def test_t_norm_matches_the_exact_norm(self, rng, im):
+        for k in (2, 3, 64, 256):
+            sys = _chain([complex(rng.uniform(-2.0, 2.0) * im, rng.uniform(0.1, 2.5) * im)
+                          for _ in range(k)])
+            t_norm = sys.t_norm
+            t = sys.T / np.abs(sys.T).max()
+            exact = math.sqrt(math.fsum(np.concatenate([t.real, t.imag], axis=None) ** 2))
+            assert t_norm == pytest.approx(exact * np.abs(sys.T).max(), rel=1e-15, abs=0.0)
+            if k <= 64:
+                assert t_norm == pytest.approx(_dense_values(sys)[1], rel=1e-15, abs=0.0)
+
+    def test_largest_parameters_stay_finite(self):
+        # Im T - K K* and ||T|| overflow unless formed with care; 2 K_a K_b stays finite
+        sys = _chain([1.0 + 1e308j, 1e308 + 1j, 0.5j])
+        assert validate(sys).passed and math.isfinite(sys.t_norm)
+        assert "T" not in vars(sys)
+        assert sys.residual.hex() == _dense_values(sys)[0].hex()
+
+    def test_complex_channel_and_wide_leaves_take_the_dense_path(self, rng):
+        y = 0.7
+        rotated = LSystem([[0.3 + 1j * y]], [math.sqrt(y) * np.exp(0.4j)], 1)
+        a, b = _dense(rng, 2), make_elementary(2j).system
+        for leaves in ([b, rotated, b], [b, a, b]):
+            sys = _fold(leaves, "left")
+            assert "T" not in vars(sys)
+            residual, t_norm = sys.residual, sys.t_norm
+            assert "T" in vars(sys)
+            want = _dense_values(sys)
+            assert residual.hex() == want[0].hex() and t_norm.hex() == want[1].hex()
+        assert validate(_fold([b, rotated, b], "left")).passed
 
 
 class TestTransferClosed:
