@@ -104,13 +104,20 @@ class LSystem:
     @cached_property
     def residual(self) -> float:
         """Colligation residual ||Im T - J K K*|| (Frobenius)."""
-        im_t = _hermitian_part(self.T, self.T.conj().T, True, self.t_norm)
+        im_t = _hermitian_part(self.T, self.T.conj().T, True)
         return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
 
     @cached_property
     def t_norm(self) -> float:
         """||T|| (Frobenius)."""
         return _frobenius(self.T)
+
+    @cached_property
+    def _re_t(self) -> np.ndarray:
+        """Re T = (T + T*)/2, read-only, formed once for the resolvent."""
+        re_t = _hermitian_part(self.T, self.T.conj().T, False)
+        re_t.flags.writeable = False
+        return re_t
 
     @cached_property
     def im_strip(self) -> tuple[float, float]:
@@ -141,18 +148,11 @@ class LSystem:
         return None if np.tril(self.T, -1).any() else self.T.diagonal()
 
 
-#: No sum of two entries of a matrix overflows when its norm is below this.
-_SUM_SAFE = 2.0 ** 1022
-
-
-def _hermitian_part(t: np.ndarray, adj: np.ndarray, imag: bool, bound: float) -> np.ndarray:
+def _hermitian_part(t: np.ndarray, adj: np.ndarray, imag: bool) -> np.ndarray:
     """Re t = (t + adj)/2, or Im t = (t - adj)/2j when ``imag``, for adj the
-    adjoint of t (its conjugate transpose, or its conjugate for a diagonal)
-    and bound >= the modulus of every entry of t.  Where the plain sum
-    overflows, and only there, an entry is formed from the halved operands:
-    halving a subnormal rounds, so every finite entry keeps the plain bytes."""
-    if bound < _SUM_SAFE:
-        return _scaled_sum(t, adj, imag, 2.0)
+    conjugate transpose of t.  Where the plain sum overflows, and only
+    there, an entry is formed from the halved operands: halving a subnormal
+    rounds, so every finite entry keeps the plain bytes."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = _scaled_sum(t, adj, imag, 2.0)
     bad = ~np.isfinite(s)
@@ -337,7 +337,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
-    a = _hermitian_part(sys.T, sys.T.conj().T, False, sys.t_norm)
+    a = sys._re_t.copy()
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
     a.flat[:: sys.dim + 1] -= z
     x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)

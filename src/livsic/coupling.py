@@ -18,7 +18,10 @@ matrix copies.
 When every leaf is 1x1 (a chain of elementary systems), T is upper
 triangular and its diagonal d is the leaf T entries.  The coupling then
 reads d off the leaves for ``triangular_diagonal``, and with a real K it
-also computes ``residual`` and ``t_norm`` from d and K in O(k).  So
+also computes ``residual`` and ``t_norm`` from d and K in O(k).  The
+residual has the dense bytes on a chain of elementary systems, and can
+differ in the last bits on other 1x1 leaves; ``t_norm`` can differ in the
+last bits on any.  So
 ``validate``, W, V and S never build T.  T is built only by the resolvent,
 by ``==`` or by a reader of ``T``; a complex K or a leaf wider than 1x1
 keeps the dense ``residual`` and ``t_norm``, and so builds T to validate.
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem, _frobenius, _hermitian_part
+from .colligation import LSystem, _frobenius
 from .elementary import _check_upper, make_elementary, make_skew_adjoint, transfer_closed
 from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
@@ -110,8 +113,9 @@ class _Coupling(LSystem):
     @cached_property
     def residual(self) -> float:
         """The dense residual, from the diagonal alone when
-        ``_real_leaves`` applies.  The entries are the dense ones; only the
-        order of summation in the norm differs.  On a chain of elementary
+        ``_real_leaves`` applies.  The entries are the dense ones (the dense
+        (t - conj t)/2i is exactly Im t); only the order of summation in the
+        norm differs.  On a chain of elementary
         systems each entry, Im t_j - fl(sqrt(Im t_j))^2, is a few ulp, so
         the sum of squares is exact where the Im t_j span a few binades, and
         the bytes are the dense ones.  Other 1x1 leaves can differ in the
@@ -120,7 +124,7 @@ class _Coupling(LSystem):
         if leaves is None:
             return super().residual
         d, k = leaves
-        return _frobenius(_hermitian_part(d, d.conj(), True, self.t_norm) - k * k)
+        return _frobenius(d.imag - k * k)
 
     @cached_property
     def t_norm(self) -> float:

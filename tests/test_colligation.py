@@ -131,8 +131,8 @@ class TestValidate:
         sys = LSystem([[3e-323 + 1e308j, 1e-310 - 5e-324j], [5e-324, 1e308 + 7e-323j]],
                       [1e154, 1e-310], 1)
         t = sys.T
-        im_t = colligation._hermitian_part(t, t.conj().T, True, sys.t_norm)
-        re_t = colligation._hermitian_part(t, t.conj().T, False, sys.t_norm)
+        im_t = colligation._hermitian_part(t, t.conj().T, True)
+        re_t = colligation._hermitian_part(t, t.conj().T, False)
         with np.errstate(over="ignore", invalid="ignore"):
             plain_im, plain_re = (t - t.conj().T) / 2j, (t + t.conj().T) / 2.0
         for got, plain in ((im_t, plain_im), (re_t, plain_re)):
@@ -140,6 +140,14 @@ class TestValidate:
             assert not finite.all() and np.isfinite(got).all()
             assert got[finite].tobytes() == plain[finite].tobytes()
         assert im_t[0, 0] == 1e308 and re_t[1, 1] == 1e308
+
+    def test_resolvent_reads_one_re_t(self):
+        # Re T is formed once per system; each solve shifts a copy of it
+        sys = make_elementary(0.5 + 2j).system
+        v = [impedance_resolvent(sys, z) for z in (1j, 2j, 1j)]
+        re_t = sys._re_t
+        assert not re_t.flags.writeable and v[0] == v[2]
+        assert re_t.tobytes() == ((sys.T + sys.T.conj().T) / 2.0).tobytes()
 
     def test_plain_norm_kept_where_finite(self, rng):
         sys = LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
