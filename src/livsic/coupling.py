@@ -26,6 +26,13 @@ last bits on any.  So
 by ``==`` or by a reader of ``T``; a complex K or a leaf wider than 1x1
 keeps the dense ``residual`` and ``t_norm``, and so builds T to validate.
 
+An elementary leaf is a record of its parameter (see ``elementary``).
+``couple`` takes its bound on K from the record, d takes its lambda0, and
+K is one array of the recorded channel entries when every leaf is
+elementary, so a chain of elementary systems folds, validates and
+evaluates without building a leaf's T or K.  Other leaves are read
+through their arrays.
+
 Closed forms are provided for couplings of two elementary systems and
 for the self-coupling of an elementary system with its skew-adjoint
 companion.  The latter stay explicit: coupling_*_closed(l, -conj(l)) is
@@ -41,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .colligation import LSystem, _frobenius
-from .elementary import _check_upper, make_elementary, make_skew_adjoint, transfer_closed
+from .elementary import _check_upper, _Elementary, make_elementary, make_skew_adjoint, transfer_closed
 from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
 
@@ -60,11 +67,17 @@ class CoupledSystem:
 class _Coupling(LSystem):
     """The J = +1 coupling of systems, recorded without a matrix: its leaf
     systems ``_leaves``, dim and the largest part of K ``_k_max``.  Leaves
-    stay plain LSystem instances."""
+    are elementary records or plain LSystem instances, never couplings."""
 
     @cached_property
     def K(self) -> np.ndarray:
-        k = np.concatenate([leaf.K for leaf in self._leaves])
+        """One array of the recorded channel entries when every leaf is
+        elementary, else the leaf K's concatenated: the same bytes."""
+        leaves = self._leaves
+        if all(isinstance(leaf, _Elementary) for leaf in leaves):
+            k = np.array([leaf._k for leaf in leaves], dtype=complex)
+        else:
+            k = np.concatenate([leaf.K for leaf in leaves])
         k.flags.writeable = False
         return k
 
@@ -90,8 +103,9 @@ class _Coupling(LSystem):
     @cached_property
     def _leaf_diagonal(self) -> np.ndarray | None:
         """The diagonal of T, read off the leaves when every leaf is 1x1,
-        else None."""
-        d = [leaf.T.item() for leaf in self._leaves if leaf.dim == 1]
+        else None.  An elementary leaf gives its recorded lambda0."""
+        d = [leaf._lambda0 if isinstance(leaf, _Elementary) else leaf.T.item()
+             for leaf in self._leaves if leaf.dim == 1]
         if len(d) != len(self._leaves):
             return None
         d = np.array(d, dtype=complex)
@@ -144,10 +158,13 @@ class _Coupling(LSystem):
 
 def _split(sys: LSystem) -> tuple[tuple[LSystem, ...], float]:
     """The leaf systems of sys, in block order, and the largest modulus
-    among the real and imaginary parts of its K: recorded for a coupling,
-    else read off K (a list beats numpy on a few entries)."""
+    among the real and imaginary parts of its K: recorded for a coupling
+    and for an elementary system (its channel entry), else read off K (a
+    list beats numpy on a few entries)."""
     if isinstance(sys, _Coupling):
         return sys._leaves, sys._k_max
+    if isinstance(sys, _Elementary):
+        return (sys,), sys._k
     return (sys,), max(map(abs, sys.K.view(float).tolist()), default=0.0)
 
 

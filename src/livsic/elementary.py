@@ -15,6 +15,13 @@ and its impedance function the one-pole Herglotz function
 The skew-adjoint companion replaces the main operator by [-conj(lambda0)]
 while keeping the channel; as -conj(lambda0) has the same imaginary part,
 it is the elementary system of -conj(lambda0).
+
+``make_elementary`` returns a record of the parameter: J = 1, dim = 1,
+lambda0 and the channel entry sqrt(Im lambda0), which is also the largest
+part of K.  T and K are built on first read and then kept, with the bytes
+of ``LSystem([[lambda0]], [sqrt(Im lambda0)])``.  A coupling of elementary
+systems reads lambda0 and the channel entry off the record, so a chain of
+them folds, validates and evaluates without a 1x1 array per factor.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +45,23 @@ def _check_upper(lambda0: complex) -> complex:
     return lambda0
 
 
+class _Elementary(LSystem):
+    """The elementary system, recorded by its parameter ``_lambda0`` and
+    channel entry ``_k`` = sqrt(Im lambda0), with J = 1 and dim = 1."""
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        t = np.array([[self._lambda0]], dtype=complex)
+        t.flags.writeable = False
+        return t
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        k = np.array([self._k], dtype=complex)
+        k.flags.writeable = False
+        return k
+
+
 @dataclass(frozen=True)
 class ElementarySystem:
     lambda0: complex
@@ -46,9 +71,9 @@ class ElementarySystem:
 def make_elementary(lambda0: complex) -> ElementarySystem:
     """Build the 1x1 system ([lambda0], [sqrt(Im lambda0)], +1)."""
     lambda0 = _check_upper(lambda0)
-    t = np.array([[lambda0]], dtype=complex)
-    k = np.array([math.sqrt(lambda0.imag)], dtype=complex)
-    return ElementarySystem(lambda0, LSystem._adopt(t, k, 1))
+    system = object.__new__(_Elementary)
+    system.__dict__.update(J=1, dim=1, _lambda0=lambda0, _k=math.sqrt(lambda0.imag))
+    return ElementarySystem(lambda0, system)
 
 
 def make_skew_adjoint(lambda0: complex) -> ElementarySystem:

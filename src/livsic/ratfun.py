@@ -268,6 +268,12 @@ def partial_fractions_real_poles(r: RationalFunction) -> AtomicMeasure:
     a Herglotz function with purely atomic representing measure.  A
     function recorded by its poles and weights gives its atoms directly
     when every pole is real and every weight positive.
+
+    Any other function is checked from its coefficients: the roots of the
+    denominator must be real and simple (to ``TAU_ROOT``) and the weights
+    positive real (to ``TAU_RESIDUE``), else NotHerglotzAtomicError.  No
+    path inside the package takes this branch; it is the public Herglotz
+    check for coefficients a user supplies.
     """
     if isinstance(r, _PoleResidue) and all(t.imag == 0 and w > 0 for t, w in r.atoms):
         return AtomicMeasure((t.real, w) for t, w in r.atoms)

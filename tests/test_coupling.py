@@ -147,6 +147,26 @@ class TestCoupleInPlace:
         # a block that stays finite is accepted
         assert couple(big, make_elementary(1j).system).system.dim == 2
 
+    @pytest.mark.parametrize("im", [0.89e308, 0.9e308, 1e308, 1.7976931348623157e308])
+    def test_overflow_gate_reads_the_elementary_record(self, im):
+        # 2 Im lambda0 overflows from about 0.899e308; the gate takes the
+        # bound sqrt(Im lambda0) from the record
+        lams = [complex(0.5, im), 0.5j, complex(-1.0, im)]
+        plain = [LSystem([[lam]], [math.sqrt(lam.imag)], 1) for lam in lams]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(_leaf_reference(plain)[0]).all()
+        big, small, other = (make_elementary(lam).system for lam in lams)
+        assert couple(big, small).system.dim == 2
+        if finite:
+            _assert_bitwise(couple(couple(big, small).system, other).system,
+                            _leaf_reference(plain))
+        else:
+            with pytest.raises(ValueError, match="non-finite entries in system matrices"):
+                couple(big, other)
+            with pytest.raises(ValueError, match="non-finite entries in system matrices"):
+                couple(couple(big, small).system, other)
+        assert finite == (im < 0.9e308)
+
 
 def _leaf_reference(leaves):
     """T and K of a coupling over ``leaves`` written out with np.zeros and
@@ -208,6 +228,22 @@ class TestLazyCoupling:
         inner = couple(a, b).system
         outer = couple(couple(elem, inner).system, couple(inner, elem).system).system
         _assert_bitwise(outer, _leaf_reference([elem, a, b, a, b, elem]))
+
+    @pytest.mark.parametrize("shape", ["left", "right", "balanced"])
+    def test_mixed_leaves_have_the_dense_bytes(self, rng, shape):
+        # elementary records beside the plain 1x1 and 2x2 systems that a
+        # {"T": ...} descriptor builds
+        lams = [draw_upper(rng) for _ in range(6)]
+        for extra in (LSystem([[0.3 + 0.7j]], [math.sqrt(0.7)], 1), _dense(rng, 2)):
+            records = [make_elementary(lam).system for lam in lams]
+            plain = [LSystem([[lam]], [math.sqrt(lam.imag)], 1) for lam in lams]
+            sys = _fold(records[:3] + [extra] + records[3:], shape)
+            ref = _fold(plain[:3] + [extra] + plain[3:], shape)
+            assert sys.residual.hex() == ref.residual.hex()
+            assert sys.t_norm.hex() == ref.t_norm.hex()
+            _assert_bitwise(sys, _leaf_reference(plain[:3] + [extra] + plain[3:]))
+            if extra.dim == 1:
+                assert sys.triangular_diagonal.tobytes() == np.diagonal(sys.T).tobytes()
 
     def test_built_arrays_are_read_only(self, rng):
         sys = _fold([make_elementary(draw_upper(rng)).system for _ in range(8)] + [_dense(rng, 3)],
@@ -293,7 +329,7 @@ class TestLazyCoupling:
         lambda: couple(make_elementary(1j).system, make_elementary(2j).system)])
     def test_systems_are_unhashable(self, build):
         sys = build()
-        with pytest.raises(TypeError, match="unhashable type: '(LSystem|_Coupling)'"):
+        with pytest.raises(TypeError, match="unhashable type: '(LSystem|_Coupling|_Elementary)'"):
             hash(sys)
 
 
@@ -324,6 +360,17 @@ class TestLeafValues:
         assert v == pytest.approx(impedance_resolvent(_chain(lams), 0.3 + 1.5j), rel=1e-12)
         d = sys.triangular_diagonal
         assert not d.flags.writeable and d.tobytes() == np.diagonal(sys.T).tobytes()
+
+    def test_chain_reads_no_leaf_array(self, rng):
+        leaves = [make_elementary(draw_upper(rng)).system for _ in range(64)]
+        sys = _fold(leaves, "left")
+        assert validate(sys).passed
+        for z in (1j, -1j, 2.0 + 0.5j):
+            transfer_eval(sys, z)
+        c_entropy(sys)
+        impedance_eval(sys, 0.3 + 1.5j)
+        assert "T" not in vars(sys)
+        assert not [leaf for leaf in leaves if "T" in vars(leaf) or "K" in vars(leaf)]
 
     def test_resolvent_fallback_builds_t(self, rng):
         lams = [draw_upper(rng) for _ in range(16)]

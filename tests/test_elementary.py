@@ -8,6 +8,7 @@ from conftest import assert_rat_equal, assert_rat_value, draw_upper, draw_z, rel
 
 from livsic import (
     DomainError,
+    LSystem,
     impedance_closed,
     impedance_eval,
     make_elementary,
@@ -40,6 +41,20 @@ class TestMakeElementary:
             make_elementary(1 - 1j)
         with pytest.raises(DomainError):
             make_elementary(2.0)
+
+    def test_record_builds_dense_arrays_on_first_read(self, rng):
+        for lam in (1j, complex(-0.0, 0.5), 1e308 + 1e-308j, 1.7976931348623157e308j,
+                    draw_upper(rng), draw_upper(rng)):
+            sys = make_elementary(lam).system
+            assert "T" not in vars(sys) and "K" not in vars(sys)
+            dense = LSystem([[lam]], [math.sqrt(lam.imag)])
+            t, k = sys.T, sys.K
+            assert t.shape == (1, 1) and t.tobytes() == dense.T.tobytes()
+            assert k.shape == (1,) and k.tobytes() == dense.K.tobytes()
+            for a in (t, k):
+                assert not a.flags.writeable and a.flags.owndata
+            assert sys.T is t and sys.K is k
+            assert sys == dense and dense == sys
 
     def test_channel_squares_to_imag_part(self, rng):
         for _ in range(20):
