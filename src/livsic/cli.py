@@ -76,8 +76,24 @@ def _print_report(report: dict, out: str | None = None) -> None:
 
 # -- input parsing -------------------------------------------------------
 
-def _complex(doc) -> complex:
-    return complex(float(doc["re"]), float(doc["im"]))
+def _field(doc, key: str, what: str):
+    """doc[key] of the JSON object doc, which ``what`` names; ValueError
+    naming both where doc is not an object or has no such key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{what} has no key {key!r}")
+    return doc[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _complex(doc, what: str) -> complex:
+    return complex(float(_field(doc, "re", what)), float(_field(doc, "im", what)))
 
 
 # argparse reports an ArgumentTypeError by its message, and any other error
@@ -110,11 +126,7 @@ def _factor_systems(doc) -> tuple[LSystem, LSystem]:
     bare list; any other count of factors is malformed."""
     factors = doc
     if isinstance(doc, dict):
-        if "factors" not in doc:
-            raise ValueError("coupling descriptor has no key 'factors'")
-        factors = doc["factors"]
-        if not isinstance(factors, list):
-            raise ValueError(f"'factors' must be a list, got {type(factors).__name__}")
+        factors = _list(_field(doc, "factors", "coupling descriptor"), "'factors'")
     elif not isinstance(doc, list):
         raise ValueError(
             f"coupling descriptor must be an object or list, got {type(doc).__name__}")
@@ -133,10 +145,14 @@ def system_from_descriptor(doc) -> LSystem:
     if not isinstance(doc, dict):
         raise ValueError(f"descriptor must be an object or list, got {type(doc).__name__}")
     if "T" in doc:
-        return LSystem([[_complex(v) for v in row] for row in doc["T"]],
-                       [_complex(v) for v in doc["K"]], doc.get("J", 1))
+        t = [[_complex(v, f"'T' entry ({i}, {j})")
+              for j, v in enumerate(_list(row, f"'T' row {i}"))]
+             for i, row in enumerate(_list(doc["T"], "'T'"))]
+        k = [_complex(v, f"'K' entry {i}")
+             for i, v in enumerate(_list(_field(doc, "K", "system descriptor"), "'K'"))]
+        return LSystem(t, k, doc.get("J", 1))
     if "lambda0" in doc:
-        return elementary.make_elementary(_complex(doc["lambda0"])).system
+        return elementary.make_elementary(_complex(doc["lambda0"], "'lambda0'")).system
     if "factors" in doc:
         return coupling.couple(*_factor_systems(doc)).system
     raise ValueError("descriptor has none of the keys 'T', 'lambda0', 'factors'")
@@ -303,7 +319,10 @@ def _cmd_synth(args) -> int:
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
     doc = _load_json(args.infile)
-    spec = circuit.FosterSpec(doc["a0"], [(s["a"], s["b"]) for s in doc.get("stages", [])])
+    a0 = _field(doc, "a0", "Foster data")
+    stages = [(_field(s, "a", f"Foster stage {i}"), _field(s, "b", f"Foster stage {i}"))
+              for i, s in enumerate(_list(doc.get("stages", []), "'stages'"), 1)]
+    spec = circuit.FosterSpec(a0, stages)
     _emit(circuit.emit_netlist(circuit.synthesize(spec)), args.out)
     return EXIT_OK
 

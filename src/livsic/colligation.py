@@ -68,7 +68,7 @@ class LSystem:
 
     def __init__(self, T, K, J=1):
         T = np.array(T, dtype=complex, ndmin=2)
-        K = np.array(K, dtype=complex).reshape(-1)
+        K = np.array(np.ravel(K), dtype=complex)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise DimensionError(f"main operator must be square, got {T.shape}")
         if K.shape[0] != T.shape[0]:
@@ -125,8 +125,8 @@ class LSystem:
         it (the triangular model); None sends them to the resolvent.
 
         The diagonal comes from :meth:`_upper_diagonal`, and ``validate``
-        reads ``residual`` and ``t_norm``.  A coupling of 1x1 leaves with a
-        real K overrides all three, so for it none of them builds T."""
+        reads ``residual`` and ``t_norm``.  A chain of elementary systems
+        overrides all three, so for it none of them builds T."""
         d = self._upper_diagonal()
         if d is None or not validate(self).passed:
             return None

@@ -16,12 +16,16 @@ The skew-adjoint companion replaces the main operator by [-conj(lambda0)]
 while keeping the channel; as -conj(lambda0) has the same imaginary part,
 it is the elementary system of -conj(lambda0).
 
-``make_elementary`` returns a record of the parameter: J = 1, dim = 1,
-lambda0 and the channel entry sqrt(Im lambda0), which is also the largest
-part of K.  T and K are built on first read and then kept, with the bytes
-of ``LSystem([[lambda0]], [sqrt(Im lambda0)])``.  A coupling of elementary
-systems reads lambda0 and the channel entry off the record, so a chain of
-them folds, validates and evaluates without a 1x1 array per factor.
+``make_elementary`` returns a one-factor elementary chain: the record of
+Livsic's triangular model that ``coupling.couple`` extends.  A chain of k
+elementary systems, coupled in block order, is fixed by two lists: the
+parameters lambda_j, which are the diagonal of T, and the channel
+entries k_j = sqrt(Im lambda_j), which are K.  Above the diagonal T holds
+2i k_a k_b, below it +0.0.  The chain records J = 1, dim and the
+parameters, which fix the channel entries, and builds K and T from them
+on first read, with the bytes that the pairwise coupling formula writes
+for every tree shape.  ``validate``, W, V and S read the diagonal, the
+residual and ||T||_F off the parameters in O(k), so they never build T.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem
+from .colligation import LSystem, _frobenius
 from .errors import DomainError
 from .ratfun import RationalFunction
 
@@ -45,21 +49,83 @@ def _check_upper(lambda0: complex) -> complex:
     return lambda0
 
 
-class _Elementary(LSystem):
-    """The elementary system, recorded by its parameter ``_lambda0`` and
-    channel entry ``_k`` = sqrt(Im lambda0), with J = 1 and dim = 1."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Chain(LSystem):
+    """Elementary systems coupled in block order, recorded without a
+    matrix: J = 1, dim, the parameters ``_d`` (the diagonal of T) and the
+    largest channel entry ``_k_max``.  The channel entries sqrt(Im lambda_j)
+    are not recorded: the square root is correctly rounded, so forming them
+    on first read gives the same bytes.  One factor is an elementary
+    system."""
 
     @cached_property
-    def T(self) -> np.ndarray:
-        t = np.array([[self._lambda0]], dtype=complex)
-        t.flags.writeable = False
-        return t
+    def _diagonal(self) -> np.ndarray:
+        return _read_only(np.array(self._d, dtype=complex))
+
+    @cached_property
+    def _channel(self) -> np.ndarray:
+        """The channel entries sqrt(Im lambda_j) as a real array."""
+        return np.sqrt(self._diagonal.imag)
 
     @cached_property
     def K(self) -> np.ndarray:
-        k = np.array([self._k], dtype=complex)
-        k.flags.writeable = False
-        return k
+        return _read_only(self._channel.astype(complex))
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """Entry (a, b) above the diagonal is fl(fl(k_a conj(k_b)) 2i), finite
+        by the check in :meth:`_join`.  The outer product's other entries may
+        overflow, quietly, and are overwritten."""
+        n, k = self.dim, self.K
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.multiply.outer(k, k.conj())
+            t *= 2j
+        t[np.tri(n, dtype=bool)] = 0.0
+        t.flat[:: n + 1] = self._diagonal
+        return _read_only(t)
+
+    def _upper_diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    @cached_property
+    def residual(self) -> float:
+        """The dense residual from the lists.  Off the diagonal Im T - KK* is
+        exactly 0, and on it the entries are the dense ones (the dense
+        (t - conj t)/2i is exactly Im t): Im lambda_j - fl(k_j)^2, a few ulp
+        each, whose sum of squares is exact where the Im lambda_j span a few
+        binades, so the bytes are the dense ones."""
+        k = self._channel
+        return _frobenius(self._diagonal.imag - k * k)
+
+    @cached_property
+    def t_norm(self) -> float:
+        """||T||_F, as the hypot of the parts of the diagonal and
+        2 sqrt(sum_{a<b} k_a^2 k_b^2).  The sum is taken over k/max k with a
+        prefix sum, which cannot cancel or overflow; the value can differ
+        from the dense norm in the last bits."""
+        m = self._k_max
+        q = (self._channel / m) ** 2
+        cross = float(q[1:] @ q.cumsum()[:-1])
+        return math.hypot(*self._diagonal.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
+
+    def _join(self, other: _Chain) -> _Chain:
+        """The coupling of self and other, in that block order.  Its new
+        entries 2i k_a k_b are largest at the two largest channel entries,
+        as rounding is monotone, so they are finite exactly when
+        2 _k_max other._k_max is: ValueError where it is not."""
+        if not math.isfinite(2.0 * self._k_max * other._k_max):
+            raise ValueError("non-finite entries in system matrices")
+        return _chain(self._d + other._d, max(self._k_max, other._k_max))
+
+
+def _chain(d: tuple[complex, ...], k_max: float) -> _Chain:
+    system = object.__new__(_Chain)
+    system.__dict__.update(J=1, dim=len(d), _d=d, _k_max=k_max)
+    return system
 
 
 @dataclass(frozen=True)
@@ -71,9 +137,7 @@ class ElementarySystem:
 def make_elementary(lambda0: complex) -> ElementarySystem:
     """Build the 1x1 system ([lambda0], [sqrt(Im lambda0)], +1)."""
     lambda0 = _check_upper(lambda0)
-    system = object.__new__(_Elementary)
-    system.__dict__.update(J=1, dim=1, _lambda0=lambda0, _k=math.sqrt(lambda0.imag))
-    return ElementarySystem(lambda0, system)
+    return ElementarySystem(lambda0, _chain((lambda0,), math.sqrt(lambda0.imag)))
 
 
 def make_skew_adjoint(lambda0: complex) -> ElementarySystem:

@@ -175,9 +175,7 @@ class TestLargeParameters:
                                       rel=1e-12)
 
     def test_unchanged_where_the_plain_formula_is_finite(self, rng):
-        lams = [draw_upper(rng) for _ in range(200)]
-        lams += [complex(x, y) for x in (0.0, -3e150, 1e100) for y in (1e-300, 1e-5, 1e150)]
-        for lam in lams:
+        for lam in [draw_upper(rng) for _ in range(200)]:
             x, y = lam.real, lam.imag
             assert repr(c_entropy_elementary_closed(lam)) == repr(_plain_entropy(lam))
             assert repr(dissipation_elementary_closed(lam)) == repr(4.0 * y / (x * x + (1.0 + y) ** 2))
@@ -186,6 +184,16 @@ class TestLargeParameters:
         with np.errstate(divide="ignore"):
             plain = 0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2))
         assert s.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("lam", [complex(x, y) for x in (0.0, -3e150, 1e100)
+                                     for y in (1e-300, 1e-5, 1e150)] + [1e10 + 1j, 1e7 + 1j])
+    def test_small_entropy_against_mpmath(self, lam):
+        # hi/lo = 1 + 4y/lo rounds away the digits of S once 4y/lo is small
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x, y = mpmath.mpf(lam.real), mpmath.mpf(lam.imag)
+        truth = float(mpmath.log1p(4 * y / (x ** 2 + (1 - y) ** 2)) / 2)
+        assert c_entropy_elementary_closed(lam) == pytest.approx(truth, rel=1e-15, abs=0.0)
 
     def test_surface_with_huge_bounds(self):
         xs, ys, s = entropy_surface(-1e300, 1e300, 1e-3, 1e300, 3, 3)

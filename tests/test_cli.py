@@ -49,6 +49,11 @@ class TestElementary:
         report = run_json(capsys, "elementary", "--lambda0", "1e160,1")
         assert report["dissipation"] == dissipation_elementary_closed(1e160 + 1j) == 4e-320
 
+    def test_small_entropy_keeps_its_digits(self, capsys):
+        # (1/2) ln(hi/lo) rounds this S to 0.0
+        report = run_json(capsys, "elementary", "--lambda0", "1e10,1")
+        assert report["entropy"] == 2e-20 and report["dissipation"] == 4e-20
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "elementary", "--lambda0", "1,-1")
         assert code == 3 and "domain" in err
@@ -139,6 +144,12 @@ class TestDescriptor:
          "non-finite entries in system matrices"),
         ("5", "descriptor must be an object or list, got int"),
         ('{"x": 1}', "descriptor has none of the keys 'T', 'lambda0', 'factors'"),
+        ('{"T": [[{"re": 0, "im": 1}]]}', "system descriptor has no key 'K'"),
+        ('{"T": 5, "K": []}', "'T' must be a list, got int"),
+        ('{"T": [[5]], "K": []}', "'T' entry (0, 0) must be an object, got int"),
+        ('{"T": [[{"re": 0, "im": 1}]], "K": [{"im": 0}]}', "'K' entry 0 has no key 're'"),
+        ('{"lambda0": {"re": 1}}', "'lambda0' has no key 'im'"),
+        ('{"lambda0": 5}', "'lambda0' must be an object, got int"),
     ])
     @pytest.mark.parametrize("sub", ["classify", "entropy"])
     def test_malformed_descriptor_exits_1(self, capsys, tmp_path, doc, message, sub):
@@ -378,6 +389,20 @@ class TestSynth:
     def test_requires_input(self, capsys):
         code, _, _ = run(capsys, "synth")
         assert code == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ("{}", "Foster data has no key 'a0'"),
+        ("[1]", "Foster data must be an object, got list"),
+        ('{"a0": 1.0, "stages": 5}', "'stages' must be a list, got int"),
+        ('{"a0": 1.0, "stages": [{"a": 2.0}]}', "Foster stage 1 has no key 'b'"),
+        ('{"a0": 1.0, "stages": [{"a": 2.0, "b": 1.0}, 5]}', "Foster stage 2 must be an object, got int"),
+    ])
+    def test_malformed_data_exits_1(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "foster.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {message}\n"
 
     @pytest.mark.parametrize("doc", [
         {"a0": float("nan"), "stages": [{"a": 1.0, "b": 2.0}]},
