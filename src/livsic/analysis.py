@@ -129,16 +129,18 @@ def _square_sum(x, y):
 def _elementary_entropy(x, y):
     """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)], elementwise over
     parameters x + iy; +inf where x + iy = i.  Where a sum of squares
-    overflows, or where 4y < 2^-10 lo (so the ratio hi/lo = 1 + 4y/lo
-    rounds away the digits of a small S), S = (1/2) log1p(4 (y/h)/h) with
-    h = hypot(x, 1 - y), the same ratio written without squares.  Where
+    overflows, or where |4y| < 2^-10 lo (so the ratio hi/lo = 1 + 4y/lo
+    rounds away the digits of a small |S|), S = (1/2) log1p(4 (y/h)/h) with
+    h = hypot(x, 1 - y), the same ratio written without squares.  The test
+    is on |4y|, not 4y: for y near -1 (a J = -1 system near -i) the
+    argument 4y/lo is near -1, and log1p of its rounding loses hi/lo.  Where
     either sum is below the smallest normal float (x + iy near i, or near
     -i for a J = -1 system), S = ln hypot(x, 1+y) - ln h."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hi = _square_sum(x, 1.0 + y)
         lo = _square_sum(x, 1.0 - y)
         s = 0.5 * np.log(np.divide(hi, lo))
-        use_log1p = np.isinf(hi) | np.isinf(lo) | (4.0 * y < 2.0 ** -10 * lo)
+        use_log1p = np.isinf(hi) | np.isinf(lo) | (np.abs(4.0 * y) < 2.0 ** -10 * lo)
         small = (lo < _TINY) | (hi < _TINY)
         if (use_log1p | small).any():
             h = np.hypot(x, 1.0 - y)

@@ -103,10 +103,13 @@ class _Chain(LSystem):
 
     @cached_property
     def t_norm(self) -> float:
-        """||T||_F, as the hypot of the parts of the diagonal and
-        2 sqrt(sum_{a<b} k_a^2 k_b^2).  The sum is taken over k/max k with a
-        prefix sum, which cannot cancel or overflow; the value can differ
-        from the dense norm in the last bits."""
+        """||T||_F.  One factor takes the dense norm of its one entry.  A
+        longer chain takes the hypot of the parts of the diagonal and
+        2 sqrt(sum_{a<b} k_a^2 k_b^2), the sum taken over k/max k with a
+        prefix sum, which cannot cancel or overflow; that value can differ
+        from the dense norm of T in the last bits."""
+        if self.dim == 1:
+            return _frobenius(self._diagonal)
         m = self._k_max
         q = (self._channel / m) ** 2
         cross = float(q[1:] @ q.cumsum()[:-1])

@@ -185,8 +185,19 @@ class TestLargeParameters:
             plain = 0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2))
         assert s.tobytes() == plain.tobytes()
 
-    @pytest.mark.parametrize("lam", [complex(x, y) for x in (0.0, -3e150, 1e100)
-                                     for y in (1e-300, 1e-5, 1e150)] + [1e10 + 1j, 1e7 + 1j])
+    SMALL_S = [complex(x, y) for x in (0.0, -3e150, 1e100)
+               for y in (1e-300, 1e-5, 1e150)] + [1e10 + 1j, 1e7 + 1j]
+
+    @pytest.mark.parametrize("lam", SMALL_S)
+    def test_small_entropy_against_log1p(self, lam):
+        # every sum of squares here is finite, so the plain log1p form is exact to a
+        # few ulp; at x = -3e150 and 1e100 with y = 1e-300 the true S underflows to 0
+        x, y = lam.real, lam.imag
+        s = c_entropy_elementary_closed(lam)
+        assert s >= 0.0 and s == pytest.approx(0.5 * math.log1p(4.0 * y / (x * x + (1.0 - y) ** 2)),
+                                              rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lam", SMALL_S)
     def test_small_entropy_against_mpmath(self, lam):
         # hi/lo = 1 + 4y/lo rounds away the digits of S once 4y/lo is small
         mpmath = pytest.importorskip("mpmath")
@@ -239,6 +250,16 @@ class TestNearUnitParameter:
             else:  # the solve's 1/x overflows for a subnormal x
                 with pytest.raises(SingularResolventError, match="overflows the float range"):
                     c_entropy_resolvent(sys)
+
+    @pytest.mark.parametrize("x", [1e-10, 1e-5, 1e-3, 1e10])
+    def test_mirror_away_from_minus_i(self, x):
+        # S < 0 here: the log1p form must not take a ratio near 0 for a small 4|y|/lo
+        sys = LSystem([[complex(x, -1.0)]], [1.0], -1)
+        assert sys.triangular_diagonal is not None
+        s = c_entropy(sys)
+        assert math.isfinite(s) and s < 0.0
+        assert rel_err(s, -c_entropy_elementary_closed(complex(x, 1.0))) < 1e-15, x
+        assert rel_err(s, c_entropy_resolvent(sys)) < 1e-13, x
 
     def test_chain_holding_a_near_unit_factor(self, rng):
         lams = [draw_upper(rng), complex(1e-170, 1.0), draw_upper(rng)]

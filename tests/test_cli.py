@@ -323,6 +323,14 @@ class TestEntropySubcommand:
         report = run_json(capsys, "entropy", "--in", str(path))
         assert report["entropy"] == 0.804718956217
 
+    def test_mirror_parameter_near_minus_i_is_finite(self, capsys, tmp_path):
+        # S = (1/2) ln(1e-20/4); the small-S log1p form would round it to -inf
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"T": [[{"re": 1e-10, "im": -1}]],
+                                    "K": [{"re": 1, "im": 0}], "J": -1}))
+        report = run_json(capsys, "entropy", "--in", str(path))
+        assert report["entropy"] == -23.7189981105 and report["dissipation"] == -4e20
+
     def test_dissipation_below_the_float_range_exits_2(self, capsys, tmp_path):
         # S = ln(1e-310) - ln 2, so D = 1 - exp(-2S) is about -4e620
         path = tmp_path / "sys.json"

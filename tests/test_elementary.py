@@ -56,6 +56,15 @@ class TestMakeElementary:
             assert sys.T is t and sys.K is k
             assert sys == dense and dense == sys
 
+    def test_norms_have_the_dense_bytes(self, rng):
+        lams = [1j, 1e308 + 1e-308j, -1.7e308 + 1.7e308j, 5e-324j, 3.0 + 4.0j]
+        for lam in lams + [draw_upper(rng) for _ in range(300)]:
+            sys = make_elementary(lam).system
+            dense = LSystem([[lam]], [math.sqrt(lam.imag)])
+            assert sys.t_norm.hex() == dense.t_norm.hex(), lam
+            assert sys.residual.hex() == dense.residual.hex(), lam
+            assert "T" not in vars(sys)
+
     def test_channel_squares_to_imag_part(self, rng):
         for _ in range(20):
             lam = draw_upper(rng)
