@@ -117,34 +117,26 @@ def dissipation_from_entropy(s: float) -> float:
     return 0.0 - e
 
 
-def _square_sum(x, y):
-    """x*x + y**2 as the closed forms write it, inf where it overflows (a
-    Python float ** raises OverflowError where numpy returns inf)."""
-    try:
-        return x * x + y ** 2
-    except OverflowError:
-        return INF
-
-
 def _elementary_entropy(x, y):
     """S = (1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)], elementwise over
-    parameters x + iy; +inf where x + iy = i.  Where a sum of squares
-    overflows, or where |4y| < 2^-10 lo (so the ratio hi/lo = 1 + 4y/lo
-    rounds away the digits of a small |S|), S = (1/2) log1p(4 (y/h)/h) with
-    h = hypot(x, 1 - y), the same ratio written without squares.  The test
-    is on |4y|, not 4y: for y near -1 (a J = -1 system near -i) the
-    argument 4y/lo is near -1, and log1p of its rounding loses hi/lo.  Where
-    either sum is below the smallest normal float (x + iy near i, or near
-    -i for a J = -1 system), S = ln hypot(x, 1+y) - ln h."""
+    parameters x + iy, to a few ulp wherever S is a normal float; +inf where
+    x + iy = i.  With hi and lo the two sums of squares, hi/lo = 1 + u for
+    u = 4y/lo, and S = (1/2) log1p(u), with u formed as 4 (y/h)/h for
+    h = hypot(x, 1 - y), which squares nothing, wherever 4y > -lo/2 (every
+    y >= 0, and an infinite lo).  Then u > -1/2, where log1p is well
+    conditioned.  Only a J = -1 entry with hi < lo/2 takes the ratio,
+    (1/2) ln(hi/lo), which cannot cancel there as |S| > (1/2) ln 2.  Where
+    either sum is below twice the smallest normal float (x + iy near i,
+    where u can overflow, or near -i for a J = -1 system),
+    S = ln hypot(x, 1+y) - ln h."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        hi = _square_sum(x, 1.0 + y)
-        lo = _square_sum(x, 1.0 - y)
-        s = 0.5 * np.log(np.divide(hi, lo))
-        use_log1p = np.isinf(hi) | np.isinf(lo) | (np.abs(4.0 * y) < 2.0 ** -10 * lo)
-        small = (lo < _TINY) | (hi < _TINY)
-        if (use_log1p | small).any():
-            h = np.hypot(x, 1.0 - y)
-            s = np.where(use_log1p, 0.5 * np.log1p(4.0 * (y / h) / h), s)
+        hi = x * x + (1.0 + y) * (1.0 + y)
+        lo = x * x + (1.0 - y) * (1.0 - y)
+        h = np.hypot(x, 1.0 - y)
+        s = np.where(4.0 * y > -lo / 2.0, 0.5 * np.log1p(4.0 * (y / h) / h),
+                     0.5 * np.log(np.divide(hi, lo)))
+        small = (lo < 2.0 * _TINY) | (hi < 2.0 * _TINY)
+        if np.any(small):
             s = np.where(small, np.log(np.hypot(x, 1.0 + y)) - np.log(h), s)
     return s
 
@@ -162,7 +154,7 @@ def dissipation_elementary_closed(lambda0: complex) -> float:
     above 1 (y within a few ulp of 1) is capped at 1."""
     lambda0 = _check_upper(lambda0)
     x, y = lambda0.real, lambda0.imag
-    den = _square_sum(x, 1.0 + y)
+    den = x * x + (1.0 + y) * (1.0 + y)
     if den < INF:
         return min(4.0 * y / den, 1.0)
     g = math.hypot(x, 1.0 + y)
@@ -200,15 +192,9 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
     """
     lambda0 = _check_upper(lambda0)
     mu0 = _check_upper(mu0)
-    try:
-        lam2 = lambda0.real ** 2 + lambda0.imag ** 2
-        mu2 = mu0.real ** 2 + mu0.imag ** 2
-        num = (4.0 * lambda0.imag * (mu2 + 1.0)
-               + 4.0 * mu0.imag * (lam2 + 1.0))
-        den = ((lambda0.real ** 2 + (1.0 + lambda0.imag) ** 2)
-               * (mu0.real ** 2 + (1.0 + mu0.imag) ** 2))
-    except OverflowError:
-        num = den = INF
+    x1, y1, x2, y2 = lambda0.real, lambda0.imag, mu0.real, mu0.imag
+    num = 4.0 * y1 * (x2 * x2 + y2 * y2 + 1.0) + 4.0 * y2 * (x1 * x1 + y1 * y1 + 1.0)
+    den = (x1 * x1 + (1.0 + y1) * (1.0 + y1)) * (x2 * x2 + (1.0 + y2) * (1.0 + y2))
     if num < INF and den < INF:
         return min(num / den, 1.0)
     # the same D without squares: 1 - (1 - D1)(1 - D2)

@@ -92,8 +92,24 @@ def _list(value, what: str) -> list:
     return value
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+
+
+def _real(value, what: str) -> float:
+    """The JSON number ``value`` as a float; ValueError naming ``what`` for
+    any other JSON value (true and false included) and for an integer
+    beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be a number, got {kind}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} is an integer beyond the float range")
+    return float(value)
+
+
 def _complex(doc, what: str) -> complex:
-    return complex(float(_field(doc, "re", what)), float(_field(doc, "im", what)))
+    return complex(_real(_field(doc, "re", what), f"'re' of {what}"),
+                   _real(_field(doc, "im", what), f"'im' of {what}"))
 
 
 # argparse reports an ArgumentTypeError by its message, and any other error
@@ -319,8 +335,9 @@ def _cmd_synth(args) -> int:
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
     doc = _load_json(args.infile)
-    a0 = _field(doc, "a0", "Foster data")
-    stages = [(_field(s, "a", f"Foster stage {i}"), _field(s, "b", f"Foster stage {i}"))
+    a0 = _real(_field(doc, "a0", "Foster data"), "'a0' of Foster data")
+    stages = [tuple(_real(_field(s, key, f"Foster stage {i}"), f"'{key}' of Foster stage {i}")
+                    for key in ("a", "b"))
               for i, s in enumerate(_list(doc.get("stages", []), "'stages'"), 1)]
     spec = circuit.FosterSpec(a0, stages)
     _emit(circuit.emit_netlist(circuit.synthesize(spec)), args.out)

@@ -93,7 +93,7 @@ class LSystem:
     @cached_property
     def residual(self) -> float:
         """Colligation residual ||Im T - J K K*|| (Frobenius)."""
-        im_t = _hermitian_part(self.T, self.T.conj().T, True)
+        im_t = _hermitian_part(self.T, True)
         return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
 
     @cached_property
@@ -104,7 +104,7 @@ class LSystem:
     @cached_property
     def _re_t(self) -> np.ndarray:
         """Re T = (T + T*)/2, read-only, formed once for the resolvent."""
-        re_t = _hermitian_part(self.T, self.T.conj().T, False)
+        re_t = _hermitian_part(self.T, False)
         re_t.flags.writeable = False
         return re_t
 
@@ -137,22 +137,20 @@ class LSystem:
         return None if np.tril(self.T, -1).any() else self.T.diagonal()
 
 
-def _hermitian_part(t: np.ndarray, adj: np.ndarray, imag: bool) -> np.ndarray:
-    """Re t = (t + adj)/2, or Im t = (t - adj)/2j when ``imag``, for adj the
-    conjugate transpose of t.  Where the plain sum overflows, and only
-    there, an entry is formed from the halved operands: halving a subnormal
-    rounds, so every finite entry keeps the plain bytes."""
+def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:
+    """Re t = (t + t*)/2, or Im t = (t - t*)/2i when ``imag``.  Where the
+    plain sum overflows, and only there, an entry is formed from the halved
+    operands: halving a subnormal rounds, so every finite entry keeps the
+    plain bytes.  The halved sum is still divided by 1 or i, a complex
+    division like the plain one, so that its zero parts take the same signs."""
+    adj = t.conj().T
+    unit = 1j if imag else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _scaled_sum(t, adj, imag, 2.0)
+        s = t - adj if imag else t + adj
+        s /= 2.0 * unit
     bad = ~np.isfinite(s)
-    s[bad] = _scaled_sum(t[bad] / 2.0, adj[bad] / 2.0, imag, 1.0)
-    return s
-
-
-def _scaled_sum(t: np.ndarray, adj: np.ndarray, imag: bool, scale: float) -> np.ndarray:
-    """(t - adj)/(scale i) when ``imag``, else (t + adj)/scale."""
-    s = t - adj if imag else t + adj
-    s /= scale * 1j if imag else scale
+    half, half_adj = t[bad] / 2.0, adj[bad] / 2.0
+    s[bad] = (half - half_adj if imag else half + half_adj) / unit
     return s
 
 

@@ -104,10 +104,7 @@ def self_skew_coupling(lambda0: complex) -> CoupledSystem:
 def _modulus_squared(lambda0: complex) -> float:
     """|lambda0|^2 as Re^2 + Im^2, the constant coefficient of the self-skew
     closed forms; RangeError where it exceeds the float range."""
-    try:
-        m2 = lambda0.real ** 2 + lambda0.imag ** 2
-    except OverflowError:  # a Python float ** raises where * returns inf
-        m2 = math.inf
+    m2 = lambda0.real * lambda0.real + lambda0.imag * lambda0.imag
     if math.isinf(m2):
         raise RangeError(
             f"|lambda0|^2 overflows for lambda0 = {lambda0}: the self-skew closed form's "

@@ -59,21 +59,17 @@ class _Chain(LSystem):
     matrix: J = 1, dim, the parameters ``_d`` (the diagonal of T) and the
     largest channel entry ``_k_max``.  The channel entries sqrt(Im lambda_j)
     are not recorded: the square root is correctly rounded, so forming them
-    on first read gives the same bytes.  One factor is an elementary
-    system."""
+    on first read gives the same bytes.  ``K`` is the one array of them, and
+    ``residual`` and ``t_norm`` read its real part.  One factor is an
+    elementary system."""
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
         return _read_only(np.array(self._d, dtype=complex))
 
     @cached_property
-    def _channel(self) -> np.ndarray:
-        """The channel entries sqrt(Im lambda_j) as a real array."""
-        return np.sqrt(self._diagonal.imag)
-
-    @cached_property
     def K(self) -> np.ndarray:
-        return _read_only(self._channel.astype(complex))
+        return _read_only(np.sqrt(self._diagonal.imag).astype(complex))
 
     @cached_property
     def T(self) -> np.ndarray:
@@ -98,7 +94,7 @@ class _Chain(LSystem):
         (t - conj t)/2i is exactly Im t): Im lambda_j - fl(k_j)^2, a few ulp
         each, whose sum of squares is exact where the Im lambda_j span a few
         binades, so the bytes are the dense ones."""
-        k = self._channel
+        k = self.K.real
         return _frobenius(self._diagonal.imag - k * k)
 
     @cached_property
@@ -111,7 +107,7 @@ class _Chain(LSystem):
         if self.dim == 1:
             return _frobenius(self._diagonal)
         m = self._k_max
-        q = (self._channel / m) ** 2
+        q = (self.K.real / m) ** 2
         cross = float(q[1:] @ q.cumsum()[:-1])
         return math.hypot(*self._diagonal.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
 

@@ -1,5 +1,6 @@
 """Classification, c-entropy, dissipation, composition laws, surface grid."""
 
+import decimal
 import math
 import re
 
@@ -31,9 +32,11 @@ from livsic import (
     make_skew_adjoint,
     self_skew_coupling,
 )
+from livsic.analysis import _elementary_entropy
 
 INF = float("inf")
 EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class TestClassifyAtI:
@@ -148,10 +151,47 @@ class TestDissipation:
             assert 0.0 < d <= 1.0
 
 
-def _plain_entropy(lam):
-    """The elementary entropy exactly as the plain formula computes it."""
-    x, y = lam.real, lam.imag
-    return float(0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2)))
+def _log_uniform(rng, lo, hi, n, signed=False):
+    v = 10.0 ** rng.uniform(lo, hi, n)
+    return v * rng.choice([-1.0, 1.0], n) if signed else v
+
+
+def _decimal_entropy(x, y):
+    """(1/2) ln[(x^2 + (1+y)^2)/(x^2 + (1-y)^2)] in decimal arithmetic, with
+    40 digits beyond those by which 4y = hi - lo lies below hi, so that the
+    ratio keeps the digits of a small S."""
+    spread = 2.0 * math.log10(max(abs(x), 1.0 + abs(y))) - math.log10(4.0 * abs(y))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + max(0, math.ceil(spread))
+        dx, dy = decimal.Decimal(x), decimal.Decimal(y)
+        hi = dx * dx + (1 + dy) * (1 + dy)
+        lo = dx * dx + (1 - dy) * (1 - dy)
+        return float((hi / lo).ln() / 2)
+
+
+def _decimal_dissipation(*params):
+    """D of one elementary system, or of the coupling of two, in decimal
+    arithmetic at 40 digits: every term is positive, so nothing cancels."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        parts = [(decimal.Decimal(p.real), decimal.Decimal(p.imag)) for p in params]
+        dens = [x * x + (1 + y) * (1 + y) for x, y in parts]
+        if len(parts) == 1:
+            return float(4 * parts[0][1] / dens[0])
+        (x1, y1), (x2, y2) = parts
+        num = 4 * y1 * (x2 * x2 + y2 * y2 + 1) + 4 * y2 * (x1 * x1 + y1 * y1 + 1)
+        return float(num / (dens[0] * dens[1]))
+
+
+def _worst_eps(got, want):
+    """Largest relative error in units of eps over the pairs whose reference
+    is a normal float (NaN counts as infinitely wrong)."""
+    worst = 0.0
+    for g, w in zip(got, want):
+        if abs(w) >= _TINY:
+            err = abs(g - w) / abs(w) / EPS
+            worst = max(worst, err if err == err else INF)
+    return worst
 
 
 class TestLargeParameters:
@@ -177,13 +217,7 @@ class TestLargeParameters:
     def test_unchanged_where_the_plain_formula_is_finite(self, rng):
         for lam in [draw_upper(rng) for _ in range(200)]:
             x, y = lam.real, lam.imag
-            assert repr(c_entropy_elementary_closed(lam)) == repr(_plain_entropy(lam))
-            assert repr(dissipation_elementary_closed(lam)) == repr(4.0 * y / (x * x + (1.0 + y) ** 2))
-        xs, ys, s = entropy_surface(-2.0, 2.0, 0.05, 3.0, 9, 7)
-        x, y = np.meshgrid(xs, ys)
-        with np.errstate(divide="ignore"):
-            plain = 0.5 * np.log(np.divide(x * x + (1.0 + y) ** 2, x * x + (1.0 - y) ** 2))
-        assert s.tobytes() == plain.tobytes()
+            assert repr(dissipation_elementary_closed(lam)) == repr(4.0 * y / (x * x + (1.0 + y) * (1.0 + y)))
 
     SMALL_S = [complex(x, y) for x in (0.0, -3e150, 1e100)
                for y in (1e-300, 1e-5, 1e150)] + [1e10 + 1j, 1e7 + 1j]
@@ -213,6 +247,60 @@ class TestLargeParameters:
             for ix, x in enumerate(xs):
                 assert s[iy, ix] == pytest.approx(c_entropy_elementary_closed(complex(x, y)),
                                                   rel=1e-12)
+
+
+class TestAgainstDecimal:
+    """Closed forms against a decimal reference, to a few eps wherever the
+    result is a normal float.  Needs no mpmath."""
+
+    N = 400
+    ENTROPY_BANDS = {
+        "moderate": lambda rng, n: (rng.uniform(-3.0, 3.0, n), _log_uniform(rng, -3, 0.5, n)),
+        "small S": lambda rng, n: (_log_uniform(rng, 0, 4, n, True), _log_uniform(rng, -3, 0.5, n)),
+        "near i": lambda rng, n: (_log_uniform(rng, -12, -1, n, True),
+                                  1.0 + rng.uniform(-1e-3, 1e-3, n)),
+        "huge": lambda rng, n: (_log_uniform(rng, -3, 300, n, True), _log_uniform(rng, -3, 300, n)),
+        "tiny y": lambda rng, n: (_log_uniform(rng, -3, 3, n, True), _log_uniform(rng, -300, -3, n)),
+        "large y": lambda rng, n: (_log_uniform(rng, -3, 3, n, True), _log_uniform(rng, 1, 300, n)),
+    }
+
+    @pytest.mark.parametrize("band", ENTROPY_BANDS)
+    def test_entropy_within_four_eps(self, rng, band):
+        x, y = self.ENTROPY_BANDS[band](rng, self.N)
+        lams = [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        want = [_decimal_entropy(lam.real, lam.imag) for lam in lams]
+        assert _worst_eps([c_entropy_elementary_closed(lam) for lam in lams], want) <= 4.0
+        # the array path of entropy_surface and c_entropy
+        assert _worst_eps(_elementary_entropy(x, y), want) <= 4.0
+
+    def test_entropy_of_j_minus_one_entries_within_four_eps(self, rng):
+        # Im t < 0: S < 0, and the ratio is taken where hi < lo/2
+        x, y = _log_uniform(rng, -6, 1, self.N, True), -rng.uniform(0.01, 3.0, self.N)
+        got = [c_entropy(LSystem([[complex(a, b)]], [math.sqrt(-b)], -1))
+               for a, b in zip(x.tolist(), y.tolist())]
+        assert _worst_eps(got, [_decimal_entropy(a, b) for a, b in zip(x.tolist(), y.tolist())]) <= 4.0
+
+    @pytest.mark.parametrize("x", [2.0 ** -511, -(2.0 ** -511), 1.5e-154])
+    def test_entropy_where_the_quotient_would_overflow(self, x):
+        # at y = 1, 4y/lo = 4/x^2 overflows for x^2 = 2^-1022, the smallest normal
+        # float, and is finite for x = 1.5e-154
+        assert _worst_eps([c_entropy_elementary_closed(complex(x, 1.0))],
+                          [_decimal_entropy(x, 1.0)]) <= 4.0
+
+    @pytest.mark.parametrize("top", [0.5, 300])
+    def test_dissipation_within_four_eps(self, rng, top):
+        lams = [complex(a, b) for a, b in zip(_log_uniform(rng, -3, top, self.N, True).tolist(),
+                                              _log_uniform(rng, -3, top, self.N).tolist())]
+        assert _worst_eps([dissipation_elementary_closed(lam) for lam in lams],
+                          [_decimal_dissipation(lam) for lam in lams]) <= 4.0
+
+    @pytest.mark.parametrize("top", [0.5, 300])
+    def test_coupling_dissipation_within_six_eps(self, rng, top):
+        parts = [complex(a, b) for a, b in zip(_log_uniform(rng, -3, top, 2 * self.N, True).tolist(),
+                                               _log_uniform(rng, -3, top, 2 * self.N).tolist())]
+        pairs = list(zip(parts[::2], parts[1::2]))
+        assert _worst_eps([coupling_dissipation_closed(lam, mu) for lam, mu in pairs],
+                          [_decimal_dissipation(lam, mu) for lam, mu in pairs]) <= 6.0
 
 
 class TestNearUnitParameter:

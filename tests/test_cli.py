@@ -23,6 +23,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# JSON values that are not numbers, or not floats, with the end of the message naming them
+NOT_A_FLOAT = [
+    pytest.param("null", "must be a number, got null", id="null"),
+    pytest.param('"0.5"', "must be a number, got string", id="string"),
+    pytest.param("true", "must be a number, got boolean", id="boolean"),
+    pytest.param("[1]", "must be a number, got array", id="array"),
+    pytest.param("1" + "0" * 400, "is an integer beyond the float range", id="huge-int"),
+]
+
+
 class TestElementary:
     def test_known_entropy_and_dissipation(self, capsys):
         code, out, _ = run(capsys, "elementary", "--lambda0", "1,1")
@@ -287,6 +297,19 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--in", str(tmp_path / "nope.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("value, message", NOT_A_FLOAT)
+    @pytest.mark.parametrize("template, field", [
+        pytest.param('{"lambda0": {"re": %s, "im": 1}}', "'re' of 'lambda0'", id="lambda0"),
+        pytest.param('{"T": [[{"re": 0, "im": %s}]], "K": [{"re": 1, "im": 0}]}',
+                     "'im' of 'T' entry (0, 0)", id="T"),
+    ])
+    def test_non_float_number_exits_1(self, capsys, tmp_path, value, message, template, field):
+        path = tmp_path / "sys.json"
+        path.write_text(template % value)
+        code, out, err = run(capsys, "classify", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {field} {message}\n"
+
 
 class TestEntropySubcommand:
     def test_closed_and_resolvent(self, capsys):
@@ -411,6 +434,19 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--in", str(path))
         assert code == 1 and out == ""
         assert err == f"malformed input: {message}\n"
+
+    @pytest.mark.parametrize("value, message", NOT_A_FLOAT)
+    @pytest.mark.parametrize("template, field", [
+        pytest.param('{"a0": %s}', "'a0' of Foster data", id="a0"),
+        pytest.param('{"a0": 1, "stages": [{"a": 1, "b": 2}, {"a": 1, "b": %s}]}',
+                     "'b' of Foster stage 2", id="b"),
+    ])
+    def test_non_float_number_exits_1(self, capsys, tmp_path, value, message, template, field):
+        path = tmp_path / "foster.json"
+        path.write_text(template % value)
+        code, out, err = run(capsys, "synth", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err == f"malformed input: {field} {message}\n"
 
     @pytest.mark.parametrize("doc", [
         {"a0": float("nan"), "stages": [{"a": 1.0, "b": 2.0}]},
