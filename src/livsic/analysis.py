@@ -149,16 +149,12 @@ def c_entropy_elementary_closed(lambda0: complex) -> float:
 
 def dissipation_elementary_closed(lambda0: complex) -> float:
     """D = 4y/(x^2 + (1+y)^2) for lambda0 = x + iy; always in (0, 1].
-    Where the sum of squares overflows, D = 4 (y/g)/g with g = hypot(x, 1 + y).
+    Evaluated as 4 (y/g)/g with g = hypot(x, 1 + y), which squares nothing.
     D <= 1 holds exactly, as (1+y)^2 - 4y = (1-y)^2, so a rounded value
     above 1 (y within a few ulp of 1) is capped at 1."""
     lambda0 = _check_upper(lambda0)
-    x, y = lambda0.real, lambda0.imag
-    den = x * x + (1.0 + y) * (1.0 + y)
-    if den < INF:
-        return min(4.0 * y / den, 1.0)
-    g = math.hypot(x, 1.0 + y)
-    return 4.0 * (y / g) / g
+    g = math.hypot(lambda0.real, 1.0 + lambda0.imag)
+    return min(4.0 * (lambda0.imag / g) / g, 1.0)
 
 
 def compose_entropy(s1: float, s2: float) -> float:
@@ -187,19 +183,15 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
         D = [4 Im(l)(|m|^2 + 1) + 4 Im(m)(|l|^2 + 1)]
             / [(Re(l)^2 + (1+Im(l))^2)(Re(m)^2 + (1+Im(m))^2)]
 
-    capped at 1, which D never exceeds but the rounded quotient can near
-    l = m = i.
+    computed as D(l) (|m|^2 + 1)/|m + i|^2 + D(m) (|l|^2 + 1)/|l + i|^2, each
+    ratio as (hypot(x, y, 1)/hypot(x, 1 + y))^2, which squares nothing that can
+    overflow.  Capped at 1, which D never exceeds but the rounded sum can.
     """
-    lambda0 = _check_upper(lambda0)
-    mu0 = _check_upper(mu0)
-    x1, y1, x2, y2 = lambda0.real, lambda0.imag, mu0.real, mu0.imag
-    num = 4.0 * y1 * (x2 * x2 + y2 * y2 + 1.0) + 4.0 * y2 * (x1 * x1 + y1 * y1 + 1.0)
-    den = (x1 * x1 + (1.0 + y1) * (1.0 + y1)) * (x2 * x2 + (1.0 + y2) * (1.0 + y2))
-    if num < INF and den < INF:
-        return min(num / den, 1.0)
-    # the same D without squares: 1 - (1 - D1)(1 - D2)
-    return compose_dissipation(dissipation_elementary_closed(lambda0),
-                               dissipation_elementary_closed(mu0))
+    def ratio(p: complex) -> float:
+        return (math.hypot(p.real, p.imag, 1.0) / math.hypot(p.real, 1.0 + p.imag)) ** 2
+    lambda0, mu0 = _check_upper(lambda0), _check_upper(mu0)
+    return min(dissipation_elementary_closed(lambda0) * ratio(mu0)
+               + dissipation_elementary_closed(mu0) * ratio(lambda0), 1.0)
 
 
 def entropy_surface(x_min: float, x_max: float, y_min: float, y_max: float,

@@ -210,8 +210,11 @@ def _cmd_skew(args) -> int:
     skew = elementary.make_skew_adjoint(lam)
     s = analysis.c_entropy_elementary_closed(lam)
     d = analysis.dissipation_elementary_closed(lam)
+    # closed forms first: a lambda0 past the float range raises their RangeError
+    w_block = coupling.self_skew_transfer_closed(lam)
+    v_block = coupling.self_skew_impedance_closed(lam)
+    v_i = v_block(1j)
     block = coupling.self_skew_coupling(lam)
-    v_i = coupling.self_skew_impedance_closed(lam)(1j)
     report = {
         "lambda0": _cnum(lam),
         "skew_system": _system_json(skew.system, lam),
@@ -220,8 +223,8 @@ def _cmd_skew(args) -> int:
         **_entropy_fields(s),
         "self_coupling": {
             "system": _system_json(block.system),
-            "transfer": _rat(coupling.self_skew_transfer_closed(lam)),
-            "impedance": _rat(coupling.self_skew_impedance_closed(lam)),
+            "transfer": _rat(w_block),
+            "impedance": _rat(v_block),
             "impedance_at_i": _cnum(v_i),
             "classification": _classification(analysis.classify_at_i(v_i)),
             **_entropy_fields(2.0 * s),
@@ -238,12 +241,17 @@ def _cmd_couple(args) -> int:
     if args.infile:
         sys1, sys2 = _factor_systems(_load_json(args.infile))
         lam = mu = None
+        closed = {}
     else:
         if args.lambda0 is None or args.mu0 is None:
             raise ValueError("couple needs either --in or both --lambda0 and --mu0")
         lam, mu = args.lambda0, args.mu0
         sys1 = elementary.make_elementary(lam).system
         sys2 = elementary.make_elementary(mu).system
+        # closed forms first: parameters past the float range raise their RangeError
+        closed = {"transfer": _rat(coupling.coupling_transfer_closed(lam, mu)),
+                  "impedance": _rat(coupling.coupling_impedance_closed(lam, mu)),
+                  "dissipation_closed": _num(analysis.coupling_dissipation_closed(lam, mu))}
     _require_valid(sys1)
     _require_valid(sys2)
     coupled = coupling.couple(sys1, sys2)
@@ -265,10 +273,7 @@ def _cmd_couple(args) -> int:
             report["factors"][i]["classification"] = _classification(cls)
         except LivsicError:
             pass
-    if lam is not None and mu is not None:
-        report["transfer"] = _rat(coupling.coupling_transfer_closed(lam, mu))
-        report["impedance"] = _rat(coupling.coupling_impedance_closed(lam, mu))
-        report["dissipation_closed"] = _num(analysis.coupling_dissipation_closed(lam, mu))
+    report.update(closed)
     try:
         v_i = impedance_resolvent(coupled.system, 1j)
         report["impedance_at_i"] = _cnum(v_i)

@@ -124,17 +124,11 @@ class LSystem:
         :func:`validate`, else None.  W and the c-entropy are then read off
         it (the triangular model); None sends them to the resolvent.
 
-        The diagonal comes from :meth:`_upper_diagonal`, and ``validate``
-        reads ``residual`` and ``t_norm``.  A chain of elementary systems
-        overrides all three, so for it none of them builds T."""
-        d = self._upper_diagonal()
-        if d is None or not validate(self).passed:
-            return None
-        return d
-
-    def _upper_diagonal(self) -> np.ndarray | None:
-        """Diagonal of T when T is upper triangular, else None."""
-        return None if np.tril(self.T, -1).any() else self.T.diagonal()
+        A plain system qualifies by a scan below the diagonal and one call of
+        ``validate``; a chain of elementary systems qualifies by construction
+        and overrides this, so it builds neither T nor ``validate``'s norms."""
+        upper = not np.tril(self.T, -1).any()
+        return self.T.diagonal() if upper and validate(self).passed else None
 
 
 def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:

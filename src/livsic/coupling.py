@@ -23,6 +23,7 @@ equal but flips the sign of zero coefficient parts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,8 +74,23 @@ def _block_system(sys1: LSystem, sys2: LSystem) -> LSystem:
     return LSystem(t, k, 1)
 
 
+def _sum_and_product(lambda0: complex, mu0: complex) -> tuple[complex, complex]:
+    """lambda0 + mu0 and lambda0 mu0, which fix the coefficients of the pair
+    closed forms; RangeError where either exceeds the float range."""
+    lambda0 = _check_upper(lambda0)
+    mu0 = _check_upper(mu0)
+    s, p = lambda0 + mu0, lambda0 * mu0
+    if not (cmath.isfinite(s) and cmath.isfinite(p)):
+        raise RangeError(
+            f"lambda0 + mu0 = {s} and lambda0 mu0 = {p} for lambda0 = {lambda0}, mu0 = {mu0}: "
+            f"the coupling closed form's coefficients exceed the float range")
+    return s, p
+
+
 def coupling_transfer_closed(lambda0: complex, mu0: complex) -> RationalFunction:
-    """Product of the two elementary transfer functions, degree (2, 2)."""
+    """Product of the two elementary transfer functions, degree (2, 2).
+    RangeError where lambda0 + mu0 or lambda0 mu0 is not finite."""
+    _sum_and_product(lambda0, mu0)
     return rat_mul(transfer_closed(lambda0), transfer_closed(mu0))
 
 
@@ -83,10 +99,10 @@ def coupling_impedance_closed(lambda0: complex, mu0: complex) -> RationalFunctio
 
         V(z) = [Im(lambda0 + mu0) z - Im(lambda0 mu0)]
                / [Re(lambda0 + mu0) z - Re(lambda0 mu0) - z^2]
+
+    RangeError where lambda0 + mu0 or lambda0 mu0 is not finite.
     """
-    lambda0 = _check_upper(lambda0)
-    mu0 = _check_upper(mu0)
-    s, p = lambda0 + mu0, lambda0 * mu0
+    s, p = _sum_and_product(lambda0, mu0)
     return RationalFunction((-p.imag, s.imag), (-p.real, s.real, -1.0))
 
 

@@ -24,8 +24,8 @@ entries k_j = sqrt(Im lambda_j), which are K.  Above the diagonal T holds
 2i k_a k_b, below it +0.0.  The chain records J = 1, dim and the
 parameters, which fix the channel entries, and builds K and T from them
 on first read, with the bytes that the pairwise coupling formula writes
-for every tree shape.  ``validate``, W, V and S read the diagonal, the
-residual and ||T||_F off the parameters in O(k), so they never build T.
+for every tree shape.  W, V and S read the diagonal, and ``validate`` the
+residual and ||T||_F, off the parameters in O(k), so none of them builds T.
 """
 
 from __future__ import annotations
@@ -60,16 +60,18 @@ class _Chain(LSystem):
     largest channel entry ``_k_max``.  The channel entries sqrt(Im lambda_j)
     are not recorded: the square root is correctly rounded, so forming them
     on first read gives the same bytes.  ``K`` is the one array of them, and
-    ``residual`` and ``t_norm`` read its real part.  One factor is an
-    elementary system."""
+    ``residual`` and ``t_norm`` read its real part.  ``triangular_diagonal``
+    is the parameters, with no call of ``validate``: T is upper triangular,
+    and the residual, at most 2 eps ||T||_F, is far below validate's
+    threshold.  One factor is an elementary system."""
 
     @cached_property
-    def _diagonal(self) -> np.ndarray:
+    def triangular_diagonal(self) -> np.ndarray:
         return _read_only(np.array(self._d, dtype=complex))
 
     @cached_property
     def K(self) -> np.ndarray:
-        return _read_only(np.sqrt(self._diagonal.imag).astype(complex))
+        return _read_only(np.sqrt(self.triangular_diagonal.imag).astype(complex))
 
     @cached_property
     def T(self) -> np.ndarray:
@@ -81,11 +83,8 @@ class _Chain(LSystem):
             t = np.multiply.outer(k, k.conj())
             t *= 2j
         t[np.tri(n, dtype=bool)] = 0.0
-        t.flat[:: n + 1] = self._diagonal
+        t.flat[:: n + 1] = self.triangular_diagonal
         return _read_only(t)
-
-    def _upper_diagonal(self) -> np.ndarray:
-        return self._diagonal
 
     @cached_property
     def residual(self) -> float:
@@ -95,7 +94,7 @@ class _Chain(LSystem):
         each, whose sum of squares is exact where the Im lambda_j span a few
         binades, so the bytes are the dense ones."""
         k = self.K.real
-        return _frobenius(self._diagonal.imag - k * k)
+        return _frobenius(self.triangular_diagonal.imag - k * k)
 
     @cached_property
     def t_norm(self) -> float:
@@ -104,12 +103,13 @@ class _Chain(LSystem):
         2 sqrt(sum_{a<b} k_a^2 k_b^2), the sum taken over k/max k with a
         prefix sum, which cannot cancel or overflow; that value can differ
         from the dense norm of T in the last bits."""
+        d = self.triangular_diagonal
         if self.dim == 1:
-            return _frobenius(self._diagonal)
+            return _frobenius(d)
         m = self._k_max
         q = (self.K.real / m) ** 2
         cross = float(q[1:] @ q.cumsum()[:-1])
-        return math.hypot(*self._diagonal.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
+        return math.hypot(*d.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
 
     def _join(self, other: _Chain) -> _Chain:
         """The coupling of self and other, in that block order.  Its new

@@ -221,6 +221,19 @@ class TestCouple:
         assert report["factor_dissipations"][0] == 2e-300
         assert report["factor_entropies"][1] == 0.804718956217
 
+    @pytest.mark.parametrize("argv", [
+        ("couple", "--lambda0", "1e308,1e308", "--mu0", "1,1"),
+        ("couple", "--lambda0", "1e200,1e-200", "--mu0", "1e200,1e-200"),
+        ("couple", "--lambda0", "0,1e308", "--mu0", "0,1e308"),
+        ("skew", "--lambda0", "1e308,1e308"),
+    ])
+    def test_closed_forms_past_the_float_range_exit_2(self, capsys, argv):
+        # the closed forms are evaluated before the coupled system is built, so
+        # their RangeError, not the overflowing block or a coefficient, is reported
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("invariant violation: ") and "exceed the float range" in err
+
     def test_requires_both_parameters(self, capsys):
         code, _, _ = run(capsys, "couple", "--lambda0", "0,0.5")
         assert code == 1

@@ -550,6 +550,8 @@ class TestTriangular:
             assert transfer_eval(sys, z) == transfer_resolvent(sys, z) == 1.0
 
     def test_eligibility_checked_once_per_system(self, rng, monkeypatch):
+        # a chain qualifies by construction: no validate call, and W and S leave
+        # its norms, K and T unbuilt; a plain upper-triangular copy calls validate once
         calls = []
         checked = colligation.validate
 
@@ -558,13 +560,34 @@ class TestTriangular:
             return checked(sys)
 
         monkeypatch.setattr(colligation, "validate", counting)
-        sys = _draw_chain(rng, 16)
+        chain = _draw_chain(rng, 16)
         for z in (1j, -1j, 2.0 + 0.5j):
-            transfer_eval(sys, z)
-        c_entropy(sys)
+            transfer_eval(chain, z)
+        c_entropy(chain)
+        assert not calls and not {"residual", "t_norm", "K", "T"} & set(vars(chain))
+        plain = LSystem(chain.T, chain.K)
+        for z in (1j, -1j, 2.0 + 0.5j):
+            assert transfer_eval(plain, z) == transfer_eval(chain, z)
+        assert c_entropy(plain) == c_entropy(chain)
         assert len(calls) == 1
-        d = sys.triangular_diagonal
-        assert not d.flags.writeable and (d == np.diagonal(sys.T)).all()
+        for sys in (chain, plain):
+            d = sys.triangular_diagonal
+            assert not d.flags.writeable and d.tobytes() == np.diagonal(sys.T).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
+    def test_chains_pass_validate_by_construction(self, rng, scale, k):
+        # each Im t_j - fl(k_j)^2 is within 2 eps Im t_j, far below validate's
+        # threshold, which the chain's triangular_diagonal relies on
+        sys = _chain([scale * draw_upper(rng) for _ in range(k)])
+        assert validate(sys).passed
+        assert sys.triangular_diagonal.tobytes() == np.diagonal(sys.T).tobytes()
+
+    def test_chain_at_the_edge_of_the_float_range_passes_validate(self):
+        # ||T||_F is about 1.4e308, and its plain sum of squares overflows
+        sys = _chain([1.0 + 1e308j, 1e308 + 1j, 0.5j])
+        assert validate(sys).passed
+        assert sys.triangular_diagonal.tobytes() == np.diagonal(sys.T).tobytes()
 
 
 def _outcome(ev, sys, z):

@@ -590,6 +590,22 @@ class TestSelfSkewOverflow:
         assert self_skew_transfer_closed(lam).num.coeffs[0] == -m2
 
 
+class TestPairOverflow:
+    @pytest.mark.parametrize("lam, mu", [(1e308 + 1e308j, 1 + 1j), (1e200 + 1e-200j, 1e200 + 1e-200j),
+                                         (1e308j, 1e308j)])
+    def test_coefficients_past_the_float_range_raise(self, lam, mu):
+        # lambda0 mu0, or also lambda0 + mu0, is not finite
+        for form in (coupling_transfer_closed, coupling_impedance_closed):
+            with pytest.raises(RangeError, match="exceed the float range"):
+                form(lam, mu)
+
+    def test_largest_finite_coefficients_kept(self):
+        lam, mu = 1e308 + 1e308j, 0.5 + 0.5j
+        # lambda0 mu0 = 1e308 i and lambda0 + mu0 = (1e308 + 0.5)(1 + i) are finite
+        assert coupling_impedance_closed(lam, mu).num.coeffs == (1e308, -(lam + mu).imag)
+        assert coupling_transfer_closed(lam, mu).den.coeffs[:2] == (lam * mu, -(lam + mu))
+
+
 class TestExplicitSkewForms:
     """The skew closed forms kept explicit equal their derivations at -conj(lambda0)."""
 
