@@ -73,10 +73,14 @@ def classify_elementary(lambda0: complex) -> DonoghueClassification:
     """Classify the elementary system's impedance from its parameter.
 
     V(i) = Im(l)/(Re(l) - i), so membership requires Re(l) = 0 and the
-    class is decided by a = Im(l) against 1.
+    class is decided by a = Im(l) against 1.  Im V(i) = Im(l)/(Re(l)^2 + 1)
+    is positive for every admissible l; RangeError where it underflows.
     """
     lambda0 = _check_upper(lambda0)
     v_at_i = lambda0.imag / (lambda0.real - 1j)
+    if not v_at_i.imag > 0:
+        raise RangeError(f"Im V(i) = Im(l)/(Re(l)^2 + 1) is below the float range "
+                         f"for lambda0 = {lambda0}")
     return classify_at_i(v_at_i)
 
 

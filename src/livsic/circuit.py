@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .analysis import DonoghueClassification, classify_at_i
 from .elementary import _check_upper
-from .errors import FosterSpecError
+from .errors import FosterSpecError, RangeError
 from .ratfun import AtomicMeasure, RationalFunction, _PoleResidue, rat_add
 
 
@@ -66,6 +66,21 @@ class FosterSpec:
             raise FosterSpecError(f"resonances must be pairwise distinct, got {bs}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "stages", stages)
+
+    @cached_property
+    def _measure(self) -> AtomicMeasure:
+        # built on first read, not here: a spec that is only synthesized never
+        # reads it, and a failed build caches nothing, so it raises on every read
+        atoms = []
+        if self.a0 > 0:
+            atoms.append((0.0, self.a0))
+        for k, s in enumerate(self.stages, 1):
+            w = s.a / 2.0
+            if w == 0.0:
+                raise FosterSpecError(f"stage {k} weight {s.a!r} is too small: a/2 underflows to 0")
+            atoms.append((s.b, w))
+            atoms.append((-s.b, w))
+        return AtomicMeasure(atoms)
 
 
 @dataclass(frozen=True)
@@ -123,22 +138,16 @@ def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
 
 def foster_to_herglotz(spec: FosterSpec) -> RationalFunction:
     """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) = sum w_j/(t_j - z), recorded
-    by the atoms (t_j, w_j) of :func:`measure_atoms`."""
-    return _PoleResidue(measure_atoms(spec).atoms, partial(_foster_sum, spec, -1.0))
+    by the atoms (t_j, w_j) of :func:`measure_atoms` and carrying that
+    measure, which its partial fractions return."""
+    m = measure_atoms(spec)
+    return _PoleResidue(m.atoms, partial(_foster_sum, spec, -1.0), m)
 
 
 def measure_atoms(spec: FosterSpec) -> AtomicMeasure:
-    """Atomic representing measure: a0 at 0 and a_k/2 at +/- b_k."""
-    atoms = []
-    if spec.a0 > 0:
-        atoms.append((0.0, spec.a0))
-    for k, s in enumerate(spec.stages, 1):
-        w = s.a / 2.0
-        if w == 0.0:
-            raise FosterSpecError(f"stage {k} weight {s.a!r} is too small: a/2 underflows to 0")
-        atoms.append((s.b, w))
-        atoms.append((-s.b, w))
-    return AtomicMeasure(atoms)
+    """Atomic representing measure: a0 at 0 and a_k/2 at +/- b_k, built once
+    per spec, on first read; FosterSpecError, on every call, where a_k/2 is 0."""
+    return spec._measure
 
 
 def foster_mass(spec: FosterSpec) -> float:
@@ -147,8 +156,13 @@ def foster_mass(spec: FosterSpec) -> float:
 
 
 def classify_foster(spec: FosterSpec) -> DonoghueClassification:
-    """Donoghue class of M from circuit data; M(i) = i * foster_mass."""
-    return classify_at_i(1j * foster_mass(spec))
+    """Donoghue class of M from circuit data; M(i) = i * foster_mass, which is
+    positive for every spec with a stage: RangeError where it underflows."""
+    a = foster_mass(spec)
+    if a == 0.0 and spec.stages:
+        raise RangeError(f"Im M(i) = a0 + sum a_k/(b_k^2 + 1) is below the float range "
+                         f"for {len(spec.stages)} stage(s)")
+    return classify_at_i(1j * a)
 
 
 def synthesize(spec: FosterSpec) -> Netlist:

@@ -16,8 +16,8 @@ Conventions:
   set, never by coefficient equality;
 * a function known by its poles t_j and weights w_j, r(z) = sum
   w_j/(t_j - z) (the Foster functions of ``circuit``), is recorded by them:
-  it is evaluated and split into atoms from that record in O(m), and its
-  coefficients are expanded only when first read.
+  it is evaluated from that record in O(m), its atoms are the measure it
+  carries, if any, and its coefficients are expanded only when first read.
 """
 
 from __future__ import annotations
@@ -151,11 +151,13 @@ class RationalFunction:
 
 class _PoleResidue(RationalFunction):
     """r(z) = sum w_j/(t_j - z), recorded by its atoms (t_j, w_j) with real
-    weights w_j.  ``num`` and ``den`` come from one call of the
-    zero-argument ``expand``, on first read of either."""
+    weights w_j and by the :class:`AtomicMeasure` they came from, if any,
+    which :func:`partial_fractions_real_poles` returns.  ``num`` and ``den``
+    come from one call of the zero-argument ``expand``, on first read of
+    either."""
 
-    def __init__(self, atoms, expand):
-        self.__dict__.update(atoms=tuple(atoms), _expand=expand)
+    def __init__(self, atoms, expand, measure=None):
+        self.__dict__.update(atoms=tuple(atoms), _expand=expand, measure=measure)
 
     @cached_property
     def _expanded(self) -> RationalFunction:
@@ -267,7 +269,7 @@ def partial_fractions_real_poles(r: RationalFunction) -> AtomicMeasure:
     and whose weights come out positive real — i.e. the rational part of
     a Herglotz function with purely atomic representing measure.  A
     function recorded by its poles and weights gives its atoms directly
-    when every pole is real and every weight positive.
+    when it carries its measure: that measure is returned, not rebuilt.
 
     Any other function is checked from its coefficients: the roots of the
     denominator must be real and simple (to ``TAU_ROOT``) and the weights
@@ -275,8 +277,8 @@ def partial_fractions_real_poles(r: RationalFunction) -> AtomicMeasure:
     path inside the package takes this branch; it is the public Herglotz
     check for coefficients a user supplies.
     """
-    if isinstance(r, _PoleResidue) and all(t.imag == 0 and w > 0 for t, w in r.atoms):
-        return AtomicMeasure((t.real, w) for t, w in r.atoms)
+    if isinstance(r, _PoleResidue) and r.measure is not None:
+        return r.measure
     if r.num.is_zero:
         return AtomicMeasure(())
     if r.num.degree >= r.den.degree:

@@ -94,6 +94,13 @@ class TestClassifyElementary:
         with pytest.raises(DomainError):
             classify_elementary(-2j)
 
+    @pytest.mark.parametrize("lam", [complex(4.5361301052989466e+241, 3.2429930722848203e+136),
+                                     complex(-2.334038771118839e+208, 7.541437558050817e-234)])
+    def test_im_v_at_i_below_the_float_range(self, lam):
+        # Im V(i) = y/(x^2 + 1) > 0 underflows to +-0.0
+        with pytest.raises(RangeError, match="below the float range"):
+            classify_elementary(lam)
+
 
 class TestEntropy:
     def test_closed_form_values(self):

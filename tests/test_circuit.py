@@ -1,7 +1,9 @@
 """Foster data, representing measures, classification, LC synthesis."""
 
+import dataclasses
 import functools
 import math
+import pickle
 import re
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from conftest import assert_rat_equal, assert_rat_value, rel_err
 
 from livsic import (
+    AtomicMeasure,
     DomainError,
     DonoghueClass,
     FosterSpec,
@@ -17,7 +20,9 @@ from livsic import (
     LCStage,
     Netlist,
     NotHerglotzAtomicError,
+    NotHerglotzError,
     PoleError,
+    RangeError,
     RationalFunction,
     classify_at_i,
     classify_foster,
@@ -213,9 +218,62 @@ class TestPoleResidueRecord:
 
     def test_weight_whose_half_underflows_is_a_typed_error(self):
         spec = FosterSpec(0.0, [(1.0, 2.0), (5e-324, 1.0)])
-        for build in (measure_atoms, foster_to_herglotz, positive_real_z):
+        # twice over: a failed build of the spec's measure caches nothing
+        for build in (measure_atoms, foster_to_herglotz, positive_real_z) * 2:
             with pytest.raises(FosterSpecError, match=r"stage 2 weight 5e-324 is too small"):
                 build(spec)
+
+
+class TestSharedMeasure:
+    """A spec builds its measure once, on first read, and every reader shares it."""
+
+    @staticmethod
+    def count_constructions(monkeypatch):
+        calls = []
+        init = AtomicMeasure.__init__
+
+        def counted(self, atoms):
+            calls.append(1)
+            init(self, atoms)
+
+        monkeypatch.setattr(AtomicMeasure, "__init__", counted)
+        return calls
+
+    def test_one_measure_per_spec(self, rng, monkeypatch):
+        specs = [spec_with(rng, m, a0) for m in (0, 1, 5, 24) for a0 in (0.0, 1.5)]
+        calls = self.count_constructions(monkeypatch)
+        for k, spec in enumerate(specs, 1):
+            measure_atoms(spec)
+            positive_real_z(spec)
+            foster_to_herglotz(spec)
+            partial_fractions_real_poles(foster_to_herglotz(spec))
+            assert len(calls) == k
+
+    def test_readers_share_the_measure(self, rng):
+        spec = spec_with(rng, 6, 0.7)
+        m = measure_atoms(spec)
+        assert measure_atoms(spec) is m
+        r = foster_to_herglotz(spec)
+        assert partial_fractions_real_poles(r) is m
+        # the coefficients were never expanded
+        assert "_expanded" not in vars(r)
+
+    def test_value_semantics_ignore_the_measure(self, rng):
+        spec = spec_with(rng, 4, 1.5)
+        fresh = FosterSpec(spec.a0, spec.stages)
+        m = measure_atoms(spec)
+        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert measure_atoms(back).atoms == m.atoms
+
+    def test_replace_builds_a_new_measure(self, rng):
+        spec = spec_with(rng, 3, 1.5)
+        m = measure_atoms(spec)
+        other = dataclasses.replace(spec, a0=0.0)
+        assert "_measure" not in vars(other)
+        assert measure_atoms(other) is not m
+        assert measure_atoms(other).atoms == m.atoms[:3] + m.atoms[4:]
 
 
 class TestMeasureAtoms:
@@ -244,6 +302,16 @@ class TestClassifyFoster:
         below = classify_foster(FosterSpec(0.0, [(1.0, 1.0)]))
         assert below.class_tag is DonoghueClass.M_HAT_KAPPA
         assert abs(below.kappa - 1.0 / 3.0) < 1e-15
+
+    def test_mass_below_the_float_range(self):
+        # a/(b^2 + 1), about 1e-500, is positive but underflows to 0
+        with pytest.raises(RangeError, match="below the float range"):
+            classify_foster(FosterSpec(0.0, [(1e-300, 1e100)]))
+
+    def test_empty_spec_is_not_herglotz(self):
+        # M = 0 identically
+        with pytest.raises(NotHerglotzError, match="is not positive"):
+            classify_foster(FosterSpec(0.0, []))
 
     def test_agrees_with_assembled_function(self, rng):
         for _ in range(20):

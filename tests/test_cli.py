@@ -119,6 +119,15 @@ def test_huge_parameter_prints_no_numpy_warning(capsys, argv):
     assert caught == [] and "Warning" not in err
 
 
+@pytest.mark.parametrize("lam", ["4.5361301052989466e+241,3.2429930722848203e+136",
+                                 "-2.334038771118839e+208,7.541437558050817e-234"])
+def test_elementary_whose_im_v_at_i_underflows_names_the_float_range(capsys, lam):
+    # Im V(i) = Im(l)/(Re(l)^2 + 1) is positive, only below the float range
+    code, out, err = run(capsys, "elementary", f"--lambda0={lam}")
+    assert (code, out) == (2, "")
+    assert "below the float range" in err and "not positive" not in err
+
+
 @pytest.mark.parametrize("lam, code, message", [
     ("1,1e308", 0, ""),
     # V(i) = 1/(1e308 - i) is finite, but its imaginary part underflows to 0

@@ -217,7 +217,7 @@ class TestPartialFractions:
         assert m.atoms == ()
 
 
-def counted_record(atoms, expanded):
+def counted_record(atoms, expanded, measure=None):
     """A pole-residue record whose expander counts its calls."""
     calls = []
 
@@ -225,7 +225,7 @@ def counted_record(atoms, expanded):
         calls.append(1)
         return expanded
 
-    return _PoleResidue(atoms, expand), calls
+    return _PoleResidue(atoms, expand, measure), calls
 
 
 class TestPoleResidue:
@@ -234,7 +234,7 @@ class TestPoleResidue:
     EXPANDED = RationalFunction((1.0, 3.0), (1.0, 0.0, -1.0))
 
     def test_coefficients_expanded_once_on_first_read(self):
-        r, calls = counted_record(self.ATOMS, self.EXPANDED)
+        r, calls = counted_record(self.ATOMS, self.EXPANDED, AtomicMeasure(self.ATOMS))
         assert rel_err(rat_eval(r, 2j), (1 + 6j) / 5) < 1e-15
         assert partial_fractions_real_poles(r).atoms == ((-1.0, 1.0), (1.0, 2.0))
         assert calls == []
