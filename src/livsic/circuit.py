@@ -157,11 +157,15 @@ def foster_mass(spec: FosterSpec) -> float:
 
 def classify_foster(spec: FosterSpec) -> DonoghueClassification:
     """Donoghue class of M from circuit data; M(i) = i * foster_mass, which is
-    positive for every spec with a stage: RangeError where it underflows."""
+    positive for every spec with a stage: RangeError where it underflows or
+    overflows."""
     a = foster_mass(spec)
     if a == 0.0 and spec.stages:
         raise RangeError(f"Im M(i) = a0 + sum a_k/(b_k^2 + 1) is below the float range "
                          f"for {len(spec.stages)} stage(s)")
+    if math.isinf(a):
+        raise RangeError(f"Im M(i) = a0 + sum a_k/(b_k^2 + 1) exceeds the float range "
+                         f"for a0 = {spec.a0} and {len(spec.stages)} stage(s)")
     return classify_at_i(1j * a)
 
 

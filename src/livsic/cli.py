@@ -7,8 +7,9 @@ rounded to 12 significant digits, line endings are LF, and infinity, which
 the library carries as the genuine IEEE infinity, is serialized as the
 string "inf".
 
-Exit codes: 0 success, 1 malformed input, 2 invariant violation,
-3 domain error.
+Exit codes: 0 success, 1 malformed input (usage errors included),
+2 invariant violation, 3 domain error.  ``main`` is the one table that maps
+an outcome to a code: handlers print and return, or raise.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _entropy_fields(s: float) -> dict:
     return {"entropy": _num(s), "dissipation": _num(analysis.dissipation_from_entropy(s))}
 
 
-def _cmd_elementary(args) -> int:
+def _cmd_elementary(args) -> None:
     lam = args.lambda0
     built = elementary.make_elementary(lam)
     report = {
@@ -202,10 +203,9 @@ def _cmd_elementary(args) -> int:
     _print_report(report)
     if args.out:
         _print_report(report["system"], args.out)
-    return EXIT_OK
 
 
-def _cmd_skew(args) -> int:
+def _cmd_skew(args) -> None:
     lam = args.lambda0
     skew = elementary.make_skew_adjoint(lam)
     s = analysis.c_entropy_elementary_closed(lam)
@@ -227,17 +227,16 @@ def _cmd_skew(args) -> int:
             "impedance": _rat(v_block),
             "impedance_at_i": _cnum(v_i),
             "classification": _classification(analysis.classify_at_i(v_i)),
-            **_entropy_fields(2.0 * s),
-            "dissipation_identity": _num(2.0 * d - d * d),
+            **_entropy_fields(analysis.compose_entropy(s, s)),
+            "dissipation_identity": _num(analysis.compose_dissipation(d, d)),
         },
     }
     _print_report(report)
     if args.out:
         _print_report(report["skew_system"], args.out)
-    return EXIT_OK
 
 
-def _cmd_couple(args) -> int:
+def _cmd_couple(args) -> None:
     if args.infile:
         sys1, sys2 = _factor_systems(_load_json(args.infile))
         lam = mu = None
@@ -283,16 +282,19 @@ def _cmd_couple(args) -> int:
     _print_report(report)
     if args.out:
         _print_report(report["system"], args.out)
-    return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _input_system(args) -> LSystem:
+    """The system of the --in descriptor, else the elementary system of --lambda0."""
     if args.infile:
-        sys_ = system_from_descriptor(_load_json(args.infile))
-    elif args.lambda0 is not None:
-        sys_ = elementary.make_elementary(args.lambda0).system
-    else:
-        raise ValueError("classify needs --in or --lambda0")
+        return system_from_descriptor(_load_json(args.infile))
+    if args.lambda0 is None:
+        raise ValueError(f"{args.command} needs --in or --lambda0")
+    return elementary.make_elementary(args.lambda0).system
+
+
+def _cmd_classify(args) -> None:
+    sys_ = _input_system(args)
     _require_valid(sys_)
     v_i = impedance_resolvent(sys_, 1j)
     report = {
@@ -300,30 +302,25 @@ def _cmd_classify(args) -> int:
         "classification": _classification(analysis.classify_at_i(v_i)),
         "source": "resolvent",
     }
-    if args.lambda0 is not None and not args.infile:
+    if not args.infile:
         report["closed_form"] = _classification(analysis.classify_elementary(args.lambda0))
     _print_report(report, args.out)
-    return EXIT_OK
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> None:
+    sys_ = _input_system(args)
     if args.infile:
-        sys_ = system_from_descriptor(_load_json(args.infile))
         _require_valid(sys_)
         report = _entropy_fields(analysis.c_entropy(sys_))
-    elif args.lambda0 is not None:
+    else:
         lam = args.lambda0
-        sys_ = elementary.make_elementary(lam).system
         report = {"lambda0": _cnum(lam),
                   **_entropy_fields(analysis.c_entropy_elementary_closed(lam)),
                   "entropy_resolvent": _num(analysis.c_entropy_resolvent(sys_))}
-    else:
-        raise ValueError("entropy needs --in or --lambda0")
     _print_report(report, args.out)
-    return EXIT_OK
 
 
-def _cmd_surface(args) -> int:
+def _cmd_surface(args) -> None:
     x_min, x_max, y_min, y_max, nx, ny = args.grid
     xs, ys, s = analysis.entropy_surface(x_min, x_max, y_min, y_max, nx, ny)
     lines = ["x,y,S,D"]
@@ -333,10 +330,9 @@ def _cmd_surface(args) -> int:
             dv = analysis.dissipation_from_entropy(sv)
             lines.append(f"{xs[ix]:.12g},{ys[iy]:.12g},{sv:.12g},{dv:.12g}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
     doc = _load_json(args.infile)
@@ -346,32 +342,24 @@ def _cmd_synth(args) -> int:
               for i, s in enumerate(_list(doc.get("stages", []), "'stages'"), 1)]
     spec = circuit.FosterSpec(a0, stages)
     _emit(circuit.emit_netlist(circuit.synthesize(spec)), args.out)
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     results = verify.run_verification(seed=args.seed)
-    ok = True
     for r in results:
-        ok = ok and r.passed
         print(f"{r.name}: max_residual={r.max_residual:.6e} "
               f"tol={r.tol:.0e} {'PASS' if r.passed else 'FAIL'}")
-    print(f"verification {'PASSED' if ok else 'FAILED'} ({len(results)} checks, seed={args.seed})")
-    return EXIT_OK if ok else EXIT_INVARIANT
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; the contract reserves 2 for invariant
-    # violations, so remap usage errors to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_MALFORMED)
+    failed = sum(not r.passed for r in results)
+    print(f"verification {'FAILED' if failed else 'PASSED'} "
+          f"({len(results)} checks, seed={args.seed})")
+    if failed:
+        raise LivsicError(f"verification failed: {failed} of {len(results)} checks over tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="livsic",
-                     description="Canonical L-systems: build, couple, classify, analyze, synthesize.")
+    parser = argparse.ArgumentParser(
+        prog="livsic",
+        description="Canonical L-systems: build, couple, classify, analyze, synthesize.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, helptext, lambda0=False, mu0=False, infile=False,
@@ -410,22 +398,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand and return its exit code, by the table in the
+    module docstring."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on bad usage, the code of an invariant violation
+        return EXIT_MALFORMED if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except LivsicError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    # what reading input raises: a file that cannot be read, a value the
+    # readers or LSystem reject, a descriptor nested past the recursion
+    # limit; after LivsicError, as a RangeError is also a ValueError
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

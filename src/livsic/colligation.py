@@ -92,9 +92,11 @@ class LSystem:
 
     @cached_property
     def residual(self) -> float:
-        """Colligation residual ||Im T - J K K*|| (Frobenius)."""
+        """Colligation residual ||Im T - J K K*|| (Frobenius); inf or NaN
+        where K K* overflows, and then ``validate`` fails."""
         im_t = _hermitian_part(self.T, True)
-        return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
 
     @cached_property
     def t_norm(self) -> float:
@@ -229,18 +231,6 @@ def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
             f"(diagonal entry {hits[0]} of the triangular T, n={d.size})")
 
 
-def _diagonal_factors(d: np.ndarray, z: complex, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the triangular product over the diagonal d at z,
-    oriented by sign: f_j = (conj(t_j) - z)/(t_j - z), whose product is
-    W(z), for sign = 1 and 1/f_j for sign = -1.  Also returns f_j - 1 =
-    (a_j - b_j)/(b_j - z) for f_j = (a_j - z)/(b_j - z), without the
-    cancellation of f_j - 1.  Floating-point warnings and non-finite
-    results are the caller's to handle."""
-    a, b = (d.conj(), d) if sign > 0 else (d, d.conj())
-    den = b - z
-    return (a - z) / den, (a - b) / den
-
-
 def transfer_eval(sys: LSystem, z: complex) -> complex:
     """Transfer function W(z): the triangular product when the system has
     a triangular diagonal (see :attr:`LSystem.triangular_diagonal`) and z
@@ -259,7 +249,7 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     # for a valid system every |factor| lies on one side of 1, so a partial
     # product overflows only if the whole product does
     with np.errstate(over="ignore", invalid="ignore"):
-        w = complex(np.prod(_diagonal_factors(d, z, 1)[0]))
+        w = complex(np.prod((d.conj() - z) / (d - z)))
     if not cmath.isfinite(w):
         raise SingularResolventError(
             f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
@@ -313,8 +303,12 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     if d is None or _needs_svd(sys, abs(z.imag), z):
         return impedance_resolvent(sys, z)
     sign = 1 if sys.J * z.imag > 0 else -1
+    # the f_j above as (a_j - z)/(b_j - z), and f_j - 1 as
+    # (a_j - b_j)/(b_j - z), without the cancellation
+    a, b = (d, d.conj()) if sign > 0 else (d.conj(), d)
     with np.errstate(all="ignore"):
-        f, steps = _diagonal_factors(d, z, -sign)
+        den = b - z
+        f, steps = (a - z) / den, (a - b) / den
         p = np.cumprod(f)
         # the telescoped terms (f_k - 1) f_1 ... f_(k-1)
         terms = steps * np.concatenate(([1.0], p[:-1]))

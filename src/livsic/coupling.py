@@ -48,8 +48,8 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     2i K1 K2* presumes that convention.  Factors of any state dimension
     are accepted, so couplings can be chained.  Two chains of elementary
     systems couple into one chain without building a matrix; any other
-    pair into a plain system.  ValueError where the block 2i K1 K2*
-    overflows.
+    pair into a plain system.  RangeError, which is also a ValueError,
+    where the block 2i K1 K2* overflows.
     """
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
@@ -62,8 +62,8 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
 
 def _block_system(sys1: LSystem, sys2: LSystem) -> LSystem:
     """The coupling as a plain system: T1 and T2 on the diagonal,
-    fl(fl(K1 conj(K2)) 2i) above, +0.0 below.  ``LSystem`` raises the
-    ValueError where the block overflows."""
+    fl(fl(K1 conj(K2)) 2i) above, +0.0 below; RangeError where that block
+    overflows."""
     n1, k1, k2 = sys1.dim, sys1.K, sys2.K
     k = np.concatenate([k1, k2])
     t = np.zeros((k.size, k.size), dtype=complex)
@@ -71,6 +71,9 @@ def _block_system(sys1: LSystem, sys2: LSystem) -> LSystem:
     t[n1:, n1:] = sys2.T
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(np.multiply.outer(k1, k2.conj()), 2j, out=t[:n1, n1:])
+    if not np.isfinite(t[:n1, n1:]).all():
+        raise RangeError("non-finite entries in system matrices: "
+                         "the coupling block 2i K1 K2* exceeds the float range")
     return LSystem(t, k, 1)
 
 
@@ -112,7 +115,6 @@ def self_skew_coupling(lambda0: complex) -> CoupledSystem:
     The main-operator block is [[lambda0, lambda0 - conj(lambda0)],
     [0, -conj(lambda0)]] with a doubled channel column.
     """
-    lambda0 = _check_upper(lambda0)
     return couple(make_elementary(lambda0).system,
                   make_skew_adjoint(lambda0).system)
 

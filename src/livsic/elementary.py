@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .colligation import LSystem, _frobenius
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .ratfun import RationalFunction
 
 
@@ -115,9 +115,10 @@ class _Chain(LSystem):
         """The coupling of self and other, in that block order.  Its new
         entries 2i k_a k_b are largest at the two largest channel entries,
         as rounding is monotone, so they are finite exactly when
-        2 _k_max other._k_max is: ValueError where it is not."""
+        2 _k_max other._k_max is: RangeError where it is not."""
         if not math.isfinite(2.0 * self._k_max * other._k_max):
-            raise ValueError("non-finite entries in system matrices")
+            raise RangeError("non-finite entries in system matrices: "
+                             "the coupling block 2i K1 K2* exceeds the float range")
         return _chain(self._d + other._d, max(self._k_max, other._k_max))
 
 

@@ -50,8 +50,10 @@ class IncompatibleError(LivsicError):
     directing operators to be +1)."""
 
 
-class RangeError(LivsicError):
-    """A numeric argument is outside its required range."""
+class RangeError(LivsicError, ValueError):
+    """A numeric argument is outside its required range, or a result
+    exceeds the float range.  Also a ValueError, as every such value is a
+    value outside its range."""
 
 
 class FosterSpecError(LivsicError):

@@ -308,6 +308,11 @@ class TestClassifyFoster:
         with pytest.raises(RangeError, match="below the float range"):
             classify_foster(FosterSpec(0.0, [(1e-300, 1e100)]))
 
+    def test_mass_beyond_the_float_range(self):
+        # M is Herglotz; only its mass, about 3e308, overflows
+        with pytest.raises(RangeError, match="exceeds the float range"):
+            classify_foster(FosterSpec(1.5e308, [(1.5e308, 1e-150)]))
+
     def test_empty_spec_is_not_herglotz(self):
         # M = 0 identically
         with pytest.raises(NotHerglotzError, match="is not positive"):

@@ -1,13 +1,15 @@
 """Command-line interface: reports, exit codes, artifacts, determinism."""
 
+import copy
 import hashlib
 import json
+import random
 import warnings
 from pathlib import Path
 
 import pytest
 
-from livsic import dissipation_elementary_closed
+from livsic import dissipation_elementary_closed, verify
 from livsic.cli import main, system_from_descriptor
 
 
@@ -184,6 +186,14 @@ class TestDescriptor:
         assert code == 1 and out == ""
         assert err == f"malformed input: {sub} needs --in or --lambda0\n"
 
+    @pytest.mark.parametrize("sub", ["classify", "entropy", "couple"])
+    def test_nesting_past_the_recursion_limit_exits_1(self, capsys, tmp_path, sub):
+        leaf = '{"lambda0": {"re": 0, "im": 1}}'
+        path = tmp_path / "deep.json"
+        path.write_text('{"factors": [' * 500 + leaf + (", " + leaf + "]}") * 500)
+        code, out, err = run(capsys, sub, "--in", str(path))
+        assert (code, out) == (1, "") and err.startswith("malformed input: ")
+
     @pytest.mark.parametrize("j, written", [(True, "True"), (False, "False")])
     def test_boolean_directing_sign_exits_2(self, capsys, tmp_path, j, written):
         path = tmp_path / "sys.json"
@@ -242,6 +252,14 @@ class TestCouple:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("invariant violation: ") and "exceed the float range" in err
+
+    def test_overflowing_coupling_block_exits_2(self, capsys, tmp_path):
+        # well-formed input whose block 2i K1 K2* = 2e308 i is beyond the float range
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps([{"lambda0": {"re": 0, "im": 1e308}}] * 2))
+        code, out, err = run(capsys, "couple", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invariant violation: ") and "exceeds the float range" in err
 
     def test_requires_both_parameters(self, capsys):
         code, _, _ = run(capsys, "couple", "--lambda0", "0,0.5")
@@ -520,6 +538,87 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--seed", "7")
         _, out2, _ = run(capsys, "verify", "--seed", "7")
         assert out1 == out2
+
+    def test_failed_check_exits_2_and_says_so(self, capsys, monkeypatch):
+        results = [verify.CheckResult("closed_form", 1e-15, 1e-10),
+                   verify.CheckResult("broken", 2e-3, 1e-10)]
+        monkeypatch.setattr(verify, "run_verification", lambda seed: results)
+        code, out, err = run(capsys, "verify", "--seed", "3")
+        assert code == 2
+        assert out == ("closed_form: max_residual=1.000000e-15 tol=1e-10 PASS\n"
+                       "broken: max_residual=2.000000e-03 tol=1e-10 FAIL\n"
+                       "verification FAILED (2 checks, seed=3)\n")
+        assert err == "invariant violation: verification failed: 1 of 2 checks over tolerance\n"
+
+
+def _c(re, im):
+    return {"re": re, "im": im}
+
+
+def _json_nodes(doc, path=()):
+    """(path, node) for doc and every node inside it, depth first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_nodes(value, path + (key,))
+
+
+class TestExitCodeTable:
+    """Seeded mutations of a system, a pair and a Foster descriptor, each
+    read through ``--in``: every outcome is a row of the exit-code table."""
+
+    SYSTEM = {"T": [[_c(0.5, 1.0), _c(0.0, 2.0)], [_c(0.0, 0.0), _c(-1.0, 1.0)]],
+              "K": [_c(1.0, 0.0), _c(1.0, 0.0)], "J": 1}
+    PAIR = {"factors": [{"lambda0": _c(1.0, 1.0)}, {"lambda0": _c(-0.5, 2.0)}]}
+    FOSTER = {"a0": 1.0, "stages": [{"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 3.0}]}
+    SEEDS = [SYSTEM, PAIR, FOSTER]
+    CASES = [("classify", SYSTEM), ("entropy", SYSTEM), ("classify", PAIR), ("entropy", PAIR),
+             ("couple", PAIR), ("couple", [SYSTEM, SYSTEM]), ("synth", FOSTER)]
+    VALUES = [None, True, "x", [], {}, 0, -1, 2, -0.0, 1e308, 1e-320, 10 ** 400, [1],
+              {"re": 1}, _c(0.0, 0.0), _c(1.0, -1.0), _c(1e308, 1e308), _c(1e-300, 1e-300)]
+    SCALES = [0.0, -1.0, 3.0, 1e-300, 1e300]
+    PREFIXES = {1: "malformed input: ", 2: "invariant violation: ", 3: "domain error: "}
+
+    def _mutated(self, rng, doc):
+        """doc with one or two numbers scaled, or nodes replaced or removed."""
+        doc = copy.deepcopy(doc)
+        for _ in range(rng.choice([1, 1, 2])):
+            nodes = list(_json_nodes(doc))
+            numbers = [(path, node) for path, node in nodes if isinstance(node, float)]
+            path, node = rng.choice(numbers if numbers and rng.random() < 0.6 else nodes)
+            if not path:
+                doc = copy.deepcopy(rng.choice(self.VALUES + self.SEEDS))
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(node, float) and rng.random() < 0.8:
+                parent[path[-1]] = node * rng.choice(self.SCALES)
+            elif rng.random() < 0.5:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(rng.choice(self.VALUES + self.SEEDS))
+        return doc
+
+    def test_every_outcome_is_a_row(self, capsys, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "doc.json"
+        codes = set()
+        for _ in range(1000):
+            sub, seed = rng.choice(self.CASES)
+            text = json.dumps(self._mutated(rng, seed))
+            if rng.random() < 0.05:
+                text = text[:rng.randrange(len(text))]
+            path.write_text(text)
+            code, out, err = run(capsys, sub, "--in", str(path))
+            if code:
+                assert code in self.PREFIXES and out == "", (sub, text, code, err)
+                assert err.startswith(self.PREFIXES[code]), (sub, text, code, err)
+                assert err.count("\n") == 1, (sub, text, err)
+            else:
+                assert out and err == "", (sub, text, err)
+            codes.add(code)
+        assert codes == {0, 1, 2, 3}
 
 
 #: The README examples whose stdout the benchmark pins byte for byte.

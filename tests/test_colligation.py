@@ -116,6 +116,13 @@ class TestValidate:
             (big.T - big.T.conj().T) / 2e300j - np.outer(big.K, big.K.conj()) / 1e300) * 1e300,
             rel=1e-14)
 
+    @pytest.mark.parametrize("k", [1e308, 1e308 + 1e308j])
+    def test_overflowing_channel_fails_without_a_warning(self, k):
+        # K K* overflows (to inf, or to NaN in the imaginary part); pytest
+        # turns a numpy warning into an error
+        rep = validate(LSystem([[0.5 + 1j, 2j], [0.0, -1.0 + 1j]], [k, 1.0], 1))
+        assert not math.isfinite(rep.residual) and not rep.passed
+
     @pytest.mark.parametrize("lam", [1.0 + 1e308j, 1e308 + 1j, -1.7e308 + 1.7e308j])
     def test_hermitian_parts_do_not_overflow(self, lam):
         # (T - T*)/2j or (T + T*)/2 overflows in the plain sum; pytest turns

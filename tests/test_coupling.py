@@ -147,6 +147,16 @@ class TestCoupleInPlace:
         # a block that stays finite is accepted
         assert couple(big, make_elementary(1j).system).system.dim == 2
 
+    @pytest.mark.parametrize("factor", [
+        pytest.param(lambda: make_elementary(1e308j).system, id="chain"),
+        pytest.param(lambda: LSystem([[1e308j]], [1e154], 1), id="plain"),
+    ])
+    def test_overflowing_coupling_block_is_a_range_error(self, factor):
+        # the input is well formed; only the block 2i K1 K2* = 2e308 i is not a float
+        with pytest.raises(RangeError, match="exceeds the float range") as caught:
+            couple(factor(), factor())
+        assert isinstance(caught.value, ValueError)
+
     @pytest.mark.parametrize("im", [0.89e308, 0.9e308, 1e308, 1.7976931348623157e308])
     def test_overflow_gate_reads_the_elementary_record(self, im):
         # 2 Im lambda0 overflows from about 0.899e308; the gate takes the

@@ -24,7 +24,7 @@ from livsic import (
     rat_sampled_equal,
     transfer_resolvent,
 )
-from livsic.ratfun import TAU_POLE, _PoleResidue
+from livsic.ratfun import _SAMPLE_POINTS, N_SAMPLE_POINTS, TAU_POLE, _PoleResidue
 
 # Frequently used fixtures: the two degree-one pairs from the worked
 # examples, W = (z+i)/(z-i) <-> V = -1/z and W = (1-i-z)/(1+i-z) <-> V = 1/(1-z).
@@ -55,6 +55,13 @@ class TestPolynomial:
         assert (p * q).coeffs == (-1 + 0j, 0j, 1 + 0j)
         assert (p + q).coeffs == (0j, 2 + 0j)
         assert (p - p).is_zero
+
+    def test_product_with_zero(self):
+        p = Polynomial([1.0, 2.0])
+        assert (p * Polynomial()).is_zero and (Polynomial() * p).is_zero
+
+    def test_constant_has_no_roots(self):
+        assert Polynomial([3.0]).roots().size == 0 and Polynomial().roots().size == 0
 
     def test_derivative(self):
         p = Polynomial([5.0, 1.0, 2.0, 4.0])
@@ -205,8 +212,10 @@ class TestPartialFractions:
     def test_rejections(self):
         with pytest.raises(NotHerglotzAtomicError):  # complex poles
             partial_fractions_real_poles(RationalFunction((1.0,), (1.0, 0.0, 1.0)))
-        with pytest.raises(NotHerglotzAtomicError):  # repeated pole
+        with pytest.raises(NotHerglotzAtomicError):  # double pole, split by rounding
             partial_fractions_real_poles(RationalFunction((1.0,), (1.0, -2.0, 1.0)))
+        with pytest.raises(NotHerglotzAtomicError, match="repeated pole"):  # exact double pole
+            partial_fractions_real_poles(RationalFunction((1.0,), (0.0, 0.0, 1.0)))
         with pytest.raises(NotHerglotzAtomicError):  # residue of wrong sign
             partial_fractions_real_poles(RationalFunction((1.0,), (0.0, 1.0)))
         with pytest.raises(NotHerglotzAtomicError):  # not strictly proper
@@ -240,6 +249,7 @@ class TestPoleResidue:
         assert calls == []
         assert str(r) == str(self.EXPANDED) and r.degrees == (1, 2)
         assert r == self.EXPANDED and self.EXPANDED == r and r != W_I
+        assert r.__eq__(1) is NotImplemented and r != 1
         assert r.num is self.EXPANDED.num and r.den is self.EXPANDED.den
         assert calls == [1]
 
@@ -286,3 +296,19 @@ class TestAtomicMeasure:
 
 def test_sampled_equality_detects_difference():
     assert not rat_sampled_equal(W_I, W_1I, 1e-9)
+
+
+def test_sampled_equality_skips_a_sample_point_at_a_pole():
+    # den(z) = z - p vanishes exactly at the first sample point
+    r = RationalFunction((1.0,), (-_SAMPLE_POINTS[0], 1.0))
+    with pytest.raises(PoleError):
+        rat_eval(r, _SAMPLE_POINTS[0])
+    assert rat_sampled_equal(r, r)
+
+
+def test_sampled_equality_needs_enough_clean_points():
+    # a pole at all but N_SAMPLE_POINTS - 1 of the sample points
+    poles = _SAMPLE_POINTS[N_SAMPLE_POINTS - 1:]
+    r = _PoleResidue([(t, 1.0) for t in poles], lambda: None)
+    with pytest.raises(PoleError, match="too few clean sample points"):
+        rat_sampled_equal(r, r)
