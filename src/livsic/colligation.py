@@ -92,11 +92,13 @@ class LSystem:
 
     @cached_property
     def residual(self) -> float:
-        """Colligation residual ||Im T - J K K*|| (Frobenius); inf or NaN
-        where K K* overflows, and then ``validate`` fails."""
+        """Colligation residual ||Im T - J K K*|| (Frobenius); inf where K K*
+        overflows, and then ``validate`` fails.  K K* is subtracted or added
+        by J's sign: the complex product J K K* would turn inf times 0 into NaN."""
         im_t = _hermitian_part(self.T, True)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _frobenius(im_t - self.J * np.outer(self.K, self.K.conj()))
+            kk = np.outer(self.K, self.K.conj())
+            return _frobenius(im_t - kk if self.J > 0 else im_t + kk)
 
     @cached_property
     def t_norm(self) -> float:
@@ -105,8 +107,10 @@ class LSystem:
 
     @cached_property
     def _re_t(self) -> np.ndarray:
-        """Re T = (T + T*)/2, read-only, formed once for the resolvent."""
-        re_t = _hermitian_part(self.T, False)
+        """Re T = (T + T*)/2, read-only, formed once for the resolvent.  For n = 1
+        it is [[Re t + 0j]], the same bytes: the complex division by 2 turns -0.0 into +0.0."""
+        t = self.T
+        re_t = np.array([[t[0, 0].real + 0j]]) if self.dim == 1 else _hermitian_part(t, False)
         re_t.flags.writeable = False
         return re_t
 
@@ -194,23 +198,52 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     couplings, where the SVD costs several times the solve.  The predicate
     is true for every non-finite z, where the bound is inf or NaN.
     """
-    return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
+    # hypot, not abs: abs(z) raises OverflowError where |z| exceeds the float range
+    bound = sys.t_norm + math.sqrt(sys.dim) * math.hypot(z.real, z.imag)
+    return not floor > 4.0 * sys.dim * _EPS * bound
 
 
-def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
-    """Solve a x = K for a = T - zI or Re T - zI of sys, unless a is
-    numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  The SVD
-    runs only where :func:`_needs_svd` says so.  DomainError for a z with a
-    NaN part, before any LAPACK call."""
+def _shift(base: np.ndarray, k: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The sides a = base - zI and k of the solve a x = k.  A diagonal entry
+    overflows only for |z| >= 2^970, half an ulp of the largest float; where
+    one does, for a finite z, they are formed from base, k and z over 8: the
+    same x, and parts below a quarter of the range, which LAPACK divides by."""
+    a, n = base.copy(), base.shape[0]
+    if math.hypot(z.real, z.imag) < 2.0 ** 970:
+        if n == 1:
+            a[0, 0] -= z  # the subtraction below, without the flat iterator's cost
+        else:
+            a.flat[:: n + 1] -= z
+        return a, k
+    with np.errstate(over="ignore"):
+        a.flat[:: n + 1] -= z
+    if np.isfinite(a).all() or not cmath.isfinite(z):
+        return a, k
+    return _shift(base / 8.0, k / 8.0, z / 8.0)
+
+
+def _solve_guarded(a: np.ndarray, k: np.ndarray, sys: LSystem, floor: float, op: str,
+                   z: complex) -> np.ndarray:
+    """Solve a x = k for the sides from :func:`_shift`, unless a is
+    numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  For n = 1
+    that is a_11 == 0, with no SVD: sigma_min = sigma_max = |a_11|, and the
+    SVD of a non-finite a_11, or of one whose modulus overflows, gives NaN,
+    which passes.  For n > 1 the SVD runs only where :func:`_needs_svd` says
+    so.  DomainError for a z with a NaN part, before any LAPACK call."""
     if cmath.isnan(z):
         raise DomainError(f"{op} at z={z}: z has a NaN part")
-    if _needs_svd(sys, floor, z):
+    if sys.dim == 1:
+        singular, s = a[0, 0] == 0, (0.0, 0.0)
+    elif _needs_svd(sys, floor, z):
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= sys.dim * _EPS * s[0]:
-            raise SingularResolventError(
-                f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
-                f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    return np.linalg.solve(a, sys.K)
+        singular = s[-1] <= sys.dim * _EPS * s[0]
+    else:
+        singular = False
+    if singular:
+        raise SingularResolventError(
+            f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
+            f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
+    return np.linalg.solve(a, k)
 
 
 def _finite(value: complex, name: str, z: complex, n: int) -> complex:
@@ -248,22 +281,28 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     _check_off_diagonal(d, z)
     # for a valid system every |factor| lies on one side of 1, so a partial
     # product overflows only if the whole product does
+    # t_j - z overflows only for |z| >= 2^970 (see _shift), numpy's complex division
+    # from half the float range: there, and where the plain product fails, the factors
+    # take operands / 4, with the same bytes but in subnormal parts
+    big = not math.hypot(z.real, z.imag) < 2.0 ** 970
     with np.errstate(over="ignore", invalid="ignore"):
-        w = complex(np.prod((d.conj() - z) / (d - z)))
-    if not cmath.isfinite(w):
-        raise SingularResolventError(
-            f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
-            f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
+        w = math.nan if big else complex(np.prod((d.conj() - z) / (d - z)))
+        if not cmath.isfinite(w):
+            d4, z4 = d / 4.0, z / 4.0
+            w = complex(np.prod((d4.conj() - z4) / (d4 - z4)))
+        if not cmath.isfinite(w):
+            raise SingularResolventError(
+                f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
+                f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
     return w
 
 
 def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
     z = complex(z)
-    a = sys.T.copy()
-    a.flat[:: sys.dim + 1] -= z
+    a, k = _shift(sys.T, sys.K, z)
     lo, hi = sys.im_strip
-    x = _solve_guarded(a, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
+    x = _solve_guarded(a, k, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
     return _finite(complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J), "W(z)", z, sys.dim)
 
 
@@ -323,8 +362,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
-    a = sys._re_t.copy()
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
-    a.flat[:: sys.dim + 1] -= z
-    x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)
+    a, k = _shift(sys._re_t, sys.K, z)
+    x = _solve_guarded(a, k, sys, abs(z.imag), "Re T - zI", z)
     return _finite(complex(np.vdot(sys.K, x)), "V(z)", z, sys.dim)

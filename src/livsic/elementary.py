@@ -77,7 +77,9 @@ class _Chain(LSystem):
     def T(self) -> np.ndarray:
         """Entry (a, b) above the diagonal is fl(fl(k_a conj(k_b)) 2i), finite
         by the check in :meth:`_join`.  The outer product's other entries may
-        overflow, quietly, and are overwritten."""
+        overflow, quietly, and are overwritten.  One factor is [[lambda]]."""
+        if self.dim == 1:
+            return _read_only(np.array([self._d], dtype=complex))
         n, k = self.dim, self.K
         with np.errstate(over="ignore", invalid="ignore"):
             t = np.multiply.outer(k, k.conj())

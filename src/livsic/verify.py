@@ -38,7 +38,7 @@ def _draw_param(rng) -> complex:
 def _draw_z(rng, avoid=()) -> complex:
     while True:
         z = complex(rng.uniform(-3.0, 3.0),
-                    rng.uniform(0.2, 2.5) * rng.choice([-1.0, 1.0]))
+                    rng.uniform(0.2, 2.5) * (-1.0, 1.0)[rng.integers(0, 2)])
         if all(abs(z - p) > 0.15 for p in avoid):
             return z
 

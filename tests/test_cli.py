@@ -3,13 +3,14 @@
 import copy
 import hashlib
 import json
+import math
 import random
 import warnings
 from pathlib import Path
 
 import pytest
 
-from livsic import dissipation_elementary_closed, verify
+from livsic import dissipation_elementary_closed, validate, verify
 from livsic.cli import main, system_from_descriptor
 
 
@@ -157,6 +158,18 @@ class TestDescriptor:
         code, out, err = run(capsys, "classify", "--in", str(path))
         assert code == 2 and out == ""
         assert err == f"invariant violation: directing sign must be +1 or -1, got {written}\n"
+
+    @pytest.mark.parametrize("j", [1, -1])
+    def test_overflowing_channel_gives_an_infinite_residual(self, capsys, tmp_path, j):
+        # K K* overflows at 1e308^2; the complex product J K K* made the residual NaN
+        doc = {"T": [[_c(0.5, 1.0), _c(0.0, 2.0)], [_c(0.0, 0.0), _c(-1.0, 1.0)]],
+               "K": [_c(1e308, 0.0), _c(1.0, 0.0)], "J": j}
+        assert validate(system_from_descriptor(doc)).residual == math.inf
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "classify", "--in", str(path)) == (
+            2, "", "invariant violation: colligation identity violated: "
+                   "residual inf > threshold 3.693e-09\n")
 
     @pytest.mark.parametrize("doc, message", [
         ('{"T": [[{"re": Infinity, "im": 0}]], "K": [{"re": 1, "im": 0}]}',

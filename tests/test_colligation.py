@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,10 +230,14 @@ def _draw_chain(rng, k):
 
 
 def _guard_systems(rng):
-    """Elementary systems, chains up to n = 64, J = -1 systems and broken ones."""
-    out = [make_elementary(draw_upper(rng)).system for _ in range(4)]
+    """Elementary systems, chains up to n = 64, plain 1x1 systems with
+    J = +1 and -1, J = -1 systems and broken ones."""
+    out = [make_elementary(lam).system for lam in [draw_upper(rng) for _ in range(4)]
+           + [complex(-0.0, 1e-300), complex(1e300, 0.5)]]
+    out += [LSystem([[lam]], [math.sqrt(lam.imag)], 1) for lam in (0.5 + 1j, -2.0 + 1e-300j)]
     out += [_draw_chain(rng, k) for k in (2, 5, 16, 64)]
-    for sys in (make_elementary(0.5 + 1j).system, _draw_chain(rng, 8)):
+    for sys in (make_elementary(0.5 + 1j).system, make_elementary(3.0 + 1e-3j).system,
+                _draw_chain(rng, 8)):
         # entrywise conjugation turns Im T = K K* into Im T = -conj(K) conj(K)*
         out.append(LSystem(sys.T.conj(), sys.K.conj(), -1))
     out.append(LSystem([[2j]], [1.0], 1))
@@ -251,6 +256,14 @@ def _guard_points(rng, sys):
     pts += [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
     pts += [1j, -1j, 2j, complex(0.3, lo - 1e-3), complex(0.3, hi + 1e-3),
             complex(0.3, lo - 1e-12), complex(0.3, hi + 1e-12)]
+    if sys.dim == 1:
+        # z = t exactly, one ulp off in each part, inside the strip, and |z| near 1e308
+        t = complex(sys.T[0, 0])
+        pts += [t] + [complex(math.nextafter(t.real, to), t.imag) for to in (-math.inf, math.inf)]
+        pts += [complex(t.real, math.nextafter(t.imag, to)) for to in (-math.inf, math.inf)]
+        pts += [complex(x, lo + (hi - lo) * f) for x in (t.real, 0.0) for f in (0.25, 0.5, 0.75)]
+        pts += [complex(1e308, 0.5), complex(-1.7e308, t.imag), complex(t.real, 1e308),
+                complex(-1e308, -0.25)]
     return pts
 
 
@@ -288,14 +301,20 @@ class TestGuard:
                     x = _plain_guard(a, sys.K)
                     try:
                         got = ev(sys, z)
-                    except SingularResolventError:
-                        got = None
+                    except SingularResolventError as exc:
+                        got, message = None, str(exc)
                     evals += 1
                     if x is None:
                         raised += 1
                         assert got is None, (ev.__name__, sys.dim, z)
-                    else:
+                        s = _SVD(a, compute_uv=False)
+                        assert message.endswith(f"n={sys.dim}, sigma_min={s[-1]:.3e}, "
+                                                f"sigma_max={s[0]:.3e}"), message
+                    elif np.isfinite(value(x)):
                         assert got == value(x), (ev.__name__, sys.dim, z)
+                    else:
+                        # a solve that overflows, next to the spectrum of a tiny Im t
+                        assert got is None and "overflows the float range" in message
         # both branches of the gate and both outcomes of the SVD test are exercised
         assert 0 < len(svd_calls) < evals and raised > 0
 
@@ -312,6 +331,12 @@ class TestGuard:
         w_ref = math.prod((lam.conjugate() + 1j) / (lam + 1j) for lam in lams)
         assert v.imag > 0
         assert rel_err(w, w_ref) < 1e-10
+        # nor on a fresh one-factor system at points inside its strip [0, Im lam]
+        lam = draw_upper(rng)
+        one = make_elementary(lam).system
+        for y in np.linspace(0.0, lam.imag, 5):
+            transfer_resolvent(one, complex(lam.real + 0.5, y))
+            impedance_resolvent(one, complex(lam.real - 0.5, y))
 
     @pytest.mark.parametrize("lams, z", [
         ([1e300 + 1e300j], 1j), ([1e300 + 1e300j, 1 + 1j], 1j), ([1 + 1j], 2e154j),
@@ -359,8 +384,40 @@ class TestGuard:
             transfer_resolvent(make_elementary(1j).system, 1j)
 
 
+def _exact_quotient(num, den):
+    """sum(num)/sum(den) for tuples of complex floats, in exact rational
+    arithmetic, rounded once: a reference that cannot overflow on the way."""
+    (a, b), (c, d) = ((sum(map(Fraction, (x.real for x in xs))),
+                       sum(map(Fraction, (x.imag for x in xs)))) for xs in (num, den))
+    norm = c * c + d * d
+    return complex((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
 class TestRefusal:
     """The resolvent returns a finite value or raises a typed error."""
+
+    @pytest.mark.parametrize("lam, z", [
+        # W(z) is about 1: t - z overflows, and with it the factor and the plain solve
+        (1e308 + 1j, -1e308 + 0.5j),
+        # an overflowed entry would give W = 1, not 0.995 - 0.0998i
+        (1e308 + 1e307j, complex(-1e308)),
+        # both parts of t - z overflow: W = (1 - i)/2, V = (2 - i)/5
+        (1e308 + 1e308j, -1e308 - 1e308j),
+        # |z| exceeds the float range, where abs(z) raises OverflowError
+        (1 + 1j, complex(1.7e308, 1.7e308)),
+    ])
+    @pytest.mark.parametrize("j", [1, -1])
+    @pytest.mark.parametrize("ev", [transfer_eval, transfer_resolvent, impedance_eval,
+                                    impedance_resolvent])
+    def test_shift_past_the_float_range_gives_the_closed_form(self, lam, z, j, ev):
+        # J = -1 is the mirror system, T = conj(lam), at conj(z); a numpy warning fails the test
+        t, z = (lam, z) if j > 0 else (lam.conjugate(), z.conjugate())
+        sys = LSystem([[t]], [math.sqrt(lam.imag)], j)
+        if ev in (transfer_eval, transfer_resolvent):
+            want = _exact_quotient((t.conjugate(), -z), (t, -z))
+        else:
+            want = _exact_quotient((complex(lam.imag),), (complex(t.real), -z))
+        assert rel_err(ev(sys, z), want) <= 1e-10
 
     def test_overflowing_solve_raises(self):
         mirror = LSystem([[1e-310 - 1j]], [1.0], -1)

@@ -9,6 +9,7 @@ from conftest import assert_rat_equal, assert_rat_value, draw_upper, draw_z, rel
 from livsic import (
     DomainError,
     LSystem,
+    colligation,
     impedance_closed,
     impedance_eval,
     make_elementary,
@@ -43,17 +44,23 @@ class TestMakeElementary:
             make_elementary(2.0)
 
     def test_record_builds_dense_arrays_on_first_read(self, rng):
+        # real parts +-0.0, subnormal and 1e308 parts; Re T against the general
+        # (T + T*)/2, whose complex division by 2 turns -0.0 into +0.0
         for lam in (1j, complex(-0.0, 0.5), 1e308 + 1e-308j, 1.7976931348623157e308j,
-                    draw_upper(rng), draw_upper(rng)):
+                    complex(0.0, 5e-324), complex(-5e-324, 1e-310), complex(3e-320, 2.0),
+                    complex(-1e308, 1e308), complex(-0.0, 1.7976931348623157e308),
+                    complex(1.7976931348623157e308, 5e-324), draw_upper(rng), draw_upper(rng)):
             sys = make_elementary(lam).system
             assert "T" not in vars(sys) and "K" not in vars(sys)
             dense = LSystem([[lam]], [math.sqrt(lam.imag)])
-            t, k = sys.T, sys.K
+            t, k, re_t = sys.T, sys.K, sys._re_t
             assert t.shape == (1, 1) and t.tobytes() == dense.T.tobytes()
             assert k.shape == (1,) and k.tobytes() == dense.K.tobytes()
-            for a in (t, k):
+            assert re_t.shape == (1, 1)
+            assert re_t.tobytes() == colligation._hermitian_part(dense.T, False).tobytes()
+            for a in (t, k, re_t):
                 assert not a.flags.writeable and a.flags.owndata
-            assert sys.T is t and sys.K is k
+            assert sys.T is t and sys.K is k and sys._re_t is re_t
             assert sys == dense and dense == sys
 
     def test_norms_have_the_dense_bytes(self, rng):
