@@ -198,33 +198,11 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     couplings, where the SVD costs several times the solve.  The predicate
     is true for every non-finite z, where the bound is inf or NaN.
     """
-    # hypot, not abs: abs(z) raises OverflowError where |z| exceeds the float range
-    bound = sys.t_norm + math.sqrt(sys.dim) * math.hypot(z.real, z.imag)
-    return not floor > 4.0 * sys.dim * _EPS * bound
+    return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
 
-def _shift(base: np.ndarray, k: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The sides a = base - zI and k of the solve a x = k.  A diagonal entry
-    overflows only for |z| >= 2^970, half an ulp of the largest float; where
-    one does, for a finite z, they are formed from base, k and z over 8: the
-    same x, and parts below a quarter of the range, which LAPACK divides by."""
-    a, n = base.copy(), base.shape[0]
-    if math.hypot(z.real, z.imag) < 2.0 ** 970:
-        if n == 1:
-            a[0, 0] -= z  # the subtraction below, without the flat iterator's cost
-        else:
-            a.flat[:: n + 1] -= z
-        return a, k
-    with np.errstate(over="ignore"):
-        a.flat[:: n + 1] -= z
-    if np.isfinite(a).all() or not cmath.isfinite(z):
-        return a, k
-    return _shift(base / 8.0, k / 8.0, z / 8.0)
-
-
-def _solve_guarded(a: np.ndarray, k: np.ndarray, sys: LSystem, floor: float, op: str,
-                   z: complex) -> np.ndarray:
-    """Solve a x = k for the sides from :func:`_shift`, unless a is
+def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
+    """Solve a x = K for a = T - zI or Re T - zI of sys, unless a is
     numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  For n = 1
     that is a_11 == 0, with no SVD: sigma_min = sigma_max = |a_11|, and the
     SVD of a non-finite a_11, or of one whose modulus overflows, gives NaN,
@@ -233,17 +211,14 @@ def _solve_guarded(a: np.ndarray, k: np.ndarray, sys: LSystem, floor: float, op:
     if cmath.isnan(z):
         raise DomainError(f"{op} at z={z}: z has a NaN part")
     if sys.dim == 1:
-        singular, s = a[0, 0] == 0, (0.0, 0.0)
-    elif _needs_svd(sys, floor, z):
-        s = np.linalg.svd(a, compute_uv=False)
-        singular = s[-1] <= sys.dim * _EPS * s[0]
+        s = (0.0, 0.0) if a[0, 0] == 0 else None
     else:
-        singular = False
-    if singular:
+        s = np.linalg.svd(a, compute_uv=False) if _needs_svd(sys, floor, z) else None
+    if s is not None and s[-1] <= sys.dim * _EPS * s[0]:
         raise SingularResolventError(
             f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
             f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    return np.linalg.solve(a, k)
+    return np.linalg.solve(a, sys.K)
 
 
 def _finite(value: complex, name: str, z: complex, n: int) -> complex:
@@ -281,28 +256,22 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     _check_off_diagonal(d, z)
     # for a valid system every |factor| lies on one side of 1, so a partial
     # product overflows only if the whole product does
-    # t_j - z overflows only for |z| >= 2^970 (see _shift), numpy's complex division
-    # from half the float range: there, and where the plain product fails, the factors
-    # take operands / 4, with the same bytes but in subnormal parts
-    big = not math.hypot(z.real, z.imag) < 2.0 ** 970
     with np.errstate(over="ignore", invalid="ignore"):
-        w = math.nan if big else complex(np.prod((d.conj() - z) / (d - z)))
-        if not cmath.isfinite(w):
-            d4, z4 = d / 4.0, z / 4.0
-            w = complex(np.prod((d4.conj() - z4) / (d4 - z4)))
-        if not cmath.isfinite(w):
-            raise SingularResolventError(
-                f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
-                f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
+        w = complex(np.prod((d.conj() - z) / (d - z)))
+    if not cmath.isfinite(w):
+        raise SingularResolventError(
+            f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
+            f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
     return w
 
 
 def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
     z = complex(z)
-    a, k = _shift(sys.T, sys.K, z)
+    a = sys.T.copy()
+    a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
-    x = _solve_guarded(a, k, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
+    x = _solve_guarded(a, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
     return _finite(complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J), "W(z)", z, sys.dim)
 
 
@@ -362,7 +331,8 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
+    a = sys._re_t.copy()
     # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
-    a, k = _shift(sys._re_t, sys.K, z)
-    x = _solve_guarded(a, k, sys, abs(z.imag), "Re T - zI", z)
+    a.flat[:: sys.dim + 1] -= z
+    x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)
     return _finite(complex(np.vdot(sys.K, x)), "V(z)", z, sys.dim)
