@@ -15,6 +15,7 @@ an outcome to a code: handlers print and return, or raise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -138,25 +139,29 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _factor_systems(doc) -> tuple[LSystem, LSystem]:
-    """The two factors of a coupling descriptor, {"factors": [...]} or a
-    bare list; any other count of factors is malformed."""
+def _factor_systems(doc) -> list[LSystem]:
+    """The factors of a coupling descriptor, {"factors": [...]} or a bare
+    list, one or more of them; an empty list is malformed."""
     factors = doc
     if isinstance(doc, dict):
         factors = _list(_field(doc, "factors", "coupling descriptor"), "'factors'")
     elif not isinstance(doc, list):
         raise ValueError(
             f"coupling descriptor must be an object or list, got {type(doc).__name__}")
-    if len(factors) != 2:
-        raise ValueError(f"coupling descriptor needs 2 factors, got {len(factors)}")
-    return system_from_descriptor(factors[0]), system_from_descriptor(factors[1])
+    if not factors:
+        raise ValueError("coupling descriptor has no factors")
+    return [system_from_descriptor(f) for f in factors]
+
+
+def _coupled(systems: list[LSystem]) -> LSystem:
+    return functools.reduce(lambda s1, s2: coupling.couple(s1, s2).system, systems)
 
 
 def system_from_descriptor(doc) -> LSystem:
     """Assemble a system from any supported descriptor shape:
     {"T","K","J"} with {"re","im"} entries and J = 1 by default,
-    {"lambda0"}, {"factors": [...]} (recursively), or a bare two-element
-    list treated as factors."""
+    {"lambda0"}, {"factors": [...]} of one or more descriptors coupled
+    left to right (recursively), or a bare list treated as factors."""
     if isinstance(doc, list):
         doc = {"factors": doc}
     if not isinstance(doc, dict):
@@ -171,7 +176,7 @@ def system_from_descriptor(doc) -> LSystem:
     if "lambda0" in doc:
         return elementary.make_elementary(_complex(doc["lambda0"], "'lambda0'")).system
     if "factors" in doc:
-        return coupling.couple(*_factor_systems(doc)).system
+        return _coupled(_factor_systems(doc))
     raise ValueError("descriptor has none of the keys 'T', 'lambda0', 'factors'")
 
 
@@ -238,43 +243,38 @@ def _cmd_skew(args) -> None:
 
 def _cmd_couple(args) -> None:
     if args.infile:
-        sys1, sys2 = _factor_systems(_load_json(args.infile))
-        lam = mu = None
-        closed = {}
+        systems = _factor_systems(_load_json(args.infile))
+        params, closed = [None] * len(systems), {}
     else:
         if args.lambda0 is None or args.mu0 is None:
             raise ValueError("couple needs either --in or both --lambda0 and --mu0")
-        lam, mu = args.lambda0, args.mu0
-        sys1 = elementary.make_elementary(lam).system
-        sys2 = elementary.make_elementary(mu).system
+        params = [args.lambda0, args.mu0]
+        systems = [elementary.make_elementary(p).system for p in params]
         # closed forms first: parameters past the float range raise their RangeError
-        closed = {"transfer": _rat(coupling.coupling_transfer_closed(lam, mu)),
-                  "impedance": _rat(coupling.coupling_impedance_closed(lam, mu)),
-                  "dissipation_closed": _num(analysis.coupling_dissipation_closed(lam, mu))}
-    _require_valid(sys1)
-    _require_valid(sys2)
-    coupled = coupling.couple(sys1, sys2)
+        closed = {"transfer": _rat(coupling.coupling_transfer_closed(*params)),
+                  "impedance": _rat(coupling.coupling_impedance_closed(*params)),
+                  "dissipation_closed": _num(analysis.coupling_dissipation_closed(*params))}
+    for sub in systems:
+        _require_valid(sub)
+    coupled = _coupled(systems)
 
-    s1, s2 = analysis.c_entropy(sys1), analysis.c_entropy(sys2)
+    entropies = [analysis.c_entropy(sub) for sub in systems]
     report = {
-        "factors": [
-            {"lambda0": _cnum(lam)} if lam is not None else {},
-            {"lambda0": _cnum(mu)} if mu is not None else {},
-        ],
-        "system": _system_json(coupled.system),
-        **_entropy_fields(analysis.compose_entropy(s1, s2)),
-        "factor_entropies": [_num(s1), _num(s2)],
-        "factor_dissipations": [_num(analysis.dissipation_from_entropy(s)) for s in (s1, s2)],
+        "factors": [{} if p is None else {"lambda0": _cnum(p)} for p in params],
+        "system": _system_json(coupled),
+        **_entropy_fields(functools.reduce(analysis.compose_entropy, entropies)),
+        "factor_entropies": [_num(s) for s in entropies],
+        "factor_dissipations": [_num(analysis.dissipation_from_entropy(s)) for s in entropies],
     }
-    for i, sub in enumerate((sys1, sys2)):
+    for entry, sub in zip(report["factors"], systems):
         try:
             cls = analysis.classify_at_i(impedance_resolvent(sub, 1j))
-            report["factors"][i]["classification"] = _classification(cls)
+            entry["classification"] = _classification(cls)
         except LivsicError:
             pass
     report.update(closed)
     try:
-        v_i = impedance_resolvent(coupled.system, 1j)
+        v_i = impedance_resolvent(coupled, 1j)
         report["impedance_at_i"] = _cnum(v_i)
         report["classification"] = _classification(analysis.classify_at_i(v_i))
     except LivsicError:
@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         lambda0="required")
     add("skew", _cmd_skew, "skew-adjoint companion and its self-coupling",
         lambda0="required")
-    add("couple", _cmd_couple, "couple two systems", lambda0=True, mu0=True, infile=True)
+    add("couple", _cmd_couple, "couple L-systems", lambda0=True, mu0=True, infile=True)
     add("classify", _cmd_classify, "Donoghue class from V(i)", lambda0=True, infile=True)
     add("entropy", _cmd_entropy, "c-entropy and dissipation coefficient",
         lambda0=True, infile=True)

@@ -7,13 +7,14 @@ The coupled system lives on the direct sum of the factor state spaces:
 
 Its transfer function is the product of the factor transfer functions
 (multiplication theorem), which is what makes the c-entropy of a coupling
-additive.  When both factors are chains of elementary systems (see
-``elementary``), T is fixed by the concatenated lists of parameters and
-channel entries, and ``couple`` returns the longer chain: a call costs
-O(number of factors) and copies no matrix, and the chain builds K and T
-only on first read.  Any other coupling, such as one with a
-``{"T": ...}`` descriptor as a factor, is a plain ``LSystem`` whose T is
-written once from the factors' blocks.
+additive.  Coupling is associative: k factors couple as the left fold of
+``couple``, whose result holds the coupled system alone.  When both factors
+are chains of elementary systems (see ``elementary``), T is fixed by the
+concatenated lists of parameters and channel entries, and ``couple`` returns
+the longer chain: a call costs O(number of factors) and copies no matrix,
+and the chain builds K and T only on first read.  Any other coupling, such
+as one with a ``{"T": ...}`` descriptor as a factor, is a plain ``LSystem``
+whose T is written once from the factors' blocks.
 
 Closed forms are provided for couplings of two elementary systems and
 for the self-coupling of an elementary system with its skew-adjoint
@@ -38,7 +39,6 @@ from .ratfun import RationalFunction, rat_mul
 @dataclass(frozen=True)
 class CoupledSystem:
     system: LSystem
-    factors: tuple[LSystem, LSystem]
 
 
 def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
@@ -54,10 +54,8 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
     if isinstance(sys1, _Chain) and isinstance(sys2, _Chain):
-        system = sys1._join(sys2)
-    else:
-        system = _block_system(sys1, sys2)
-    return CoupledSystem(system, (sys1, sys2))
+        return CoupledSystem(sys1._join(sys2))
+    return CoupledSystem(_block_system(sys1, sys2))
 
 
 def _block_system(sys1: LSystem, sys2: LSystem) -> LSystem:

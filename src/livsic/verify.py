@@ -82,14 +82,13 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
 
     mult = imp = ent = diss = 0.0
     for lam, mu in pairs:
-        coupled = coupling.couple(elementary.make_elementary(lam).system,
-                                  elementary.make_elementary(mu).system)
+        sys1, sys2 = (elementary.make_elementary(p).system for p in (lam, mu))
+        coupled = coupling.couple(sys1, sys2)
         colligation_worst = max(colligation_worst, scaled_residual(coupled.system))
         v_closed = coupling.coupling_impedance_closed(lam, mu)
         for _ in range(N_POINTS):
             z = _draw_z(rng, avoid=(lam, mu))
-            product = (transfer_resolvent(coupled.factors[0], z)
-                       * transfer_resolvent(coupled.factors[1], z))
+            product = transfer_resolvent(sys1, z) * transfer_resolvent(sys2, z)
             mult = max(mult, _rel(transfer_resolvent(coupled.system, z), product))
             imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), impedance_resolvent(coupled.system, z)))
         s_oracle = analysis.c_entropy_resolvent(coupled.system)

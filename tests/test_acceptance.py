@@ -54,11 +54,11 @@ def test_criterion_03_multiplication_theorem():
         rng = np.random.default_rng(43)
         for _ in range(100):
             lam, mu = draw_upper(rng), draw_upper(rng)
-            c = lv.couple(lv.make_elementary(lam).system, lv.make_elementary(mu).system)
+            sys1, sys2 = lv.make_elementary(lam).system, lv.make_elementary(mu).system
+            c = lv.couple(sys1, sys2)
             for _ in range(5):
                 z = draw_z(rng, avoid=(lam, mu))
-                prod = (lv.transfer_eval(c.factors[0], z)
-                        * lv.transfer_eval(c.factors[1], z))
+                prod = lv.transfer_eval(sys1, z) * lv.transfer_eval(sys2, z)
                 assert rel_err(lv.transfer_eval(c.system, z), prod) <= 1e-10
 
 

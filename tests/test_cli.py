@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, artifacts, determinism."""
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -8,9 +9,17 @@ import random
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from livsic import dissipation_elementary_closed, validate, verify
+from livsic import (
+    c_entropy,
+    compose_entropy,
+    dissipation_elementary_closed,
+    make_elementary,
+    validate,
+    verify,
+)
 from livsic.cli import main, system_from_descriptor
 
 
@@ -207,6 +216,22 @@ class TestDescriptor:
         code, out, err = run(capsys, sub, "--in", str(path))
         assert (code, out) == (1, "") and err.startswith("malformed input: ")
 
+    def test_flat_factor_list_equals_the_nested_tree(self, capsys, tmp_path):
+        # the 32 factors of the benchmark's cli workload at seed 101, which
+        # reads them as a balanced binary tree
+        rng = np.random.default_rng([101, 4])
+        lams = rng.uniform(-2.0, 2.0, 32) + 1j * rng.uniform(0.1, 2.5, 32)
+        docs = {"flat": {"factors": [_nested([lam]) for lam in lams]}, "nested": _nested(lams)}
+        flat, nested = (system_from_descriptor(doc) for doc in docs.values())
+        assert flat.T.tobytes() == nested.T.tobytes() and flat.K.tobytes() == nested.K.tobytes()
+        for sub in ("classify", "entropy"):
+            outs = []
+            for name, doc in docs.items():
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(doc))
+                outs.append(run(capsys, sub, "--in", str(path)))
+            assert outs[0] == outs[1] and outs[0][0] == 0
+
     @pytest.mark.parametrize("j, written", [(True, "True"), (False, "False")])
     def test_boolean_directing_sign_exits_2(self, capsys, tmp_path, j, written):
         path = tmp_path / "sys.json"
@@ -306,14 +331,30 @@ class TestCouple:
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("bare_list", [False, True])
-    def test_in_needs_exactly_two_factors(self, capsys, tmp_path, count, bare_list):
-        factors = [{"lambda0": {"re": 0.0, "im": 1.0 + k}} for k in range(count)]
+    def test_in_couples_one_or_more_factors(self, capsys, tmp_path, count, bare_list):
+        lams = [complex(0.5 * k - 0.5, 1.0 + k) for k in range(count)]
+        diagonal = [_c(lam.real, lam.imag) for lam in lams]
+        factors = [{"lambda0": entry} for entry in diagonal]
         path = tmp_path / "factors.json"
         path.write_text(json.dumps(factors if bare_list else {"factors": factors}))
-        for sub in ("couple", "classify"):
-            code, out, err = run(capsys, sub, "--in", str(path))
-            assert code == 1 and out == ""
-            assert f"coupling descriptor needs 2 factors, got {count}" in err
+        report = run_json(capsys, "couple", "--in", str(path))
+        entropies = [c_entropy(make_elementary(lam).system) for lam in lams]
+        assert len(report["factors"]) == len(report["system"]["T"]) == count
+        # coupled left to right: the factors' parameters down T's diagonal, in order
+        assert [row[i] for i, row in enumerate(report["system"]["T"])] == diagonal
+        assert report["factor_entropies"] == [_round12(s) for s in entropies]
+        # S of the coupling is the left fold of the factor entropies
+        assert report["entropy"] == _round12(functools.reduce(compose_entropy, entropies))
+        classified = run_json(capsys, "classify", "--in", str(path))
+        assert classified["classification"] == report["classification"]
+
+    @pytest.mark.parametrize("doc", ['{"factors": []}', "[]"])
+    @pytest.mark.parametrize("sub", ["couple", "classify", "entropy"])
+    def test_empty_factor_list_exits_1(self, capsys, tmp_path, doc, sub):
+        path = tmp_path / "factors.json"
+        path.write_text(doc)
+        assert run(capsys, sub, "--in", str(path)) == (
+            1, "", "malformed input: coupling descriptor has no factors\n")
 
 
 class TestClassify:
@@ -376,14 +417,8 @@ class TestEntropySubcommand:
 
         from livsic import c_entropy_elementary_closed
         lams = [complex(0.25 * k - 4.0, 0.1 + 0.075 * k) for k in range(32)]
-
-        def tree(ls):
-            if len(ls) == 1:
-                return {"lambda0": {"re": ls[0].real, "im": ls[0].imag}}
-            return {"factors": [tree(ls[:len(ls) // 2]), tree(ls[len(ls) // 2:])]}
-
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(tree(lams)))
+        path.write_text(json.dumps(_nested(lams)))
         report = run_json(capsys, "entropy", "--in", str(path))
         s_sum = sum(c_entropy_elementary_closed(lam) for lam in lams)
         assert report["entropy"] == pytest.approx(s_sum, rel=1e-11)
@@ -566,6 +601,19 @@ class TestVerify:
 
 def _c(re, im):
     return {"re": re, "im": im}
+
+
+def _nested(lams):
+    """Balanced binary {"factors": [...]} tree over elementary factors."""
+    if len(lams) == 1:
+        return {"lambda0": _c(float(lams[0].real), float(lams[0].imag))}
+    half = len(lams) // 2
+    return {"factors": [_nested(lams[:half]), _nested(lams[half:])]}
+
+
+def _round12(x):
+    """x as the CLI reports it, to 12 significant digits."""
+    return float(f"{x:.12g}")
 
 
 def _json_nodes(doc, path=()):

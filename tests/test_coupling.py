@@ -131,7 +131,8 @@ class TestCoupleInPlace:
         sys1, sys2 = _dense(rng, 3), _dense(rng, 5)
         t1, k2 = sys1.T.copy(), sys2.K.copy()
         c = couple(sys1, sys2)
-        assert c.factors[0] is sys1 and c.factors[1] is sys2
+        # the result records the coupled system alone, no second copy of the factors
+        assert vars(c) == {"system": c.system}
         assert sys1.T.tobytes() == t1.tobytes() and sys2.K.tobytes() == k2.tobytes()
         assert not np.shares_memory(c.system.T, sys1.T)
         assert not np.shares_memory(c.system.K, sys2.K)
@@ -497,10 +498,11 @@ class TestMultiplicationLaw:
     def test_resolvent_equals_product(self, rng):
         for _ in range(100):
             lam, mu = draw_upper(rng), draw_upper(rng)
-            c = couple(make_elementary(lam).system, make_elementary(mu).system)
+            sys1, sys2 = make_elementary(lam).system, make_elementary(mu).system
+            c = couple(sys1, sys2)
             for _ in range(3):
                 z = draw_z(rng, avoid=(lam, mu))
-                prod = transfer_resolvent(c.factors[0], z) * transfer_resolvent(c.factors[1], z)
+                prod = transfer_resolvent(sys1, z) * transfer_resolvent(sys2, z)
                 assert rel_err(transfer_resolvent(c.system, z), prod) < 1e-10
 
     def test_block_order_changes_matrix_not_observable(self, rng):
