@@ -109,9 +109,12 @@ def dissipation_from_entropy(s: float) -> float:
     """D = 1 - exp(-2S), computed as -expm1(-2S) so that a small S keeps
     its relative accuracy, with D = 1 at S = +inf and D = +0.0 at S = -0.0
     (the subtraction from 0.0 turns -0.0 into +0.0).  RangeError where D
-    is below the float range (S below about -354.9, or S = -inf)."""
+    is below the float range (S below about -354.9, or S = -inf), and for
+    an S that is NaN."""
     if s == INF:
         return 1.0
+    if math.isnan(s):
+        raise RangeError(f"D = 1 - exp(-2S) is undefined for S = {s}")
     try:
         e = math.expm1(-2.0 * s)
     except OverflowError:
@@ -162,8 +165,12 @@ def dissipation_elementary_closed(lambda0: complex) -> float:
 
 
 def compose_entropy(s1: float, s2: float) -> float:
-    """Entropy of a coupling: S1 + S2, with +inf absorbing."""
-    return s1 + s2
+    """Entropy of a coupling: S1 + S2, with +inf absorbing.  RangeError
+    where the sum is NaN: a NaN entropy, or +inf plus -inf."""
+    s = s1 + s2
+    if math.isnan(s):
+        raise RangeError(f"S1 + S2 is not a number for S1 = {s1}, S2 = {s2}")
+    return s
 
 
 def compose_dissipation(d1: float, d2: float) -> float:

@@ -134,8 +134,13 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
             f"expected 'xmin,xmax,ymin,ymax,nx,ny', got {text!r}") from None
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
+def _read_in(args):
+    """The JSON document of --in, which names the whole input: an inline
+    --lambda0 or --mu0 beside it is malformed."""
+    for opt in ("lambda0", "mu0"):
+        if getattr(args, opt, None) is not None:
+            raise ValueError(f"--in and --{opt} cannot be given together")
+    with open(args.infile) as fh:
         return json.load(fh)
 
 
@@ -243,7 +248,7 @@ def _cmd_skew(args) -> None:
 
 def _cmd_couple(args) -> None:
     if args.infile:
-        systems = _factor_systems(_load_json(args.infile))
+        systems = _factor_systems(_read_in(args))
         params, closed = [None] * len(systems), {}
     else:
         if args.lambda0 is None or args.mu0 is None:
@@ -287,7 +292,7 @@ def _cmd_couple(args) -> None:
 def _input_system(args) -> LSystem:
     """The system of the --in descriptor, else the elementary system of --lambda0."""
     if args.infile:
-        return system_from_descriptor(_load_json(args.infile))
+        return system_from_descriptor(_read_in(args))
     if args.lambda0 is None:
         raise ValueError(f"{args.command} needs --in or --lambda0")
     return elementary.make_elementary(args.lambda0).system
@@ -335,7 +340,7 @@ def _cmd_surface(args) -> None:
 def _cmd_synth(args) -> None:
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
-    doc = _load_json(args.infile)
+    doc = _read_in(args)
     a0 = _real(_field(doc, "a0", "Foster data"), "'a0' of Foster data")
     stages = [tuple(_real(_field(s, key, f"Foster stage {i}"), f"'{key}' of Foster stage {i}")
                     for key in ("a", "b"))

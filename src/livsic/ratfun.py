@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateError, NotHerglotzAtomicError, PoleError
+from .errors import DegenerateError, DomainError, NotHerglotzAtomicError, PoleError
 
 # Numerical guards.  Root/residue checks follow standard companion-matrix
 # practice; the pole guard is scaled by denominator coefficient size.
@@ -178,13 +178,16 @@ def rat_eval(r: RationalFunction, z: complex) -> complex:
     """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
 
     Raises PoleError when the denominator value falls below the scaled
-    pole guard, signalling evaluation at or too close to a pole.
+    pole guard, signalling evaluation at or too close to a pole, and
+    DomainError for a z with a NaN part, as the resolvents do.
 
     A function recorded by its poles and weights is summed directly,
     sum w_j/(t_j - z); its guard is per pole, raising PoleError when
     |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j.
     """
     z = complex(z)
+    if cmath.isnan(z):
+        raise DomainError(f"rat_eval at z={z}: z has a NaN part")
     if isinstance(r, _PoleResidue):
         acc = 0j
         for t, w in r.atoms:

@@ -369,6 +369,11 @@ class TestComposition:
         assert compose_entropy(INF, math.log(3)) == INF
         assert abs(compose_entropy(math.log(3), math.log(3)) - 2 * math.log(3)) < 1e-15
 
+    @pytest.mark.parametrize("s1, s2", [(math.nan, 1.0), (1.0, math.nan), (INF, -INF)])
+    def test_entropy_sum_that_is_nan_raises(self, s1, s2):
+        with pytest.raises(RangeError, match=re.escape(f"not a number for S1 = {s1}, S2 = {s2}")):
+            compose_entropy(s1, s2)
+
     def test_dissipation_compose(self):
         assert abs(compose_dissipation(8 / 9, 8 / 9) - 80 / 81) < 1e-15
         assert compose_dissipation(1.0, 0.3) == 1.0
@@ -444,6 +449,10 @@ class TestEntropyReport:
         with pytest.raises(RangeError, match=re.escape(f"below the float range for S = {s}")):
             dissipation_from_entropy(s)
         assert dissipation_from_entropy(-354.0) == -math.expm1(708.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(RangeError, match="undefined for S = nan"):
+            dissipation_from_entropy(math.nan)
 
     def test_small_entropy_keeps_relative_accuracy(self):
         for s in np.geomspace(1e-300, 1e-8, 60):

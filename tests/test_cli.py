@@ -232,6 +232,21 @@ class TestDescriptor:
                 outs.append(run(capsys, sub, "--in", str(path)))
             assert outs[0] == outs[1] and outs[0][0] == 0
 
+    @pytest.mark.parametrize("sub, inline, named", [
+        ("classify", ["--lambda0", "0,3"], "--lambda0"),
+        ("entropy", ["--lambda0", "0,3"], "--lambda0"),
+        ("couple", ["--lambda0", "5,5", "--mu0", "6,6"], "--lambda0"),
+        ("couple", ["--mu0", "6,6"], "--mu0"),
+    ])
+    def test_in_excludes_the_inline_parameters(self, capsys, tmp_path, sub, inline, named):
+        # a one-factor list of the system at lambda0 = i, alone a valid input to all three
+        path = tmp_path / "s.json"
+        run_json(capsys, "elementary", "--lambda0", "0,1", "--out", str(path))
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        run_json(capsys, sub, "--in", str(path))
+        assert run(capsys, sub, "--in", str(path), *inline) == (
+            1, "", f"malformed input: --in and {named} cannot be given together\n")
+
     @pytest.mark.parametrize("j, written", [(True, "True"), (False, "False")])
     def test_boolean_directing_sign_exits_2(self, capsys, tmp_path, j, written):
         path = tmp_path / "sys.json"

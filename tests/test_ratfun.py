@@ -10,6 +10,7 @@ from conftest import assert_rat_equal, assert_rat_value, rel_err
 from livsic import (
     AtomicMeasure,
     DegenerateError,
+    DomainError,
     LSystem,
     NotHerglotzAtomicError,
     PoleError,
@@ -110,6 +111,16 @@ class TestRatEval:
             rat_eval(W_I, 1j)
         with pytest.raises(PoleError):
             rat_eval(V_I, 0.0)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_z_raises_domain_error_on_both_paths(self, z):
+        # as the resolvents do; the comparisons of the pole guards are false for NaN
+        pole_residue, _ = counted_record(((1.0, 2.0), (-1.0, 1.0)), V_1I)
+        for r in (W_I, pole_residue):
+            with pytest.raises(DomainError, match="rat_eval at z=.*: z has a NaN part"):
+                rat_eval(r, z)
+        with pytest.raises(DomainError, match="z has a NaN part"):
+            transfer_resolvent(LSystem([[1j]], [1.0], 1), z)
 
 
 class TestRatMul:
