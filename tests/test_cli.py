@@ -193,6 +193,8 @@ class TestDescriptor:
         ('{"T": [[{"re": 0, "im": 1}]], "K": [{"im": 0}]}', "'K' entry 0 has no key 're'"),
         ('{"lambda0": {"re": 1}}', "'lambda0' has no key 'im'"),
         ('{"lambda0": 5}', "'lambda0' must be an object, got int"),
+        ('{"factors": []}', "coupling descriptor has no factors"),
+        ("[]", "coupling descriptor has no factors"),
     ])
     @pytest.mark.parametrize("sub", ["classify", "entropy"])
     def test_malformed_descriptor_exits_1(self, capsys, tmp_path, doc, message, sub):
@@ -336,6 +338,8 @@ class TestCouple:
         ("5", "coupling descriptor must be an object or list, got int"),
         ('{"x": 1}', "coupling descriptor has no key 'factors'"),
         ('{"factors": 5}', "'factors' must be a list, got int"),
+        ('{"factors": []}', "coupling descriptor has no factors"),
+        ("[]", "coupling descriptor has no factors"),
     ])
     def test_malformed_coupling_descriptor_exits_1(self, capsys, tmp_path, doc, message):
         path = tmp_path / "factors.json"
@@ -362,14 +366,6 @@ class TestCouple:
         assert report["entropy"] == _round12(functools.reduce(compose_entropy, entropies))
         classified = run_json(capsys, "classify", "--in", str(path))
         assert classified["classification"] == report["classification"]
-
-    @pytest.mark.parametrize("doc", ['{"factors": []}', "[]"])
-    @pytest.mark.parametrize("sub", ["couple", "classify", "entropy"])
-    def test_empty_factor_list_exits_1(self, capsys, tmp_path, doc, sub):
-        path = tmp_path / "factors.json"
-        path.write_text(doc)
-        assert run(capsys, sub, "--in", str(path)) == (
-            1, "", "malformed input: coupling descriptor has no factors\n")
 
 
 class TestClassify:
