@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .analysis import DonoghueClassification, classify_at_i
 from .elementary import _check_upper
 from .errors import FosterSpecError, RangeError
-from .ratfun import AtomicMeasure, RationalFunction, _PoleResidue, rat_add
+from .ratfun import AtomicMeasure, _PoleResidue
 
 
 @dataclass(frozen=True)
@@ -118,30 +118,12 @@ class Netlist:
                 raise FosterSpecError(f"component value {v!r} is below the smallest normal float")
 
 
-def _foster_sum(spec: FosterSpec, sign: float) -> RationalFunction:
-    """sign*a0/z + sum a_k z/(b_k^2 + sign*z^2) over a common denominator,
-    the coefficients of a Foster function, expanded when first read.
-    The origin term is omitted entirely when a0 = 0 so the denominator
-    carries no spurious root there."""
-    terms = []
-    if spec.a0 > 0:
-        terms.append(RationalFunction((sign * spec.a0,), (0.0, 1.0)))
-    for s in spec.stages:
-        terms.append(RationalFunction((0.0, s.a), (s.b * s.b, 0.0, sign)))
-    if not terms:
-        return RationalFunction((0.0,), (1.0,))
-    out = terms[0]
-    for t in terms[1:]:
-        out = rat_add(out, t)
-    return out
-
-
-def foster_to_herglotz(spec: FosterSpec) -> RationalFunction:
+def foster_to_herglotz(spec: FosterSpec) -> _PoleResidue:
     """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) = sum w_j/(t_j - z), recorded
-    by the atoms (t_j, w_j) of :func:`measure_atoms` and carrying that
+    by the atoms (t_j, w_j) of :func:`measure_atoms` alone and carrying that
     measure, which its partial fractions return."""
     m = measure_atoms(spec)
-    return _PoleResidue(m.atoms, partial(_foster_sum, spec, -1.0), m)
+    return _PoleResidue(m.atoms, m)
 
 
 def measure_atoms(spec: FosterSpec) -> AtomicMeasure:
@@ -182,12 +164,11 @@ def netlist_to_foster(netlist: Netlist) -> FosterSpec:
     return FosterSpec(a0, [(1.0 / s.capacitance, s.resonance) for s in netlist.stages])
 
 
-def positive_real_z(spec: FosterSpec) -> RationalFunction:
+def positive_real_z(spec: FosterSpec) -> _PoleResidue:
     """Z(p) = M(ip)/i = a0/p + sum a_k p/(b_k^2 + p^2), positive-real in p,
-    recorded by its poles -i t_j and weights -w_j, for the atoms (t_j, w_j)
-    of :func:`measure_atoms`."""
-    atoms = [(complex(0.0, -t), -w) for t, w in measure_atoms(spec).atoms]
-    return _PoleResidue(atoms, partial(_foster_sum, spec, 1.0))
+    recorded by its poles -i t_j and weights -w_j alone, for the atoms
+    (t_j, w_j) of :func:`measure_atoms`; its partial fractions refuse them."""
+    return _PoleResidue(tuple((complex(0.0, -t), -w) for t, w in measure_atoms(spec).atoms))
 
 
 def skew_coupling_foster(lambda0: complex) -> FosterSpec:

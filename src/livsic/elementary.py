@@ -44,7 +44,9 @@ from .ratfun import RationalFunction
 
 def _check_upper(lambda0: complex) -> complex:
     lambda0 = complex(lambda0)
-    if not cmath.isfinite(lambda0) or not lambda0.imag > 0:
+    if not cmath.isfinite(lambda0):
+        raise DomainError(f"parameter must be finite, got {lambda0}")
+    if not lambda0.imag > 0:
         raise DomainError(f"parameter must satisfy Im > 0, got {lambda0}")
     return lambda0
 

@@ -2,7 +2,7 @@
 
 Everything downstream (closed-form transfer and impedance functions,
 Cayley transforms between them, Foster-form circuit data) is carried by
-the two value types defined here.  All values are immutable and all
+the value types defined here.  All values are immutable and all
 operations are pure.
 
 Conventions:
@@ -15,16 +15,16 @@ Conventions:
 * rational functions are compared by evaluation on a fixed seeded point
   set, never by coefficient equality;
 * a function known by its poles t_j and weights w_j, r(z) = sum
-  w_j/(t_j - z) (the Foster functions of ``circuit``), is recorded by them:
-  it is evaluated from that record in O(m), its atoms are the measure it
-  carries, if any, and its coefficients are expanded only when first read.
+  w_j/(t_j - z) (the Foster functions of ``circuit``), is a record of those
+  atoms and nothing else: it has no coefficients, and it supports
+  :func:`rat_eval`, :func:`rat_sampled_equal` and
+  :func:`partial_fractions_real_poles`, which returns the measure it carries.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -149,32 +149,31 @@ class RationalFunction:
         return f"[{self.num}] / [{self.den}]"
 
 
-class _PoleResidue(RationalFunction):
+@dataclass(frozen=True)
+class _PoleResidue:
     """r(z) = sum w_j/(t_j - z), recorded by its atoms (t_j, w_j) with real
     weights w_j and by the :class:`AtomicMeasure` they came from, if any,
-    which :func:`partial_fractions_real_poles` returns.  ``num`` and ``den``
-    come from one call of the zero-argument ``expand``, on first read of
-    either."""
+    which :func:`partial_fractions_real_poles` returns."""
 
-    def __init__(self, atoms, expand, measure=None):
-        self.__dict__.update(atoms=tuple(atoms), _expand=expand, measure=measure)
-
-    @cached_property
-    def _expanded(self) -> RationalFunction:
-        return self._expand()
-
-    num = cached_property(lambda self: self._expanded.num)
-    den = cached_property(lambda self: self._expanded.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    __hash__ = RationalFunction.__hash__
+    atoms: tuple[tuple[complex, float], ...]
+    measure: AtomicMeasure | None = None
 
 
-def rat_eval(r: RationalFunction, z: complex) -> complex:
+def _pole_sum(atoms, z: complex) -> complex:
+    """sum w/(t - z) over the atoms (t, w), in their order; PoleError where
+    |t - z| <= TAU_POLE * max(1, |t|) for some t."""
+    acc = 0j
+    for t, w in atoms:
+        d = t - z
+        # the guard spelled out: max() would double the loop's cost
+        ad = abs(d)
+        if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
+            raise PoleError(f"z={z} is at or too near the pole {t}")
+        acc += w / d
+    return acc
+
+
+def rat_eval(r: RationalFunction | _PoleResidue, z: complex) -> complex:
     """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
 
     Raises PoleError when the denominator value falls below the scaled
@@ -189,15 +188,7 @@ def rat_eval(r: RationalFunction, z: complex) -> complex:
     if cmath.isnan(z):
         raise DomainError(f"rat_eval at z={z}: z has a NaN part")
     if isinstance(r, _PoleResidue):
-        acc = 0j
-        for t, w in r.atoms:
-            d = t - z
-            # |d| <= TAU_POLE * max(1, |t|), spelled out: max() would double the loop's cost
-            ad = abs(d)
-            if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
-                raise PoleError(f"z={z} is at or too near the pole {t}")
-            acc += w / d
-        return acc
+        return _pole_sum(r.atoms, z)
     den = r.den(z)
     scale = max(1.0, max(abs(c) for c in r.den.coeffs))
     if abs(den) < TAU_POLE * scale:
@@ -252,8 +243,9 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", tuple(pairs))
 
     def cauchy_transform(self, z: complex) -> complex:
-        """Sum of w/(t - z) over all atoms."""
-        return sum(w / (t - z) for t, w in self.atoms)
+        """Sum of w/(t - z) over all atoms; PoleError at or too near an atom,
+        as :func:`rat_eval` guards it."""
+        return _pole_sum(self.atoms, z)
 
     def poisson_mass(self) -> float:
         """Sum of w/(1 + t^2); equals Im of the Cauchy transform at i."""
@@ -265,23 +257,31 @@ class AtomicMeasure:
         return sum(t * w / (1.0 + t * t) for t, w in self.atoms)
 
 
-def partial_fractions_real_poles(r: RationalFunction) -> AtomicMeasure:
+def partial_fractions_real_poles(r: RationalFunction | _PoleResidue) -> AtomicMeasure:
     """Extract point masses (t_j, w_j) with r(z) = sum w_j/(t_j - z).
 
     Requires a strictly proper function whose poles are real and simple
     and whose weights come out positive real — i.e. the rational part of
     a Herglotz function with purely atomic representing measure.  A
-    function recorded by its poles and weights gives its atoms directly
-    when it carries its measure: that measure is returned, not rebuilt.
+    function recorded by its poles and weights is checked from those atoms,
+    NotHerglotzAtomicError at a complex pole or a weight that is not
+    positive; a record that carries its measure returns it, not rebuilt.
 
-    Any other function is checked from its coefficients: the roots of the
+    A rational function is checked from its coefficients: the roots of the
     denominator must be real and simple (to ``TAU_ROOT``) and the weights
     positive real (to ``TAU_RESIDUE``), else NotHerglotzAtomicError.  No
     path inside the package takes this branch; it is the public Herglotz
     check for coefficients a user supplies.
     """
-    if isinstance(r, _PoleResidue) and r.measure is not None:
-        return r.measure
+    if isinstance(r, _PoleResidue):
+        if r.measure is not None:
+            return r.measure
+        for t, w in r.atoms:
+            if t.imag:
+                raise NotHerglotzAtomicError(f"complex pole {t}")
+            if not w > 0:
+                raise NotHerglotzAtomicError(f"weight {w} at t={t.real} not positive real")
+        return AtomicMeasure((t.real, w) for t, w in r.atoms)
     if r.num.is_zero:
         return AtomicMeasure(())
     if r.num.degree >= r.den.degree:
@@ -317,7 +317,7 @@ _SAMPLE_POINTS = tuple(
 N_SAMPLE_POINTS = 8
 
 
-def rat_sampled_equal(r1: RationalFunction, r2: RationalFunction,
+def rat_sampled_equal(r1: RationalFunction | _PoleResidue, r2: RationalFunction | _PoleResidue,
                       rel_tol: float = 1e-12) -> bool:
     """Equality by evaluation at the fixed seeded sample points.
 

@@ -7,7 +7,6 @@ import pickle
 import re
 import sys
 
-import numpy as np
 import pytest
 from conftest import assert_rat_equal, assert_rat_value, rel_err
 
@@ -40,6 +39,7 @@ from livsic import (
     skew_coupling_foster,
     synthesize,
 )
+from livsic.ratfun import _SAMPLE_POINTS
 
 
 def random_spec(rng, max_stages=4, with_origin=True):
@@ -64,8 +64,19 @@ def coefficient_fold(spec, sign):
     return functools.reduce(rat_add, terms) if terms else RationalFunction((0.0,), (1.0,))
 
 
-def coefficient_bytes(r):
-    return np.array(r.num.coeffs).tobytes(), np.array(r.den.coeffs).tobytes()
+def fold_tolerance(r):
+    """The fold's own rounding, relative, at worst over the sample points: its
+    coefficients carry no cancellation, so Horner's rule on them errs by at most
+    a few n eps times sum |c_k||z|^k / |p(z)| for numerator and denominator
+    (Higham 2002, sec. 5.1).  It reaches 1e-3 at 24 stages."""
+    def cond(p, z):
+        if p.is_zero:
+            return 0.0
+        return sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)) / abs(p(z))
+
+    n = len(r.den.coeffs)
+    return max(4 * n * sys.float_info.epsilon * (cond(r.num, z) + cond(r.den, z))
+               for z in _SAMPLE_POINTS)
 
 
 class TestFosterSpec:
@@ -146,28 +157,22 @@ class TestFosterToHerglotz:
 
 
 class TestPoleResidueRecord:
-    """M and Z are recorded by their poles and weights; their coefficients are
-    the pairwise fold's, expanded on first read."""
+    """M and Z are recorded by their poles and weights alone; they are the
+    functions of the pairwise coefficient fold, compared by value."""
 
     @pytest.mark.parametrize("build, sign", [(foster_to_herglotz, -1.0), (positive_real_z, 1.0)])
-    def test_coefficients_are_the_folds_bytes(self, rng, build, sign):
+    def test_values_are_the_folds(self, rng, build, sign):
         for m in range(25):
             for a0 in (0.0, rng.uniform(0.1, 3.0)):
                 spec = spec_with(rng, m, a0)
-                r, ref = build(spec), coefficient_fold(spec, sign)
-                assert "num" not in vars(r) and "den" not in vars(r)
-                # tobytes, so that a signed zero counts
-                assert coefficient_bytes(r) == coefficient_bytes(ref)
-                assert r == ref and ref == r and hash(r) == hash(ref)
-                assert str(r) == str(ref) and r.degrees == ref.degrees
+                ref = coefficient_fold(spec, sign)
+                assert_rat_equal(build(spec), ref, fold_tolerance(ref))
 
     def test_atoms_are_the_measure_at_24_stages(self, rng):
         for a0 in (0.0, 1.5):
             spec = spec_with(rng, 24, a0)
             m = foster_to_herglotz(spec)
             assert partial_fractions_real_poles(m).atoms == measure_atoms(spec).atoms
-            rat_eval(m, 1j)
-            assert "num" not in vars(m)
 
     def test_z_matches_the_direct_sum_at_24_stages(self, rng):
         mp = pytest.importorskip("mpmath")
@@ -207,13 +212,14 @@ class TestPoleResidueRecord:
     @pytest.mark.parametrize("a0, stages", [(0.0, [(1.0, 2.0)]), (1.0, [])])
     def test_z_has_no_atoms(self, a0, stages):
         # complex poles, or the real pole at 0 with weight -a0
-        with pytest.raises(NotHerglotzAtomicError):
+        why = "complex pole" if stages else "weight -1.0 at t=0.0 not positive real"
+        with pytest.raises(NotHerglotzAtomicError, match=why):
             partial_fractions_real_poles(positive_real_z(FosterSpec(a0, stages)))
 
     def test_empty_spec_is_the_zero_function(self):
         spec = FosterSpec(0.0)
         for r in (foster_to_herglotz(spec), positive_real_z(spec)):
-            assert rat_eval(r, 1j) == 0j and r.num.is_zero
+            assert rat_eval(r, 1j) == 0j and r.atoms == ()
         assert partial_fractions_real_poles(foster_to_herglotz(spec)).atoms == ()
 
     def test_weight_whose_half_underflows_is_a_typed_error(self):
@@ -255,8 +261,6 @@ class TestSharedMeasure:
         assert measure_atoms(spec) is m
         r = foster_to_herglotz(spec)
         assert partial_fractions_real_poles(r) is m
-        # the coefficients were never expanded
-        assert "_expanded" not in vars(r)
 
     def test_value_semantics_ignore_the_measure(self, rng):
         spec = spec_with(rng, 4, 1.5)

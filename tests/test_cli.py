@@ -80,6 +80,21 @@ class TestElementary:
         code, _, err = run(capsys, "elementary", "--lambda0", "1,-1")
         assert code == 3 and "domain" in err
 
+    @pytest.mark.parametrize("lam, message", [
+        ("1,-1", "must satisfy Im > 0, got (1-1j)"), ("1,0", "must satisfy Im > 0, got (1+0j)"),
+        ("inf,1", "must be finite, got (inf+1j)"), ("nan,1", "must be finite, got (nan+1j)"),
+        ("0,inf", "must be finite, got infj"), ('{"re": Infinity, "im": 1}', "must be finite, got (inf+1j)"),
+    ])
+    def test_domain_error_names_the_condition(self, capsys, tmp_path, lam, message):
+        # a JSON object is read as a descriptor through --in, the rest as --lambda0
+        if lam.startswith("{"):
+            path = tmp_path / "sys.json"
+            path.write_text(f'{{"lambda0": {lam}}}')
+            argv = ["classify", "--in", str(path)]
+        else:
+            argv = ["elementary", f"--lambda0={lam}"]
+        assert run(capsys, *argv) == (3, "", f"domain error: parameter {message}\n")
+
     def test_malformed_parameter(self, capsys):
         code, _, _ = run(capsys, "elementary", "--lambda0", "nonsense")
         assert code == 1

@@ -115,8 +115,7 @@ class TestRatEval:
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan)])
     def test_nan_z_raises_domain_error_on_both_paths(self, z):
         # as the resolvents do; the comparisons of the pole guards are false for NaN
-        pole_residue, _ = counted_record(((1.0, 2.0), (-1.0, 1.0)), V_1I)
-        for r in (W_I, pole_residue):
+        for r in (W_I, _PoleResidue(((1.0, 2.0), (-1.0, 1.0)))):
             with pytest.raises(DomainError, match="rat_eval at z=.*: z has a NaN part"):
                 rat_eval(r, z)
         with pytest.raises(DomainError, match="z has a NaN part"):
@@ -237,48 +236,36 @@ class TestPartialFractions:
         assert m.atoms == ()
 
 
-def counted_record(atoms, expanded, measure=None):
-    """A pole-residue record whose expander counts its calls."""
-    calls = []
-
-    def expand():
-        calls.append(1)
-        return expanded
-
-    return _PoleResidue(atoms, expand, measure), calls
-
-
 class TestPoleResidue:
     # 2/(1 - z) + 1/(-1 - z) = (1 + 3z)/(1 - z^2)
     ATOMS = ((1.0, 2.0), (-1.0, 1.0))
-    EXPANDED = RationalFunction((1.0, 3.0), (1.0, 0.0, -1.0))
 
-    def test_coefficients_expanded_once_on_first_read(self):
-        r, calls = counted_record(self.ATOMS, self.EXPANDED, AtomicMeasure(self.ATOMS))
+    def test_evaluates_from_its_atoms_and_returns_its_measure(self):
+        measure = AtomicMeasure(self.ATOMS)
+        r = _PoleResidue(self.ATOMS, measure)
         assert rel_err(rat_eval(r, 2j), (1 + 6j) / 5) < 1e-15
-        assert partial_fractions_real_poles(r).atoms == ((-1.0, 1.0), (1.0, 2.0))
-        assert calls == []
-        assert str(r) == str(self.EXPANDED) and r.degrees == (1, 2)
-        assert r == self.EXPANDED and self.EXPANDED == r and r != W_I
-        assert r.__eq__(1) is NotImplemented and r != 1
-        assert r.num is self.EXPANDED.num and r.den is self.EXPANDED.den
-        assert calls == [1]
+        assert_rat_equal(r, RationalFunction((1.0, 3.0), (1.0, 0.0, -1.0)))
+        assert not rat_sampled_equal(r, W_I, 1e-9)
+        assert partial_fractions_real_poles(r) is measure
+        # the atoms are the whole record: there are no coefficients to read
+        assert not hasattr(r, "num") and not hasattr(r, "den")
 
     @pytest.mark.parametrize("t", [0.5, -3e6])
     def test_guard_is_per_pole(self, t):
-        r, _ = counted_record(((t, 1.0), (t + 10.0, 1.0)), self.EXPANDED)
+        r = _PoleResidue(((t, 1.0), (t + 10.0, 1.0)))
         reach = TAU_POLE * max(1.0, abs(t))
         for z in (t, t + 0.9 * reach, complex(t, -0.9 * reach)):
             with pytest.raises(PoleError, match=f"pole {t}"):
                 rat_eval(r, z)
         assert rat_eval(r, complex(t, 1.1 * reach)).imag > 0
 
-    def test_complex_pole_takes_the_coefficient_path(self):
-        # 1/(i - z): the roots of the expanded denominator say why it has no atoms
-        r, calls = counted_record(((1j, 1.0),), RationalFunction((1.0,), (1j, -1.0)))
-        with pytest.raises(NotHerglotzAtomicError, match="complex pole"):
-            partial_fractions_real_poles(r)
-        assert calls == [1]
+    def test_record_without_measure_refuses_its_complex_pole(self):
+        # 1/(i - z): its own poles and weights say why it has no atoms
+        with pytest.raises(NotHerglotzAtomicError, match=r"complex pole 1j"):
+            partial_fractions_real_poles(_PoleResidue(((1j, 1.0),)))
+        with pytest.raises(NotHerglotzAtomicError, match=r"weight -2.0 at t=1.0 not positive real"):
+            partial_fractions_real_poles(_PoleResidue(((-1.0, 1.0), (1.0, -2.0))))
+        assert partial_fractions_real_poles(_PoleResidue(self.ATOMS)).atoms == ((-1.0, 1.0), (1.0, 2.0))
 
 
 class TestAtomicMeasure:
@@ -304,6 +291,15 @@ class TestAtomicMeasure:
         assert m.skew_moment() == 0.0
         assert abs(m.poisson_mass() - 2.0) < 1e-15
 
+    @pytest.mark.parametrize("z", [1.0, 1 + 1e-14j])
+    def test_cauchy_transform_guards_each_atom_as_rat_eval_does(self, z):
+        # once a ZeroDivisionError at the atom, and -1 + 1e14i beside it
+        m = AtomicMeasure([(1.0, 1.0), (-1.0, 2.0)])
+        for f in (m.cauchy_transform, lambda z: rat_eval(_PoleResidue(m.atoms, m), z)):
+            with pytest.raises(PoleError, match="too near the pole 1.0"):
+                f(z)
+        assert m.cauchy_transform(0.5 + 0.25j) == 0.30270270270270294 + 1.0162162162162163j
+
 
 def test_sampled_equality_detects_difference():
     assert not rat_sampled_equal(W_I, W_1I, 1e-9)
@@ -320,6 +316,6 @@ def test_sampled_equality_skips_a_sample_point_at_a_pole():
 def test_sampled_equality_needs_enough_clean_points():
     # a pole at all but N_SAMPLE_POINTS - 1 of the sample points
     poles = _SAMPLE_POINTS[N_SAMPLE_POINTS - 1:]
-    r = _PoleResidue([(t, 1.0) for t in poles], lambda: None)
+    r = _PoleResidue(tuple((t, 1.0) for t in poles))
     with pytest.raises(PoleError, match="too few clean sample points"):
         rat_sampled_equal(r, r)
