@@ -30,8 +30,6 @@ from .elementary import _check_upper
 from .errors import DomainError, NotHerglotzError, RangeError
 
 TAU_CLASS = 1e-9
-#: |W(-i)| at or below this underflow guard saturates the entropy to +inf.
-TAU_ZERO = 1e-300
 
 INF = float("inf")
 _TINY = float(np.finfo(float).tiny)
@@ -97,10 +95,10 @@ def c_entropy(sys: LSystem) -> float:
 
 
 def c_entropy_resolvent(sys: LSystem) -> float:
-    """S = -ln|W(-i)| via the resolvent; +inf when W(-i) underflows."""
+    """S = -ln|W(-i)| via the resolvent; +inf exactly where W(-i) = 0."""
     w = transfer_resolvent(sys, -1j)
     mag = abs(w)
-    if mag <= TAU_ZERO:
+    if mag == 0.0:
         return INF
     return -math.log(mag)
 

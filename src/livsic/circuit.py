@@ -118,12 +118,10 @@ class Netlist:
                 raise FosterSpecError(f"component value {v!r} is below the smallest normal float")
 
 
-def foster_to_herglotz(spec: FosterSpec) -> _PoleResidue:
-    """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) = sum w_j/(t_j - z), recorded
-    by the atoms (t_j, w_j) of :func:`measure_atoms` alone and carrying that
-    measure, which its partial fractions return."""
-    m = measure_atoms(spec)
-    return _PoleResidue(m.atoms, m)
+def foster_to_herglotz(spec: FosterSpec) -> AtomicMeasure:
+    """M(z) = -a0/z + sum a_k z/(b_k^2 - z^2) = sum w_j/(t_j - z): the Cauchy
+    transform of its measure, so M is the :func:`measure_atoms` record itself."""
+    return measure_atoms(spec)
 
 
 def measure_atoms(spec: FosterSpec) -> AtomicMeasure:

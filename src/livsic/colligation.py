@@ -201,15 +201,18 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
 
-def _solve_guarded(a: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
-    """Solve a x = K for a = T - zI or Re T - zI of sys, unless a is
-    numerically singular: sigma_min(a) <= n*eps*sigma_max(a).  For n = 1
-    that is a_11 == 0, with no SVD: sigma_min = sigma_max = |a_11|, and the
-    SVD of a non-finite a_11, or of one whose modulus overflows, gives NaN,
-    which passes.  For n > 1 the SVD runs only where :func:`_needs_svd` says
-    so.  DomainError for a z with a NaN part, before any LAPACK call."""
+def _solve_guarded(base: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
+    """Solve a x = K for a = base - zI, a copy of base = T or Re T of sys
+    shifted on its diagonal, unless a is numerically singular:
+    sigma_min(a) <= n*eps*sigma_max(a).  For n = 1 that is a_11 == 0, with
+    no SVD: sigma_min = sigma_max = |a_11|, and the SVD of a non-finite
+    a_11, or of one whose modulus overflows, gives NaN, which passes.  For
+    n > 1 the SVD runs only where :func:`_needs_svd` says so.  DomainError
+    for a z with a NaN part, before the copy."""
     if cmath.isnan(z):
         raise DomainError(f"{op} at z={z}: z has a NaN part")
+    a = base.copy()
+    a.flat[:: sys.dim + 1] -= z
     if sys.dim == 1:
         s = (0.0, 0.0) if a[0, 0] == 0 else None
     else:
@@ -268,10 +271,8 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
 def transfer_resolvent(sys: LSystem, z: complex) -> complex:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
     z = complex(z)
-    a = sys.T.copy()
-    a.flat[:: sys.dim + 1] -= z
     lo, hi = sys.im_strip
-    x = _solve_guarded(a, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
+    x = _solve_guarded(sys.T, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
     return _finite(complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J), "W(z)", z, sys.dim)
 
 
@@ -331,8 +332,6 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z: complex) -> complex:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
     z = complex(z)
-    a = sys._re_t.copy()
-    # Re T is exactly Hermitian, so a = Re T - zI is normal with sigma_min >= |Im z|
-    a.flat[:: sys.dim + 1] -= z
-    x = _solve_guarded(a, sys, abs(z.imag), "Re T - zI", z)
+    # Re T is exactly Hermitian, so Re T - zI is normal with sigma_min >= |Im z|
+    x = _solve_guarded(sys._re_t, sys, abs(z.imag), "Re T - zI", z)
     return _finite(complex(np.vdot(sys.K, x)), "V(z)", z, sys.dim)

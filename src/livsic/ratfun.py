@@ -15,10 +15,10 @@ Conventions:
 * rational functions are compared by evaluation on a fixed seeded point
   set, never by coefficient equality;
 * a function known by its poles t_j and weights w_j, r(z) = sum
-  w_j/(t_j - z) (the Foster functions of ``circuit``), is a record of those
-  atoms and nothing else: it has no coefficients, and it supports
-  :func:`rat_eval`, :func:`rat_sampled_equal` and
-  :func:`partial_fractions_real_poles`, which returns the measure it carries.
+  w_j/(t_j - z), is its atoms alone, with no coefficients: an
+  :class:`AtomicMeasure` (M of ``circuit``) or a pole record (Z of
+  ``circuit``, with poles on the imaginary axis).  Both support :func:`rat_eval`,
+  :func:`rat_sampled_equal` and :func:`partial_fractions_real_poles`.
 """
 
 from __future__ import annotations
@@ -151,12 +151,10 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class _PoleResidue:
-    """r(z) = sum w_j/(t_j - z), recorded by its atoms (t_j, w_j) with real
-    weights w_j and by the :class:`AtomicMeasure` they came from, if any,
-    which :func:`partial_fractions_real_poles` returns."""
+    """A pole record: r(z) = sum w_j/(t_j - z) by its atoms (t_j, w_j) alone,
+    with complex poles t_j and real weights w_j, as Z(p) of ``circuit``."""
 
     atoms: tuple[tuple[complex, float], ...]
-    measure: AtomicMeasure | None = None
 
 
 def _pole_sum(atoms, z: complex) -> complex:
@@ -173,21 +171,21 @@ def _pole_sum(atoms, z: complex) -> complex:
     return acc
 
 
-def rat_eval(r: RationalFunction | _PoleResidue, z: complex) -> complex:
+def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> complex:
     """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
 
     Raises PoleError when the denominator value falls below the scaled
     pole guard, signalling evaluation at or too close to a pole, and
     DomainError for a z with a NaN part, as the resolvents do.
 
-    A function recorded by its poles and weights is summed directly,
-    sum w_j/(t_j - z); its guard is per pole, raising PoleError when
-    |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j.
+    A function recorded by its poles and weights, a measure or a pole
+    record, is summed directly, sum w_j/(t_j - z); its guard is per pole,
+    raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j.
     """
     z = complex(z)
     if cmath.isnan(z):
         raise DomainError(f"rat_eval at z={z}: z has a NaN part")
-    if isinstance(r, _PoleResidue):
+    if not isinstance(r, RationalFunction):
         return _pole_sum(r.atoms, z)
     den = r.den(z)
     scale = max(1.0, max(abs(c) for c in r.den.coeffs))
@@ -243,9 +241,9 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", tuple(pairs))
 
     def cauchy_transform(self, z: complex) -> complex:
-        """Sum of w/(t - z) over all atoms; PoleError at or too near an atom,
-        as :func:`rat_eval` guards it."""
-        return _pole_sum(self.atoms, z)
+        """Sum of w/(t - z) over all atoms: :func:`rat_eval` of the measure,
+        PoleError at or too near an atom and DomainError for a NaN z."""
+        return rat_eval(self, z)
 
     def poisson_mass(self) -> float:
         """Sum of w/(1 + t^2); equals Im of the Cauchy transform at i."""
@@ -257,15 +255,15 @@ class AtomicMeasure:
         return sum(t * w / (1.0 + t * t) for t, w in self.atoms)
 
 
-def partial_fractions_real_poles(r: RationalFunction | _PoleResidue) -> AtomicMeasure:
+def partial_fractions_real_poles(r: RationalFunction | AtomicMeasure | _PoleResidue) -> AtomicMeasure:
     """Extract point masses (t_j, w_j) with r(z) = sum w_j/(t_j - z).
 
     Requires a strictly proper function whose poles are real and simple
     and whose weights come out positive real — i.e. the rational part of
-    a Herglotz function with purely atomic representing measure.  A
-    function recorded by its poles and weights is checked from those atoms,
-    NotHerglotzAtomicError at a complex pole or a weight that is not
-    positive; a record that carries its measure returns it, not rebuilt.
+    a Herglotz function with purely atomic representing measure.  An
+    :class:`AtomicMeasure` is returned as itself.  A pole record is checked
+    from its atoms, NotHerglotzAtomicError at a complex pole or a weight
+    that is not positive.
 
     A rational function is checked from its coefficients: the roots of the
     denominator must be real and simple (to ``TAU_ROOT``) and the weights
@@ -273,9 +271,9 @@ def partial_fractions_real_poles(r: RationalFunction | _PoleResidue) -> AtomicMe
     path inside the package takes this branch; it is the public Herglotz
     check for coefficients a user supplies.
     """
+    if isinstance(r, AtomicMeasure):
+        return r
     if isinstance(r, _PoleResidue):
-        if r.measure is not None:
-            return r.measure
         for t, w in r.atoms:
             if t.imag:
                 raise NotHerglotzAtomicError(f"complex pole {t}")

@@ -113,6 +113,9 @@ class TestEntropy:
     def test_resolvent_route(self):
         assert abs(c_entropy_resolvent(make_elementary(1 + 1j).system) - 0.5 * math.log(5)) < 1e-12
         assert c_entropy_resolvent(make_elementary(1j).system) == INF
+        # W(-i) = -5e-301i is tiny but not zero, so S is finite
+        assert abs(c_entropy_resolvent(make_elementary(1e-300 + 1j).system)
+                   - c_entropy_elementary_closed(1e-300 + 1j)) < 1e-12
         assert abs(c_entropy_resolvent(make_elementary(2j).system) - math.log(3)) < 1e-12
 
     def test_closed_vs_resolvent_random(self, rng):

@@ -260,7 +260,7 @@ class TestSharedMeasure:
         m = measure_atoms(spec)
         assert measure_atoms(spec) is m
         r = foster_to_herglotz(spec)
-        assert partial_fractions_real_poles(r) is m
+        assert r is m and partial_fractions_real_poles(r) is m
 
     def test_value_semantics_ignore_the_measure(self, rng):
         spec = spec_with(rng, 4, 1.5)

@@ -453,6 +453,8 @@ class TestEntropySubcommand:
     def test_near_unit_parameter_is_finite(self, capsys):
         report = run_json(capsys, "entropy", "--lambda0", "1e-170,1")
         assert report["entropy"] == report["entropy_resolvent"] == 392.13261299
+        report = run_json(capsys, "entropy", "--lambda0", "1e-300,1")
+        assert report["entropy"] == report["entropy_resolvent"] == 691.468675079
 
     def test_descriptor_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"

@@ -118,6 +118,9 @@ class TestRatEval:
         for r in (W_I, _PoleResidue(((1.0, 2.0), (-1.0, 1.0)))):
             with pytest.raises(DomainError, match="rat_eval at z=.*: z has a NaN part"):
                 rat_eval(r, z)
+        # a measure's own entry point is the same evaluator
+        with pytest.raises(DomainError, match="z has a NaN part"):
+            AtomicMeasure([(1.0, 2.0), (-1.0, 1.0)]).cauchy_transform(z)
         with pytest.raises(DomainError, match="z has a NaN part"):
             transfer_resolvent(LSystem([[1j]], [1.0], 1), z)
 
@@ -241,12 +244,12 @@ class TestPoleResidue:
     ATOMS = ((1.0, 2.0), (-1.0, 1.0))
 
     def test_evaluates_from_its_atoms_and_returns_its_measure(self):
-        measure = AtomicMeasure(self.ATOMS)
-        r = _PoleResidue(self.ATOMS, measure)
+        # real poles and positive weights: the record is the measure itself
+        r = AtomicMeasure(self.ATOMS)
         assert rel_err(rat_eval(r, 2j), (1 + 6j) / 5) < 1e-15
         assert_rat_equal(r, RationalFunction((1.0, 3.0), (1.0, 0.0, -1.0)))
         assert not rat_sampled_equal(r, W_I, 1e-9)
-        assert partial_fractions_real_poles(r) is measure
+        assert partial_fractions_real_poles(r) is r
         # the atoms are the whole record: there are no coefficients to read
         assert not hasattr(r, "num") and not hasattr(r, "den")
 
@@ -295,7 +298,7 @@ class TestAtomicMeasure:
     def test_cauchy_transform_guards_each_atom_as_rat_eval_does(self, z):
         # once a ZeroDivisionError at the atom, and -1 + 1e14i beside it
         m = AtomicMeasure([(1.0, 1.0), (-1.0, 2.0)])
-        for f in (m.cauchy_transform, lambda z: rat_eval(_PoleResidue(m.atoms, m), z)):
+        for f in (m.cauchy_transform, lambda z: rat_eval(m, z)):
             with pytest.raises(PoleError, match="too near the pole 1.0"):
                 f(z)
         assert m.cauchy_transform(0.5 + 0.25j) == 0.30270270270270294 + 1.0162162162162163j
