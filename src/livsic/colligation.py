@@ -79,9 +79,7 @@ class LSystem:
             raise DimensionError(f"directing sign must be +1 or -1, got {J!r}")
         if not (np.isfinite(T).all() and np.isfinite(K).all()):
             raise ValueError("non-finite entries in system matrices")
-        T.flags.writeable = False
-        K.flags.writeable = False
-        self.__dict__.update(T=T, K=K, J=int(J), dim=T.shape[0])
+        self.__dict__.update(T=_read_only(T), K=_read_only(K), J=int(J), dim=T.shape[0])
 
     def __eq__(self, other):
         # K before T, so that unequal couplings do not build T
@@ -111,8 +109,7 @@ class LSystem:
         it is [[Re t + 0j]], the same bytes: the complex division by 2 turns -0.0 into +0.0."""
         t = self.T
         re_t = np.array([[t[0, 0].real + 0j]]) if self.dim == 1 else _hermitian_part(t, False)
-        re_t.flags.writeable = False
-        return re_t
+        return _read_only(re_t)
 
     @cached_property
     def im_strip(self) -> tuple[float, float]:
@@ -135,6 +132,11 @@ class LSystem:
         and overrides this, so it builds neither T nor ``validate``'s norms."""
         upper = not np.tril(self.T, -1).any()
         return self.T.diagonal() if upper and validate(self).passed else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:

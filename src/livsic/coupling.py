@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import LSystem
-from .elementary import _Chain, _check_upper, make_elementary, make_skew_adjoint, transfer_closed
+from .elementary import (_chain, _Chain, _check_upper, _coupling_block, make_elementary,
+                         make_skew_adjoint, transfer_closed)
 from .errors import IncompatibleError, RangeError
 from .ratfun import RationalFunction, rat_mul
 
@@ -47,32 +48,29 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     Both factors must carry directing sign +1; the coupling block
     2i K1 K2* presumes that convention.  Factors of any state dimension
     are accepted, so couplings can be chained.  Two chains of elementary
-    systems couple into one chain without building a matrix; any other
-    pair into a plain system.  RangeError, which is also a ValueError,
-    where the block 2i K1 K2* overflows.
+    systems couple into one chain without building a matrix: the block's
+    entries 2i k_a k_b are largest at the two largest channel entries, as
+    rounding is monotone, so they are finite exactly when 2 k_max k_max'
+    is.  Any other pair couples into a plain system whose block is built
+    once and checked entry by entry.  Either gate raises the one
+    RangeError, which is also a ValueError, where the block overflows.
     """
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
-    if isinstance(sys1, _Chain) and isinstance(sys2, _Chain):
-        return CoupledSystem(sys1._join(sys2))
-    return CoupledSystem(_block_system(sys1, sys2))
-
-
-def _block_system(sys1: LSystem, sys2: LSystem) -> LSystem:
-    """The coupling as a plain system: T1 and T2 on the diagonal,
-    fl(fl(K1 conj(K2)) 2i) above, +0.0 below; RangeError where that block
-    overflows."""
-    n1, k1, k2 = sys1.dim, sys1.K, sys2.K
-    k = np.concatenate([k1, k2])
-    t = np.zeros((k.size, k.size), dtype=complex)
-    t[:n1, :n1] = sys1.T
-    t[n1:, n1:] = sys2.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.multiply.outer(k1, k2.conj()), 2j, out=t[:n1, n1:])
-    if not np.isfinite(t[:n1, n1:]).all():
+    chains = isinstance(sys1, _Chain) and isinstance(sys2, _Chain)
+    if chains:
+        finite = math.isfinite(2.0 * sys1._k_max * sys2._k_max)
+    else:
+        block = _coupling_block(sys1.K, sys2.K)
+        finite = np.isfinite(block).all()
+    if not finite:
         raise RangeError("non-finite entries in system matrices: "
                          "the coupling block 2i K1 K2* exceeds the float range")
-    return LSystem(t, k, 1)
+    if chains:
+        return CoupledSystem(_chain(sys1._d + sys2._d, max(sys1._k_max, sys2._k_max)))
+    zeros = np.zeros((sys2.dim, sys1.dim), dtype=complex)
+    t = np.block([[sys1.T, block], [zeros, sys2.T]])
+    return CoupledSystem(LSystem(t, np.concatenate([sys1.K, sys2.K]), 1))
 
 
 def _sum_and_product(lambda0: complex, mu0: complex) -> tuple[complex, complex]:

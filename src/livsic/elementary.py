@@ -37,8 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem, _frobenius
-from .errors import DomainError, RangeError
+from .colligation import LSystem, _frobenius, _read_only
+from .errors import DomainError
 from .ratfun import RationalFunction
 
 
@@ -51,9 +51,11 @@ def _check_upper(lambda0: complex) -> complex:
     return lambda0
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _coupling_block(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The coupling block fl(fl(K1 conj(K2)) 2i), a new array; overflow is
+    quiet here and checked by the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.multiply.outer(k1, k2.conj()) * 2j
 
 
 class _Chain(LSystem):
@@ -78,14 +80,12 @@ class _Chain(LSystem):
     @cached_property
     def T(self) -> np.ndarray:
         """Entry (a, b) above the diagonal is fl(fl(k_a conj(k_b)) 2i), finite
-        by the check in :meth:`_join`.  The outer product's other entries may
-        overflow, quietly, and are overwritten.  One factor is [[lambda]]."""
+        by the chain gate in :func:`coupling.couple`.  The block's other
+        entries may overflow, quietly, and are overwritten.  One factor is
+        [[lambda]]."""
         if self.dim == 1:
             return _read_only(np.array([self._d], dtype=complex))
-        n, k = self.dim, self.K
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = np.multiply.outer(k, k.conj())
-            t *= 2j
+        n, t = self.dim, _coupling_block(self.K, self.K)
         t[np.tri(n, dtype=bool)] = 0.0
         t.flat[:: n + 1] = self.triangular_diagonal
         return _read_only(t)
@@ -114,16 +114,6 @@ class _Chain(LSystem):
         q = (self.K.real / m) ** 2
         cross = float(q[1:] @ q.cumsum()[:-1])
         return math.hypot(*d.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
-
-    def _join(self, other: _Chain) -> _Chain:
-        """The coupling of self and other, in that block order.  Its new
-        entries 2i k_a k_b are largest at the two largest channel entries,
-        as rounding is monotone, so they are finite exactly when
-        2 _k_max other._k_max is: RangeError where it is not."""
-        if not math.isfinite(2.0 * self._k_max * other._k_max):
-            raise RangeError("non-finite entries in system matrices: "
-                             "the coupling block 2i K1 K2* exceeds the float range")
-        return _chain(self._d + other._d, max(self._k_max, other._k_max))
 
 
 def _chain(d: tuple[complex, ...], k_max: float) -> _Chain:

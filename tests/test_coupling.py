@@ -148,15 +148,22 @@ class TestCoupleInPlace:
         # a block that stays finite is accepted
         assert couple(big, make_elementary(1j).system).system.dim == 2
 
-    @pytest.mark.parametrize("factor", [
-        pytest.param(lambda: make_elementary(1e308j).system, id="chain"),
-        pytest.param(lambda: LSystem([[1e308j]], [1e154], 1), id="plain"),
+    @pytest.mark.parametrize("first, second", [
+        pytest.param("chain", "chain", id="chain"),
+        pytest.param("plain", "plain", id="plain"),
+        pytest.param("chain", "plain", id="chain-plain"),
+        pytest.param("plain", "chain", id="plain-chain"),
     ])
-    def test_overflowing_coupling_block_is_a_range_error(self, factor):
-        # the input is well formed; only the block 2i K1 K2* = 2e308 i is not a float
-        with pytest.raises(RangeError, match="exceeds the float range") as caught:
-            couple(factor(), factor())
+    def test_overflowing_coupling_block_is_a_range_error(self, first, second):
+        # the input is well formed; only the block 2i K1 K2* = 2e308 i is not a float.
+        # The chain gate and the entrywise gate raise the same message
+        factor = {"chain": lambda: make_elementary(1e308j).system,
+                  "plain": lambda: LSystem([[1e308j]], [1e154], 1)}
+        with pytest.raises(RangeError) as caught:
+            couple(factor[first](), factor[second]())
         assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == ("non-finite entries in system matrices: "
+                                     "the coupling block 2i K1 K2* exceeds the float range")
 
     @pytest.mark.parametrize("im", [0.89e308, 0.9e308, 1e308, 1.7976931348623157e308])
     def test_overflow_gate_reads_the_elementary_record(self, im):
