@@ -109,8 +109,6 @@ def dissipation_from_entropy(s: float) -> float:
     (the subtraction from 0.0 turns -0.0 into +0.0).  RangeError where D
     is below the float range (S below about -354.9, or S = -inf), and for
     an S that is NaN."""
-    if s == INF:
-        return 1.0
     if math.isnan(s):
         raise RangeError(f"D = 1 - exp(-2S) is undefined for S = {s}")
     try:

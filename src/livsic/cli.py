@@ -39,29 +39,22 @@ def _num(x: float):
     return float(f"{float(x):.12g}")
 
 
-def _cnum(z: complex) -> dict:
-    return {"re": _num(z.real), "im": _num(z.imag)}
-
-
-def _rat(r: RationalFunction) -> dict:
-    return {"num": [_cnum(c) for c in r.num.coeffs],
-            "den": [_cnum(c) for c in r.den.coeffs],
-            "display": str(r)}
-
-
-def _classification(c: analysis.DonoghueClassification) -> dict:
-    return {"class": c.class_tag.value,
-            "kappa": None if c.kappa is None else _num(c.kappa),
-            "a": _num(c.a)}
-
-
-def _system_json(sys: LSystem, lambda0: complex | None = None) -> dict:
-    doc = {"T": [[_cnum(v) for v in row] for row in sys.T],
-           "K": [_cnum(v) for v in sys.K],
-           "J": sys.J}
-    if lambda0 is not None:
-        doc["lambda0"] = _cnum(lambda0)
-    return doc
+def _wire(v):
+    """The ``default`` hook of ``json.dumps``: the JSON form of a complex, an
+    LSystem, a RationalFunction or a DonoghueClassification.  json writes
+    floats itself and never calls the hook for them, so a float enters a
+    report through ``_num``."""
+    if isinstance(v, complex):
+        return {"re": _num(v.real), "im": _num(v.imag)}
+    if isinstance(v, LSystem):
+        return {"T": v.T.tolist(), "K": v.K.tolist(), "J": v.J}
+    if isinstance(v, RationalFunction):
+        return {"num": v.num.coeffs, "den": v.den.coeffs, "display": str(v)}
+    if isinstance(v, analysis.DonoghueClassification):
+        return {"class": v.class_tag.value,
+                "kappa": None if v.kappa is None else _num(v.kappa),
+                "a": _num(v.a)}
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -72,8 +65,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _print_report(report: dict, out: str | None = None) -> None:
-    _emit(json.dumps(report, indent=2) + "\n", out)
+def _print_report(report, out: str | None = None) -> None:
+    _emit(json.dumps(report, indent=2, default=_wire) + "\n", out)
 
 
 # -- input parsing -------------------------------------------------------
@@ -203,11 +196,11 @@ def _cmd_elementary(args) -> None:
     lam = args.lambda0
     built = elementary.make_elementary(lam)
     report = {
-        "lambda0": _cnum(lam),
-        "system": _system_json(built.system, lam),
-        "transfer": _rat(elementary.transfer_closed(lam)),
-        "impedance": _rat(elementary.impedance_closed(lam)),
-        "classification": _classification(analysis.classify_elementary(lam)),
+        "lambda0": lam,
+        "system": {**_wire(built.system), "lambda0": lam},
+        "transfer": elementary.transfer_closed(lam),
+        "impedance": elementary.impedance_closed(lam),
+        "classification": analysis.classify_elementary(lam),
         **_entropy_fields(analysis.c_entropy_elementary_closed(lam)),
     }
     _print_report(report)
@@ -226,17 +219,17 @@ def _cmd_skew(args) -> None:
     v_i = v_block(1j)
     block = coupling.self_skew_coupling(lam)
     report = {
-        "lambda0": _cnum(lam),
-        "skew_system": _system_json(skew.system, lam),
-        "transfer": _rat(elementary.skew_transfer_closed(lam)),
-        "impedance": _rat(elementary.skew_impedance_closed(lam)),
+        "lambda0": lam,
+        "skew_system": {**_wire(skew.system), "lambda0": lam},
+        "transfer": elementary.skew_transfer_closed(lam),
+        "impedance": elementary.skew_impedance_closed(lam),
         **_entropy_fields(s),
         "self_coupling": {
-            "system": _system_json(block.system),
-            "transfer": _rat(w_block),
-            "impedance": _rat(v_block),
-            "impedance_at_i": _cnum(v_i),
-            "classification": _classification(analysis.classify_at_i(v_i)),
+            "system": block.system,
+            "transfer": w_block,
+            "impedance": v_block,
+            "impedance_at_i": v_i,
+            "classification": analysis.classify_at_i(v_i),
             **_entropy_fields(analysis.compose_entropy(s, s)),
             "dissipation_identity": _num(analysis.compose_dissipation(d, d)),
         },
@@ -256,8 +249,8 @@ def _cmd_couple(args) -> None:
         params = [args.lambda0, args.mu0]
         systems = [elementary.make_elementary(p).system for p in params]
         # closed forms first: parameters past the float range raise their RangeError
-        closed = {"transfer": _rat(coupling.coupling_transfer_closed(*params)),
-                  "impedance": _rat(coupling.coupling_impedance_closed(*params)),
+        closed = {"transfer": coupling.coupling_transfer_closed(*params),
+                  "impedance": coupling.coupling_impedance_closed(*params),
                   "dissipation_closed": _num(analysis.coupling_dissipation_closed(*params))}
     for sub in systems:
         _require_valid(sub)
@@ -265,23 +258,22 @@ def _cmd_couple(args) -> None:
 
     entropies = [analysis.c_entropy(sub) for sub in systems]
     report = {
-        "factors": [{} if p is None else {"lambda0": _cnum(p)} for p in params],
-        "system": _system_json(coupled),
+        "factors": [{} if p is None else {"lambda0": p} for p in params],
+        "system": coupled,
         **_entropy_fields(functools.reduce(analysis.compose_entropy, entropies)),
         "factor_entropies": [_num(s) for s in entropies],
         "factor_dissipations": [_num(analysis.dissipation_from_entropy(s)) for s in entropies],
     }
     for entry, sub in zip(report["factors"], systems):
         try:
-            cls = analysis.classify_at_i(impedance_resolvent(sub, 1j))
-            entry["classification"] = _classification(cls)
+            entry["classification"] = analysis.classify_at_i(impedance_resolvent(sub, 1j))
         except LivsicError:
             pass
     report.update(closed)
     try:
         v_i = impedance_resolvent(coupled, 1j)
-        report["impedance_at_i"] = _cnum(v_i)
-        report["classification"] = _classification(analysis.classify_at_i(v_i))
+        report["impedance_at_i"] = v_i
+        report["classification"] = analysis.classify_at_i(v_i)
     except LivsicError:
         pass
     _print_report(report)
@@ -303,12 +295,12 @@ def _cmd_classify(args) -> None:
     _require_valid(sys_)
     v_i = impedance_resolvent(sys_, 1j)
     report = {
-        "impedance_at_i": _cnum(v_i),
-        "classification": _classification(analysis.classify_at_i(v_i)),
+        "impedance_at_i": v_i,
+        "classification": analysis.classify_at_i(v_i),
         "source": "resolvent",
     }
     if not args.infile:
-        report["closed_form"] = _classification(analysis.classify_elementary(args.lambda0))
+        report["closed_form"] = analysis.classify_elementary(args.lambda0)
     _print_report(report, args.out)
 
 
@@ -319,7 +311,7 @@ def _cmd_entropy(args) -> None:
         report = _entropy_fields(analysis.c_entropy(sys_))
     else:
         lam = args.lambda0
-        report = {"lambda0": _cnum(lam),
+        report = {"lambda0": lam,
                   **_entropy_fields(analysis.c_entropy_elementary_closed(lam)),
                   "entropy_resolvent": _num(analysis.c_entropy_resolvent(sys_))}
     _print_report(report, args.out)

@@ -209,8 +209,10 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: float, op: str, z: com
     sigma_min(a) <= n*eps*sigma_max(a).  For n = 1 that is a_11 == 0, with
     no SVD: sigma_min = sigma_max = |a_11|, and the SVD of a non-finite
     a_11, or of one whose modulus overflows, gives NaN, which passes.  For
-    n > 1 the SVD runs only where :func:`_needs_svd` says so.  DomainError
-    for a z with a NaN part, before the copy."""
+    n > 1 the SVD runs only where :func:`_needs_svd` says so and a is
+    finite: a non-finite a passes as its NaN singular values would, and
+    LAPACK's SVD of it writes an illegal-value message to stdout.
+    DomainError for a z with a NaN part, before the copy."""
     if cmath.isnan(z):
         raise DomainError(f"{op} at z={z}: z has a NaN part")
     a = base.copy()
@@ -218,7 +220,8 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: float, op: str, z: com
     if sys.dim == 1:
         s = (0.0, 0.0) if a[0, 0] == 0 else None
     else:
-        s = np.linalg.svd(a, compute_uv=False) if _needs_svd(sys, floor, z) else None
+        guard = _needs_svd(sys, floor, z) and np.isfinite(a).all()
+        s = np.linalg.svd(a, compute_uv=False) if guard else None
     if s is not None and s[-1] <= sys.dim * _EPS * s[0]:
         raise SingularResolventError(
             f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
@@ -263,10 +266,10 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     # product overflows only if the whole product does
     with np.errstate(over="ignore", invalid="ignore"):
         w = complex(np.prod((d.conj() - z) / (d - z)))
-    if not cmath.isfinite(w):
-        raise SingularResolventError(
-            f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
-            f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
+        if not cmath.isfinite(w):
+            raise SingularResolventError(
+                f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
+                f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
     return w
 
 
@@ -326,7 +329,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
         u = complex(p[-1])
         telescoped = float(np.abs(terms).sum()) < 1.0
         one_minus_u = -complex(terms.sum()) if telescoped else 1.0 - u
-    if not (cmath.isfinite(u) and cmath.isfinite(one_minus_u)) or abs(1.0 + u) < 0.5:
+    if not cmath.isfinite(u) or abs(1.0 + u) < 0.5:
         return impedance_resolvent(sys, z)
     return sign * sys.J * 1j * one_minus_u / (1.0 + u)
 

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from livsic import (
+    LSystem,
     c_entropy,
+    cli,
     compose_entropy,
+    couple,
     dissipation_elementary_closed,
     make_elementary,
     validate,
@@ -120,6 +123,20 @@ class TestElementary:
         path = tmp_path / "sys.json"
         report = run_json(capsys, *argv, "--out", str(path))
         assert path.read_text() == json.dumps(report[key], indent=2) + "\n"
+
+    def test_out_file_of_a_plain_coupling_reads_back(self, capsys, tmp_path):
+        # a chain coupled with a plain 1x1 system is a plain LSystem; its T and K
+        # are exact in 12 digits, so the file reads back to the same system
+        desc, path = tmp_path / "pair.json", tmp_path / "sys.json"
+        desc.write_text(json.dumps([{"lambda0": _c(0.5, 1)}, {"T": [[_c(0, 1)]], "K": [_c(1, 0)]}]))
+        run_json(capsys, "couple", "--in", str(desc), "--out", str(path))
+        coupled = couple(make_elementary(0.5 + 1j).system, LSystem([[1j]], [1.0], 1)).system
+        assert coupled.T.tolist() == [[0.5 + 1j, 2j], [0j, 1j]]
+        assert system_from_descriptor(json.loads(path.read_text())) == coupled
+
+    def test_wire_refuses_what_it_does_not_know(self):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            json.dumps(object(), default=cli._wire)
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -178,6 +178,11 @@ class TestTransferEval:
     def test_value_at_2i(self):
         assert rel_err(transfer_eval(make_elementary(1j).system, 2j), 3.0) < 1e-14
 
+    def test_overflowing_product_is_refused_without_a_warning(self):
+        # the distance in the message is formed under the product's errstate
+        with pytest.raises(SingularResolventError, match="overflows: .* distance inf"):
+            transfer_eval(make_elementary(1e308 + 1j).system, -1e308 + 0.5j)
+
 
 class TestImpedanceEval:
     def test_value_at_i(self):
@@ -401,6 +406,18 @@ class TestRefusal:
     def test_infinite_z_raises(self, ev):
         with pytest.raises(SingularResolventError, match="overflows the float range"):
             ev(make_elementary(1 + 1j).system, complex(math.inf, math.inf))
+
+    @pytest.mark.parametrize("ev, limit", [(transfer_eval, 1 + 0j), (transfer_resolvent, 1 + 0j),
+                                           (impedance_eval, 0j), (impedance_resolvent, 0j)])
+    def test_infinite_z_gives_the_limit_and_no_lapack_output(self, rng, capfd, ev, limit):
+        # LAPACK's SVD of a shifted matrix with infinite entries writes an
+        # illegal-value message to stdout (fd 1), so the guard skips it there
+        for k in (2, 3, 16):
+            sys = _draw_chain(rng, k)
+            for z in (complex(math.inf, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0),
+                      complex(math.inf, 1.0), complex(1.0, -math.inf)):
+                assert ev(sys, z) == limit, (k, z)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
                                    complex(math.nan, math.nan), complex(math.inf, math.nan)])
