@@ -40,10 +40,10 @@ def _num(x: float):
 
 
 def _wire(v):
-    """The ``default`` hook of ``json.dumps``: the JSON form of a complex, an
-    LSystem, a RationalFunction or a DonoghueClassification.  json writes
-    floats itself and never calls the hook for them, so a float enters a
-    report through ``_num``."""
+    """The ``default`` hook of the encoder in ``_print_report``: the JSON form
+    of a complex, an LSystem, a RationalFunction or a DonoghueClassification.
+    json writes floats itself and never calls the hook for them, so a float
+    enters a report through ``_num``."""
     if isinstance(v, complex):
         return {"re": _num(v.real), "im": _num(v.imag)}
     if isinstance(v, LSystem):
