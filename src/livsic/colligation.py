@@ -11,9 +11,13 @@ as the independent oracle for every closed form in the package:
     transfer_resolvent(z)  = 1 - 2i K* (T - zI)^(-1) K J
     impedance_resolvent(z) = K* (Re T - zI)^(-1) K
 
-Each returns a finite value or raises a typed error: DomainError for a z
-with a NaN part, SingularResolventError where the shifted operator is
-numerically singular or the value overflows.
+Each takes one point z or a 1-D sequence of points, and then returns a
+list of values from one stacked LAPACK solve, each with the bytes of the
+call at its point alone.  Each value is finite, or the call raises a
+typed error: DomainError for a z with a NaN part,
+SingularResolventError where the shifted operator is numerically
+singular or the value overflows.  In a sequence, the first point in
+order that fails raises.
 
 ``transfer_eval`` and ``impedance_eval`` pick their path.  For a valid
 colligation T - 2iJ KK* = T*, so the matrix determinant lemma gives
@@ -203,30 +207,81 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
 
-def _solve_guarded(base: np.ndarray, sys: LSystem, floor: float, op: str, z: complex) -> np.ndarray:
-    """Solve a x = K for a = base - zI, a copy of base = T or Re T of sys
-    shifted on its diagonal, unless a is numerically singular:
+def _solve_guarded(base: np.ndarray, sys: LSystem, floor, op: str, name: str, value, z):
+    """The resolvent value(x) at z, for x the solution of a x = K with
+    a = base - zI, base = T or Re T of sys; at each point of z, in a list,
+    when z is a 1-D sequence (list, tuple or array).  The copy of base is
+    shifted only on its diagonal.
+
+    SingularResolventError where a is numerically singular:
     sigma_min(a) <= n*eps*sigma_max(a).  For n = 1 that is a_11 == 0, with
     no SVD: sigma_min = sigma_max = |a_11|, and the SVD of a non-finite
     a_11, or of one whose modulus overflows, gives NaN, which passes.  For
-    n > 1 the SVD runs only where :func:`_needs_svd` says so and a is
-    finite: a non-finite a passes as its NaN singular values would, and
-    LAPACK's SVD of it writes an illegal-value message to stdout.
-    DomainError for a z with a NaN part, before the copy."""
-    if cmath.isnan(z):
-        raise DomainError(f"{op} at z={z}: z has a NaN part")
-    a = base.copy()
-    a.flat[:: sys.dim + 1] -= z
-    if sys.dim == 1:
-        s = (0.0, 0.0) if a[0, 0] == 0 else None
+    n > 1 the SVD runs only where :func:`_needs_svd` says so, from floor(z),
+    and a is finite: a non-finite a passes as its NaN singular values
+    would, and LAPACK's SVD of it writes an illegal-value message to
+    stdout.  DomainError for a z with a NaN part, before LAPACK sees it.
+    SingularResolventError where the value overflows (see :func:`_finite`).
+
+    A sequence is solved as a stack: one (m, n, n) copy of base, one
+    stacked SVD of the slices that need it and one stacked solve, with an
+    (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.  LAPACK
+    treats each slice as it treats the matrix of a call at its point alone,
+    and each value is formed from its own slice, so every value has the
+    bytes of that call.  Where several points fail, the first one in order
+    raises, with the error that call would raise.  One point skips the
+    stack, which would cost it about 1.6 times as much."""
+    n = sys.dim
+    if not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim:
+        z = complex(z)
+        if cmath.isnan(z):
+            raise _nan_error(op, z)
+        if n == 1:
+            a = base - z
+            s = (0.0, 0.0) if a[0, 0] == 0 else None
+        else:
+            a = base.copy()
+            a.ravel()[:: n + 1] -= z
+            guard = _needs_svd(sys, floor(sys, z), z) and np.isfinite(a).all()
+            s = np.linalg.svd(a, compute_uv=False) if guard else None
+        if s is not None and s[-1] <= n * _EPS * s[0]:
+            raise _singular_error(op, z, n, s)
+        return _finite(complex(value(sys, np.linalg.solve(a, sys.K))), name, z, n)
+    z = np.array(z, dtype=complex)
+    if z.ndim != 1:
+        raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
+    zs = z.tolist()
+    # only the points before the first NaN reach LAPACK
+    stop = next((k for k, zk in enumerate(zs) if cmath.isnan(zk)), len(zs))
+    if n == 1:
+        a = base - z[:stop, np.newaxis, np.newaxis]
+        singular = [(k, (0.0, 0.0)) for k in range(stop) if a[k, 0, 0] == 0]
     else:
-        guard = _needs_svd(sys, floor, z) and np.isfinite(a).all()
-        s = np.linalg.svd(a, compute_uv=False) if guard else None
-    if s is not None and s[-1] <= sys.dim * _EPS * s[0]:
-        raise SingularResolventError(
-            f"{op} at z={z} is numerically singular or ill-conditioned: n={sys.dim}, "
-            f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    return np.linalg.solve(a, sys.K)
+        a = base.reshape(1, n * n).repeat(stop, 0)
+        a.T[:: n + 1] -= z[:stop]
+        a = a.reshape(stop, n, n)
+        need = [k for k in range(stop)
+                if _needs_svd(sys, floor(sys, zs[k]), zs[k]) and np.isfinite(a[k]).all()]
+        s = np.linalg.svd(a[need], compute_uv=False) if need else ()
+        singular = [(k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0]]
+    first, s = singular[0] if singular else (stop, None)
+    x = np.linalg.solve(a[:first], sys.K.reshape(1, n, 1)) if first else ()
+    out = [_finite(complex(value(sys, xk)), name, zk, n) for xk, zk in zip(x, zs)]
+    if first < stop:
+        raise _singular_error(op, zs[first], n, s)
+    if stop < len(zs):
+        raise _nan_error(op, zs[stop])
+    return out
+
+
+def _nan_error(op: str, z: complex) -> DomainError:
+    return DomainError(f"{op} at z={z}: z has a NaN part")
+
+
+def _singular_error(op: str, z: complex, n: int, s) -> SingularResolventError:
+    return SingularResolventError(
+        f"{op} at z={z} is numerically singular or ill-conditioned: n={n}, "
+        f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
 
 
 def _finite(value: complex, name: str, z: complex, n: int) -> complex:
@@ -273,12 +328,20 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     return w
 
 
-def transfer_resolvent(sys: LSystem, z: complex) -> complex:
-    """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J."""
-    z = complex(z)
+def transfer_resolvent(sys: LSystem, z) -> complex | list[complex]:
+    """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J, at one
+    point z or at each point of a 1-D sequence z (then a list)."""
+    return _solve_guarded(sys.T, sys, _strip_floor, "T - zI", "W(z)", _transfer_value, z)
+
+
+def _strip_floor(sys: LSystem, z: complex) -> float:
+    """Distance from z to the strip that holds the numerical range of T."""
     lo, hi = sys.im_strip
-    x = _solve_guarded(sys.T, sys, max(lo - z.imag, z.imag - hi), "T - zI", z)
-    return _finite(complex(1.0 - 2j * np.vdot(sys.K, x) * sys.J), "W(z)", z, sys.dim)
+    return max(lo - z.imag, z.imag - hi)
+
+
+def _transfer_value(sys: LSystem, x: np.ndarray) -> complex:
+    return 1.0 - 2j * np.vdot(sys.K, x) * sys.J
 
 
 def impedance_eval(sys: LSystem, z: complex) -> complex:
@@ -334,9 +397,16 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     return sign * sys.J * 1j * one_minus_u / (1.0 + u)
 
 
-def impedance_resolvent(sys: LSystem, z: complex) -> complex:
-    """Impedance function by resolvent: K*(Re T - zI)^(-1) K."""
-    z = complex(z)
-    # Re T is exactly Hermitian, so Re T - zI is normal with sigma_min >= |Im z|
-    x = _solve_guarded(sys._re_t, sys, abs(z.imag), "Re T - zI", z)
-    return _finite(complex(np.vdot(sys.K, x)), "V(z)", z, sys.dim)
+def impedance_resolvent(sys: LSystem, z) -> complex | list[complex]:
+    """Impedance function by resolvent: K*(Re T - zI)^(-1) K, at one point z
+    or at each point of a 1-D sequence z (then a list)."""
+    return _solve_guarded(sys._re_t, sys, _axis_floor, "Re T - zI", "V(z)", _impedance_value, z)
+
+
+def _axis_floor(sys: LSystem, z: complex) -> float:
+    """|Im z|: Re T is exactly Hermitian, so Re T - zI is normal with sigma_min >= |Im z|."""
+    return abs(z.imag)
+
+
+def _impedance_value(sys: LSystem, x: np.ndarray) -> complex:
+    return np.vdot(sys.K, x)

@@ -24,7 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -128,6 +128,8 @@ class RationalFunction:
 
     num: Polynomial
     den: Polynomial
+    #: max(1, |largest denominator coefficient|), the scale of :func:`rat_eval`'s pole guard
+    _pole_scale: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, num, den=(1.0,)):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -135,8 +137,10 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("denominator is the zero polynomial")
         lead = den.coeffs[-1]
+        den = den.scale(1.0 / lead)
         object.__setattr__(self, "num", num.scale(1.0 / lead))
-        object.__setattr__(self, "den", den.scale(1.0 / lead))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_pole_scale", max(1.0, max(abs(c) for c in den.coeffs)))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -176,7 +180,11 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
 
     Raises PoleError when the denominator value falls below the scaled
     pole guard, signalling evaluation at or too close to a pole, and
-    DomainError for a z with a NaN part, as the resolvents do.
+    DomainError for a z with a NaN part, as the resolvents do.  At a z
+    with an infinite part the value is the limit at infinity: the
+    numerator's leading coefficient when the degrees are equal (the
+    denominator is monic), 0 when the numerator's degree is lower, and
+    PoleError, the pole at infinity, when it is higher.
 
     A function recorded by its poles and weights, a measure or a pole
     record, is summed directly, sum w_j/(t_j - z); its guard is per pole,
@@ -187,9 +195,14 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
         raise DomainError(f"rat_eval at z={z}: z has a NaN part")
     if not isinstance(r, RationalFunction):
         return _pole_sum(r.atoms, z)
+    if cmath.isinf(z):
+        dn, dd = r.degrees
+        if dn > dd:
+            raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
+                            f"exceeds the denominator's {dd}")
+        return r.num.coeffs[-1] if dn == dd else 0j
     den = r.den(z)
-    scale = max(1.0, max(abs(c) for c in r.den.coeffs))
-    if abs(den) < TAU_POLE * scale:
+    if abs(den) < TAU_POLE * r._pole_scale:
         raise PoleError(f"denominator ~ 0 at z={z}")
     return r.num(z) / den
 

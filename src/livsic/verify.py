@@ -61,23 +61,25 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
 
     elem_w = elem_v = skew_w = skew_v = 0.0
     cayley_sys = 0.0
+    blocks = []
     for lam in params:
         sys = elementary.make_elementary(lam).system
         xsys = elementary.make_skew_adjoint(lam).system
-        for s in (sys, xsys, coupling.self_skew_coupling(lam).system):
+        blocks.append(coupling.self_skew_coupling(lam))
+        for s in (sys, xsys, blocks[-1].system):
             colligation_worst = max(colligation_worst, scaled_residual(s))
         w_closed = elementary.transfer_closed(lam)
         v_closed = elementary.impedance_closed(lam)
         wx_closed = elementary.skew_transfer_closed(lam)
         vx_closed = elementary.skew_impedance_closed(lam)
-        for _ in range(N_POINTS):
-            z = _draw_z(rng, avoid=(lam, -lam.conjugate()))
-            w = transfer_resolvent(sys, z)
-            v = impedance_resolvent(sys, z)
+        # evaluation draws nothing, so the points can all be drawn first
+        zs = [_draw_z(rng, avoid=(lam, -lam.conjugate())) for _ in range(N_POINTS)]
+        for z, w, v, wx, vx in zip(zs, transfer_resolvent(sys, zs), impedance_resolvent(sys, zs),
+                                   transfer_resolvent(xsys, zs), impedance_resolvent(xsys, zs)):
             elem_w = max(elem_w, _rel(ratfun.rat_eval(w_closed, z), w))
             elem_v = max(elem_v, _rel(ratfun.rat_eval(v_closed, z), v))
-            skew_w = max(skew_w, _rel(ratfun.rat_eval(wx_closed, z), transfer_resolvent(xsys, z)))
-            skew_v = max(skew_v, _rel(ratfun.rat_eval(vx_closed, z), impedance_resolvent(xsys, z)))
+            skew_w = max(skew_w, _rel(ratfun.rat_eval(wx_closed, z), wx))
+            skew_v = max(skew_v, _rel(ratfun.rat_eval(vx_closed, z), vx))
             cayley_sys = max(cayley_sys, _rel(1j * (w - 1.0) / (w + 1.0), v))
 
     mult = imp = ent = diss = 0.0
@@ -86,11 +88,12 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         coupled = coupling.couple(sys1, sys2)
         colligation_worst = max(colligation_worst, scaled_residual(coupled.system))
         v_closed = coupling.coupling_impedance_closed(lam, mu)
-        for _ in range(N_POINTS):
-            z = _draw_z(rng, avoid=(lam, mu))
-            product = transfer_resolvent(sys1, z) * transfer_resolvent(sys2, z)
-            mult = max(mult, _rel(transfer_resolvent(coupled.system, z), product))
-            imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), impedance_resolvent(coupled.system, z)))
+        zs = [_draw_z(rng, avoid=(lam, mu)) for _ in range(N_POINTS)]
+        for z, w1, w2, w, v in zip(zs, transfer_resolvent(sys1, zs), transfer_resolvent(sys2, zs),
+                                   transfer_resolvent(coupled.system, zs),
+                                   impedance_resolvent(coupled.system, zs)):
+            mult = max(mult, _rel(w, w1 * w2))
+            imp = max(imp, _rel(ratfun.rat_eval(v_closed, z), v))
         s_oracle = analysis.c_entropy_resolvent(coupled.system)
         d_oracle = analysis.dissipation_from_entropy(s_oracle)
         ent = max(ent, _rel(s_oracle, analysis.coupling_entropy_closed(lam, mu)))
@@ -110,8 +113,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         kap = max(kap, abs(k12 - k1 * k2))
 
     selfskew = 0.0
-    for lam in params[: n_systems // 2]:
-        block = coupling.self_skew_coupling(lam)
+    for lam, block in zip(params[: n_systems // 2], blocks):
         s_single = analysis.c_entropy_elementary_closed(lam)
         d_single = analysis.dissipation_elementary_closed(lam)
         s_oracle = analysis.c_entropy_resolvent(block.system)

@@ -508,6 +508,138 @@ def _similar(sys, rng):
     return LSystem(q @ sys.T @ q.conj().T, q @ sys.K, sys.J)
 
 
+def _bits(values):
+    """Every value's bytes, signed zeros included."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _sequence_systems(rng):
+    """Chains of 1, 2 and 3 factors, and dense plain systems with J = +1 and -1."""
+    out = [_draw_chain(rng, k) for k in (1, 2, 3)]
+    for k in (1, 3):
+        dense = _similar(_draw_chain(rng, k), rng)
+        out += [dense, LSystem(dense.T.conj(), dense.K.conj(), -1)]
+    return out
+
+
+def _sequence_points(sys):
+    """Inside the strip of T and beside the real axis (where the SVD runs),
+    outside both, in the lower half-plane, and at infinity."""
+    lo, hi = sys.im_strip
+    pts = [complex(x, lo + (hi - lo) * f) for x in (-0.7, 0.4) for f in (0.25, 0.5, 0.75)]
+    pts += [complex(0.3, 1e-14), complex(-1.2, -1e-13), complex(-0.0, 0.0), 0.5]
+    pts += [complex(1.5, hi + 2.0), complex(-2.0, lo - 2.0), -1j, complex(0.8, -2.5)]
+    pts += [complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(0.0, math.inf),
+            complex(-0.0, -math.inf), complex(math.inf, 1.0)]
+    return pts
+
+
+class TestSequence:
+    """A 1-D sequence of points is one stacked solve, with the bytes of one call per point."""
+
+    @pytest.mark.parametrize("ev", [transfer_resolvent, impedance_resolvent])
+    def test_each_value_is_the_single_calls(self, rng, monkeypatch, ev):
+        svd, stacked = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            stacked.append(a.ndim == 3)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for sys in _sequence_systems(rng):
+            single = []
+            for z in _sequence_points(sys):
+                try:
+                    single.append((z, ev(sys, z)))
+                except SingularResolventError:
+                    pass
+            zs = [z for z, _ in single]
+            assert len(zs) > 15, sys.dim
+            stacked.clear()
+            for seq in (zs, tuple(zs), np.array(zs)):
+                got = ev(sys, seq)
+                assert type(got) is list and all(type(v) is complex for v in got)
+                assert _bits(got) == _bits(v for _, v in single), (ev.__name__, sys.dim)
+            # the SVD runs on a stack, once per sequence, where any point needs it
+            assert stacked in ([], [True] * 3) and (sys.dim == 1 or stacked), sys.dim
+
+    def test_one_solve_and_one_svd_per_sequence(self, rng, monkeypatch):
+        sys = _draw_chain(rng, 3)
+        eye = np.eye(sys.dim)
+        lo, hi = sys.im_strip
+        zs = [complex(0.2, (lo + hi) / 2), 1j, complex(-1.0, -2.0), complex(0.5, 1e-14)]
+        calls = []
+
+        def spy(name, lapack):
+            def capture(a, *args, **kwargs):
+                calls.append((name, a.copy()))
+                return lapack(a, *args, **kwargs)
+            return capture
+
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+        for ev, base in ((transfer_resolvent, sys.T), (impedance_resolvent, sys._re_t)):
+            calls.clear()
+            ev(sys, zs)
+            assert [name for name, _ in calls] == ["svd", "solve"], ev.__name__
+            a = calls[1][1]
+            # one slice per point, shifted on its diagonal alone
+            assert a.shape == (len(zs), sys.dim, sys.dim)
+            assert all((a[k] == base - z * eye).all() for k, z in enumerate(zs))
+            assert len(calls[0][1]) < len(zs)
+
+    def test_first_failing_point_raises_the_single_calls_error(self, rng):
+        one = make_elementary(0.5 + 1j).system
+        chain = _draw_chain(rng, 3)
+        t = complex(chain.T[1, 1])
+        # W of this valid 1x1 system overflows at -i, and T - zI is singular at t
+        mirror = LSystem([[1e-310 - 1j]], [1.0], -1)
+        nan = complex(math.nan, 0.0)
+        cases = [
+            (transfer_resolvent, one, [2j, 0.5 + 1j, 3j]),
+            (transfer_resolvent, one, [2j, nan, 0.5 + 1j]),
+            (transfer_resolvent, one, [0.5 + 1j, nan]),
+            (impedance_resolvent, one, [1j, 0.5, -1j]),
+            (transfer_resolvent, chain, [1j, t, nan]),
+            (transfer_resolvent, chain, [1j, complex(0.0, nan), t]),
+            (impedance_resolvent, chain, [1j, -1j, nan]),
+            (transfer_resolvent, mirror, [1j, -1j, 1e-310 - 1j]),
+            (transfer_resolvent, mirror, [1j, 1e-310 - 1j, -1j]),
+        ]
+        for ev, sys, zs in cases:
+            first = None
+            for z in zs:
+                try:
+                    ev(sys, z)
+                except (DomainError, SingularResolventError) as exc:
+                    first = exc
+                    break
+            assert first is not None, (ev.__name__, zs)
+            with pytest.raises(type(first)) as info:
+                ev(sys, zs)
+            assert str(info.value) == str(first), (ev.__name__, zs)
+
+    @pytest.mark.parametrize("ev", [transfer_resolvent, impedance_resolvent])
+    def test_nan_and_empty_sequences_reach_no_lapack(self, rng, monkeypatch, ev):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK should not be called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        for sys in (make_elementary(1 + 1j).system, _draw_chain(rng, 4)):
+            with pytest.raises(DomainError, match="z has a NaN part"):
+                ev(sys, [complex(math.nan, 1.0), 1j])
+            assert ev(sys, []) == []
+
+    def test_shapes(self):
+        sys = make_elementary(1 + 1j).system
+        # a 0-d array is one point; a 2-D one is neither
+        assert transfer_resolvent(sys, np.array(2j)) == transfer_resolvent(sys, 2j)
+        assert impedance_resolvent(sys, np.array([2j])) == [impedance_resolvent(sys, 2j)]
+        with pytest.raises(DimensionError, match=r"1-D sequence, got shape \(1, 2\)"):
+            transfer_resolvent(sys, [[1j, 2j]])
+
+
 class TestTriangular:
     """W and S read off the diagonal of an upper-triangular T (the triangular model)."""
 

@@ -124,6 +124,30 @@ class TestRatEval:
         with pytest.raises(DomainError, match="z has a NaN part"):
             transfer_resolvent(LSystem([[1j]], [1.0], 1), z)
 
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                   complex(0.0, math.inf), complex(1.0, -math.inf),
+                                   complex(math.inf, math.inf)])
+    def test_infinite_z_gives_the_limit(self, z):
+        # equal degrees: the numerator's leading coefficient, the resolvent's limit
+        # where it has one (with both parts infinite its solve overflows)
+        assert rat_eval(W_I, z) == 1.0
+        if not (math.isinf(z.real) and math.isinf(z.imag)):
+            assert transfer_resolvent(LSystem([[1j]], [1.0], 1), z) == 1.0
+        assert rat_eval(RationalFunction((1.0, 2.0 - 3j), (5.0, 1.0)), z) == 2.0 - 3j
+        # a lower numerator degree, and the zero numerator: 0
+        for r in (V_I, V_1I, RationalFunction((), (1.0, 1.0))):
+            assert rat_eval(r, z) == 0j
+        # a higher one: the pole at infinity
+        for r in (RationalFunction((1.0, 2.0, 3.0), (1.0, 1.0)), RationalFunction((0.0, 1.0))):
+            with pytest.raises(PoleError, match=r"pole at infinity: the numerator's degree"):
+                rat_eval(r, z)
+
+    def test_pole_scale_is_stored_from_the_monic_denominator(self):
+        r = RationalFunction((1.0,), (4.0, -6.0, 2.0))
+        assert r._pole_scale == 3.0 == max(1.0, max(abs(c) for c in r.den.coeffs))
+        assert RationalFunction((1.0,), (0.25, 1.0))._pole_scale == 1.0
+        assert "pole_scale" not in repr(r)
+
 
 class TestRatMul:
     def test_equal_factor_product(self):
