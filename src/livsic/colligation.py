@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -207,7 +208,9 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
 
-def _solve_guarded(base: np.ndarray, sys: LSystem, floor, op: str, name: str, value, z):
+def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, complex], float],
+                   op: str, name: str, value: Callable[[LSystem, np.ndarray], complex],
+                   z) -> complex | list[complex]:
     """The resolvent value(x) at z, for x the solution of a x = K with
     a = base - zI, base = T or Re T of sys; at each point of z, in a list,
     when z is a 1-D sequence (list, tuple or array).  The copy of base is
