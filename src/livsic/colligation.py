@@ -232,25 +232,11 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
     treats each slice as it treats the matrix of a call at its point alone,
     and each value is formed from its own slice, so every value has the
     bytes of that call.  Where several points fail, the first one in order
-    raises, with the error that call would raise.  One point skips the
-    stack, which would cost it about 1.6 times as much."""
+    raises, with the error that call would raise.  One point is a stack of
+    one, and its value is returned alone."""
     n = sys.dim
-    if not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim:
-        z = complex(z)
-        if cmath.isnan(z):
-            raise _nan_error(op, z)
-        if n == 1:
-            a = base - z
-            s = (0.0, 0.0) if a[0, 0] == 0 else None
-        else:
-            a = base.copy()
-            a.ravel()[:: n + 1] -= z
-            guard = _needs_svd(sys, floor(sys, z), z) and np.isfinite(a).all()
-            s = np.linalg.svd(a, compute_uv=False) if guard else None
-        if s is not None and s[-1] <= n * _EPS * s[0]:
-            raise _singular_error(op, z, n, s)
-        return _finite(complex(value(sys, np.linalg.solve(a, sys.K))), name, z, n)
-    z = np.array(z, dtype=complex)
+    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
+    z = np.array([complex(z)] if single else z, dtype=complex)
     if z.ndim != 1:
         raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
     zs = z.tolist()
@@ -274,7 +260,7 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
         raise _singular_error(op, zs[first], n, s)
     if stop < len(zs):
         raise _nan_error(op, zs[stop])
-    return out
+    return out[0] if single else out
 
 
 def _nan_error(op: str, z: complex) -> DomainError:
