@@ -87,7 +87,6 @@ from .ratfun import (
     cayley_v_to_w,
     cayley_w_to_v,
     partial_fractions_real_poles,
-    rat_add,
     rat_eval,
     rat_mul,
     rat_sampled_equal,

@@ -212,6 +212,8 @@ def entropy_surface(x_min: float, x_max: float, y_min: float, y_max: float,
     bounds = (x_min, x_max, y_min, y_max)
     if not (all(map(math.isfinite, bounds)) and y_min > 0 and y_max > 0):
         raise DomainError(f"grid bounds must be finite with y > 0, got {bounds}")
+    if not all(isinstance(m, (int, np.integer)) for m in (nx, ny)):
+        raise ValueError(f"nx and ny must be integers, got {nx!r} and {ny!r}")
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     xs = np.linspace(x_min, x_max, nx)

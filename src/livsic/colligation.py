@@ -79,8 +79,8 @@ class LSystem:
         if K.shape[0] != T.shape[0]:
             raise DimensionError(
                 f"channel length {K.shape[0]} != state dimension {T.shape[0]}")
-        # True == 1, so a bool would pass the membership test as J = +1
-        if isinstance(J, (bool, np.bool_)) or J not in (1, -1):
+        # True == 1 and 1 + 0j == 1, so a bool or a complex would pass the membership test
+        if isinstance(J, (bool, np.bool_, complex, np.complexfloating)) or J not in (1, -1):
             raise DimensionError(f"directing sign must be +1 or -1, got {J!r}")
         if not (np.isfinite(T).all() and np.isfinite(K).all()):
             raise ValueError("non-finite entries in system matrices")
@@ -201,9 +201,11 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     at least ||a||_F >= sigma_max(a), as ||Re T||_F <= ||T||_F.  Past it,
     sigma_min exceeds four times the threshold n*eps*sigma_max, and the
     margin absorbs the O(eps*||a||) rounding in the bound, in floor and in
-    the SVD, so the SVD test could not fire.  n reaches 256 on chains of
-    couplings, where the SVD costs several times the solve.  The predicate
-    is true for every non-finite z, where the bound is inf or NaN.
+    the SVD, so the SVD test could not fire.  It skips 5 in 6 of the verify
+    suite's 2x2 slices, 8% of its time; chains reach the resolvent only in
+    ``impedance_eval``'s fallback, and a dense system's c-entropy at n = 64
+    to 256, where the SVD costs 6 to 10 times the solve.  The predicate is
+    true for every non-finite z, where the bound is inf or NaN.
     """
     return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
@@ -242,9 +244,10 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
     zs = z.tolist()
     # only the points before the first NaN reach LAPACK
     stop = next((k for k, zk in enumerate(zs) if cmath.isnan(zk)), len(zs))
-    if n == 1:
+    if n <= 1:
         a = base - z[:stop, np.newaxis, np.newaxis]
-        singular = [(k, (0.0, 0.0)) for k in range(stop) if a[k, 0, 0] == 0]
+        # a 0x0 slice has no entry to vanish: W = 1 and V = 0, the empty sums
+        singular = [(k, (0.0, 0.0)) for k in range(stop) if n and a[k, 0, 0] == 0]
     else:
         a = base.reshape(1, n * n).repeat(stop, 0)
         a.T[:: n + 1] -= z[:stop]
@@ -366,7 +369,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     """
     z = complex(z)
     d = sys.triangular_diagonal
-    if d is None or _needs_svd(sys, abs(z.imag), z):
+    if d is None or not d.size or _needs_svd(sys, abs(z.imag), z):
         return impedance_resolvent(sys, z)
     sign = 1 if sys.J * z.imag > 0 else -1
     # the f_j above as (a_j - z)/(b_j - z), and f_j - 1 as

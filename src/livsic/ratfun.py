@@ -212,11 +212,6 @@ def rat_mul(r1: RationalFunction, r2: RationalFunction) -> RationalFunction:
     return RationalFunction(r1.num * r2.num, r1.den * r2.den)
 
 
-def rat_add(r1: RationalFunction, r2: RationalFunction) -> RationalFunction:
-    """Sum over the common denominator (no cancellation)."""
-    return RationalFunction(r1.num * r2.den + r2.num * r1.den, r1.den * r2.den)
-
-
 def cayley_w_to_v(w: RationalFunction) -> RationalFunction:
     """Map a transfer-side function W to the impedance side,
     V = i(W - 1)/(W + 1), performed on numerator/denominator pairs."""

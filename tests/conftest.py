@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from livsic import rat_eval, rat_sampled_equal
+from livsic import RationalFunction, rat_eval, rat_sampled_equal
 
 
 def rel_err(a, b):
@@ -26,6 +26,12 @@ def draw_z(rng, avoid=(), min_dist=0.15):
 
 def draw_z_upper(rng):
     return complex(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+
+
+def rat_sum(r1, r2):
+    """r1 + r2 over the common denominator, with no cancellation: a
+    coefficient-form oracle, as the package keeps no sums of rational functions."""
+    return RationalFunction(r1.num * r2.den + r2.num * r1.den, r1.den * r2.den)
 
 
 def assert_rat_equal(r1, r2, rel_tol=1e-12):

@@ -500,6 +500,9 @@ class TestEntropySurface:
             entropy_surface(-1, 1, -0.5, 2, 5, 5)
         with pytest.raises(ValueError):
             entropy_surface(-1, 1, 0.1, 2, 1, 5)
+        with pytest.raises(ValueError, match=r"^nx and ny must be integers, got 2\.5 and 3$"):
+            entropy_surface(-1, 1, 0.1, 2, 2.5, 3)
+        assert entropy_surface(-1, 1, 0.1, 2, np.int64(2), 3)[2].shape == (3, 2)
 
     @pytest.mark.parametrize("bounds", [
         (-1, 1, 1, -1), (-1, 1, 1, 0.0), (-1, 1, math.nan, 1), (math.nan, 1, 0.5, 1),

@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from conftest import assert_rat_equal, assert_rat_value, rel_err
+from conftest import assert_rat_equal, assert_rat_value, rat_sum, rel_err
 
 from livsic import (
     AtomicMeasure,
@@ -32,7 +32,6 @@ from livsic import (
     netlist_to_foster,
     partial_fractions_real_poles,
     positive_real_z,
-    rat_add,
     rat_eval,
     self_skew_impedance_closed,
     skew_coupling_circuit,
@@ -58,10 +57,10 @@ def spec_with(rng, m, a0):
 
 
 def coefficient_fold(spec, sign):
-    """sign*a0/z + sum a z/(b^2 + sign*z^2), folded pairwise with rat_add."""
+    """sign*a0/z + sum a z/(b^2 + sign*z^2), folded pairwise with rat_sum."""
     terms = [RationalFunction((sign * spec.a0,), (0.0, 1.0))] if spec.a0 > 0 else []
     terms += [RationalFunction((0.0, s.a), (s.b * s.b, 0.0, sign)) for s in spec.stages]
-    return functools.reduce(rat_add, terms) if terms else RationalFunction((0.0,), (1.0,))
+    return functools.reduce(rat_sum, terms) if terms else RationalFunction((0.0,), (1.0,))
 
 
 def fold_tolerance(r):

@@ -59,7 +59,14 @@ class TestConstruction:
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
             LSystem([[1j]], [1.0], j)
 
-    @pytest.mark.parametrize("j, stored", [(1, 1), (1.0, 1), (-1, -1), (np.int64(1), 1)])
+    @pytest.mark.parametrize("j", [1 + 0j, -1 + 0j, np.complex128(1), np.complex64(-1)])
+    def test_directing_sign_rejects_complex_values(self, j):
+        message = f"directing sign must be +1 or -1, got {j!r}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            LSystem([[1j]], [1.0], j)
+
+    @pytest.mark.parametrize("j, stored", [
+        (1, 1), (1.0, 1), (-1, -1), (np.int64(1), 1), (np.float64(-1), -1)])
     def test_directing_sign_accepts_integral_values(self, j, stored):
         sys = LSystem([[1j]], [1.0], j)
         assert sys.J == stored and type(sys.J) is int
@@ -638,6 +645,27 @@ class TestSequence:
         assert impedance_resolvent(sys, np.array([2j])) == [impedance_resolvent(sys, 2j)]
         with pytest.raises(DimensionError, match=r"1-D sequence, got shape \(1, 2\)"):
             transfer_resolvent(sys, [[1j, 2j]])
+
+
+class TestZeroState:
+    """The zero-state system has W = 1 and V = 0, the empty sums, on every path."""
+
+    SYS = LSystem(np.zeros((0, 0)), [])
+
+    @pytest.mark.parametrize("ev, value", [
+        (transfer_eval, 1 + 0j), (transfer_resolvent, 1 + 0j),
+        (impedance_eval, 0j), (impedance_resolvent, 0j),
+    ])
+    def test_empty_sums(self, ev, value):
+        for z in (1j, 0.5, 0.3 - 2j):
+            assert ev(self.SYS, z) == value
+        if ev in (transfer_resolvent, impedance_resolvent):
+            assert ev(self.SYS, [1j, 0.5]) == [value, value]
+        with pytest.raises(DomainError, match="z has a NaN part"):
+            ev(self.SYS, complex(math.nan, 1.0))
+
+    def test_entropy(self):
+        assert c_entropy(self.SYS) == 0.0
 
 
 class TestTriangular:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_rat_equal, assert_rat_value, rel_err
+from conftest import assert_rat_equal, assert_rat_value, rat_sum, rel_err
 
 from livsic import (
     AtomicMeasure,
@@ -19,7 +19,6 @@ from livsic import (
     cayley_v_to_w,
     cayley_w_to_v,
     partial_fractions_real_poles,
-    rat_add,
     rat_eval,
     rat_mul,
     rat_sampled_equal,
@@ -239,7 +238,7 @@ class TestPartialFractions:
             assert abs(w - limit) < 1e-5
 
     def test_reconstruction(self, rng):
-        r = rat_add(RationalFunction((0.5,), (0.3, -1.0)),
+        r = rat_sum(RationalFunction((0.5,), (0.3, -1.0)),
                     RationalFunction((2.0,), (-1.2, -1.0)))
         m = partial_fractions_real_poles(r)
         for _ in range(8):

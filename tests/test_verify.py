@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from livsic import verify
+from livsic import colligation, verify
 
 # max_residual.hex() of every check of run_verification(seed, n_systems=10), in
 # order; any change to an evaluation path the suite reaches shows here
@@ -61,3 +61,25 @@ def test_resolvent_points_share_one_solve(monkeypatch):
     # per system: 4 sequence calls in each of the first two loops, one S and
     # one kappa resolvent, and for half of them one S and one V(i) self-skew call
     assert len(calls) == 4 * n + 4 * n + n + n + 2 * (n // 2)
+
+
+@pytest.mark.parametrize("forced, svd_calls, slices", [(False, 8, 12), (True, 50, 130)])
+def test_svd_gate_traffic(monkeypatch, forced, svd_calls, slices):
+    # the gate of colligation._needs_svd skips 118 of the 130 SVD slices the
+    # suite would take on its 2x2 systems, and the solves stay the same
+    svd, solve, stacks, solves = np.linalg.svd, np.linalg.solve, [], []
+
+    def counting_svd(a, *args, **kwargs):
+        stacks.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    if forced:
+        monkeypatch.setattr(colligation, "_needs_svd", lambda *args: True)
+    verify.run_verification(seed=3, n_systems=10)
+    assert (len(stacks), sum(stacks), len(solves)) == (svd_calls, slices, 110)
