@@ -440,6 +440,49 @@ class TestRefusal:
             with pytest.raises(DomainError, match="z has a NaN part"):
                 ev(sys, z)
 
+    # the sigma digits of an n > 1 SVD are LAPACK's, so only their format is pinned
+    SIGMAS = r"sigma_min=\d\.\d{3}e[+-]\d{2}, sigma_max=\d\.\d{3}e[+-]\d{2}"
+    # T = diag(1 + i, 2), K = (1, 0): a valid 2x2 system with Re T = diag(1, 2) exactly
+    DIAGONAL = LSystem(np.diag([1 + 1j, 2 + 0j]), [1.0, 0.0])
+
+    @pytest.mark.parametrize("ev, sys, zs, error, message", [
+        (transfer_resolvent, make_elementary(0.5 + 1j).system, [3j, complex(math.nan, 1.0), 0.5 + 1j],
+         DomainError, re.escape("T - zI at z=(nan+1j): z has a NaN part")),
+        (transfer_resolvent, make_elementary(2j).system, [3j, 2j, complex(math.nan, 0.0)],
+         SingularResolventError,
+         re.escape("T - zI at z=2j is numerically singular or ill-conditioned: n=1, "
+                   "sigma_min=0.000e+00, sigma_max=0.000e+00")),
+        (transfer_resolvent, DIAGONAL, [3j, 1 + 1j, 2 + 0j],
+         SingularResolventError,
+         re.escape("T - zI at z=(1+1j) is numerically singular or ill-conditioned: n=2, ") + SIGMAS),
+        (transfer_resolvent, LSystem([[1e-310 - 1j]], [1.0], -1), [1j, -1j, 1e-310 - 1j],
+         SingularResolventError,
+         re.escape("W(z) at z=(-0-1j) overflows the float range: the resolvent gives (nan+nanj) (n=1)")),
+        (impedance_resolvent, make_elementary(0.5 + 1j).system, [1j, complex(0.0, math.nan), 0.5],
+         DomainError, re.escape("Re T - zI at z=nanj: z has a NaN part")),
+        (impedance_resolvent, make_elementary(0.5 + 1j).system, [1j, 0.5, complex(math.nan, 0.0)],
+         SingularResolventError,
+         re.escape("Re T - zI at z=(0.5+0j) is numerically singular or ill-conditioned: n=1, "
+                   "sigma_min=0.000e+00, sigma_max=0.000e+00")),
+        (impedance_resolvent, DIAGONAL, [3j, 2 + 0j, 1 + 0j],
+         SingularResolventError,
+         re.escape("Re T - zI at z=(2+0j) is numerically singular or ill-conditioned: n=2, ") + SIGMAS),
+        (impedance_resolvent, make_elementary(1e-310 + 1j).system, [1j, 2e-310, 1e-310],
+         SingularResolventError,
+         re.escape("V(z) at z=(2e-310+0j) overflows the float range: the resolvent gives (nan+nanj) (n=1)")),
+    ])
+    def test_refusal_text_is_exact(self, ev, sys, zs, error, message):
+        # zs[1] fails alone; in the sequence it is the first failing point, and
+        # zs[2], which fails in another way, does not change the error
+        assert validate(sys).passed
+        for z in (zs[1], zs):
+            with pytest.raises(error) as info:
+                ev(sys, z)
+            assert type(info.value) is error and re.fullmatch(message, str(info.value)), str(info.value)
+        with pytest.raises((DomainError, SingularResolventError)) as info:
+            ev(sys, zs[2])
+        assert not re.fullmatch(message, str(info.value))
+
     def test_cayley_gate_is_the_guards_rule(self, monkeypatch):
         # |Im z| = 3 n eps (||T||_F + sqrt(n)|z|) lies between the old gate's
         # factor 2 and the rule's 4: the resolvent answers, after its SVD
