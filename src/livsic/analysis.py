@@ -95,12 +95,14 @@ def c_entropy(sys: LSystem) -> float:
 
 
 def c_entropy_resolvent(sys: LSystem) -> float:
-    """S = -ln|W(-i)| via the resolvent; +inf exactly where W(-i) = 0."""
+    """S = -ln|W(-i)| via the resolvent; +inf exactly where W(-i) = 0, and
+    +0.0 where |W(-i)| = 1, as from :func:`c_entropy` (the subtraction from
+    0.0 turns -0.0 into +0.0)."""
     w = transfer_resolvent(sys, -1j)
     mag = abs(w)
     if mag == 0.0:
         return INF
-    return -math.log(mag)
+    return 0.0 - math.log(mag)
 
 
 def dissipation_from_entropy(s: float) -> float:

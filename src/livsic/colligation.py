@@ -12,12 +12,8 @@ as the independent oracle for every closed form in the package:
     impedance_resolvent(z) = K* (Re T - zI)^(-1) K
 
 Each takes one point z or a 1-D sequence of points, and then returns a
-list of values from one stacked LAPACK solve, each with the bytes of the
-call at its point alone.  Each value is finite, or the call raises a
-typed error: DomainError for a z with a NaN part,
-SingularResolventError where the shifted operator is numerically
-singular or the value overflows.  In a sequence, the first point in
-order that fails raises.
+list of values; each value is finite, or the call raises a typed error
+(see ``_solve_guarded``).
 
 ``transfer_eval`` and ``impedance_eval`` pick their path.  For a valid
 colligation T - 2iJ KK* = T*, so the matrix determinant lemma gives
@@ -226,7 +222,8 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
     and a is finite: a non-finite a passes as its NaN singular values
     would, and LAPACK's SVD of it writes an illegal-value message to
     stdout.  DomainError for a z with a NaN part, before LAPACK sees it.
-    SingularResolventError where the value overflows (see :func:`_finite`).
+    SingularResolventError where the solve overflows and leaves the value
+    non-finite.
 
     A sequence is solved as a stack: one (m, n, n) copy of base, one
     stacked SVD of the slices that need it and one stacked solve, with an
@@ -234,15 +231,15 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
     treats each slice as it treats the matrix of a call at its point alone,
     and each value is formed from its own slice, so every value has the
     bytes of that call.  Where several points fail, the first one in order
-    raises, with the error that call would raise.  One point is a stack of
-    one, and its value is returned alone."""
+    raises, with the error that call would raise, and only the points
+    before the first NaN reach LAPACK.  One point is a stack of one, and
+    its value is returned alone."""
     n = sys.dim
     single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
     z = np.array([complex(z)] if single else z, dtype=complex)
     if z.ndim != 1:
         raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
     zs = z.tolist()
-    # only the points before the first NaN reach LAPACK
     stop = next((k for k, zk in enumerate(zs) if cmath.isnan(zk)), len(zs))
     if n <= 1:
         a = base - z[:stop, np.newaxis, np.newaxis]
@@ -258,31 +255,20 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
         singular = [(k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0]]
     first, s = singular[0] if singular else (stop, None)
     x = np.linalg.solve(a[:first], sys.K.reshape(1, n, 1)) if first else ()
-    out = [_finite(complex(value(sys, xk)), name, zk, n) for xk, zk in zip(x, zs)]
+    out = []
+    for xk, zk in zip(x, zs):
+        v = complex(value(sys, xk))
+        if not cmath.isfinite(v):
+            raise SingularResolventError(
+                f"{name} at z={zk} overflows the float range: the resolvent gives {v} (n={n})")
+        out.append(v)
     if first < stop:
-        raise _singular_error(op, zs[first], n, s)
-    if stop < len(zs):
-        raise _nan_error(op, zs[stop])
-    return out[0] if single else out
-
-
-def _nan_error(op: str, z: complex) -> DomainError:
-    return DomainError(f"{op} at z={z}: z has a NaN part")
-
-
-def _singular_error(op: str, z: complex, n: int, s) -> SingularResolventError:
-    return SingularResolventError(
-        f"{op} at z={z} is numerically singular or ill-conditioned: n={n}, "
-        f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-
-
-def _finite(value: complex, name: str, z: complex, n: int) -> complex:
-    """The resolvent's value, unless the solve overflowed and left it
-    non-finite: then SingularResolventError."""
-    if not cmath.isfinite(value):
         raise SingularResolventError(
-            f"{name} at z={z} overflows the float range: the resolvent gives {value} (n={n})")
-    return value
+            f"{op} at z={zs[first]} is numerically singular or ill-conditioned: n={n}, "
+            f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
+    if stop < len(zs):
+        raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
+    return out[0] if single else out
 
 
 def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
@@ -358,9 +344,9 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 
     The resolvent is called instead, with bit-identical values and
     errors, unless u is finite, |1 + u| >= 1/2 and the resolvent would skip
-    its SVD at z: |Im z| > 4 n eps (||T||_F + sqrt(n) |z|), the rule of
-    :func:`_needs_svd` with floor |Im z|.  That rule holds only for a finite
-    z off the real axis, and there the resolvent's guard could not fire.
+    its SVD at z (:func:`_needs_svd` with its floor :func:`_axis_floor`),
+    which holds only for a finite z off the real axis; there the
+    resolvent's guard could not fire.
 
     The bound is for the colligation with T's diagonal, as in
     :func:`transfer_eval`: on a system valid only within ``validate``'s
@@ -369,7 +355,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     """
     z = complex(z)
     d = sys.triangular_diagonal
-    if d is None or not d.size or _needs_svd(sys, abs(z.imag), z):
+    if d is None or not d.size or _needs_svd(sys, _axis_floor(sys, z), z):
         return impedance_resolvent(sys, z)
     sign = 1 if sys.J * z.imag > 0 else -1
     # the f_j above as (a_j - z)/(b_j - z), and f_j - 1 as

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateError, DomainError, NotHerglotzAtomicError, PoleError
+from .errors import DegenerateError, DomainError, NotHerglotzAtomicError, PoleError, RangeError
 
 # Numerical guards.  Root/residue checks follow standard companion-matrix
 # practice; the pole guard is scaled by denominator coefficient size.
@@ -124,7 +124,9 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Ratio of two complex polynomials, denominator kept monic."""
+    """Ratio of two complex polynomials, denominator kept monic; RangeError
+    where dividing by the denominator's leading coefficient exceeds the
+    float range."""
 
     num: Polynomial
     den: Polynomial
@@ -137,8 +139,12 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("denominator is the zero polynomial")
         lead = den.coeffs[-1]
-        den = den.scale(1.0 / lead)
-        object.__setattr__(self, "num", num.scale(1.0 / lead))
+        try:
+            den, num = den.scale(1.0 / lead), num.scale(1.0 / lead)
+        except ValueError:
+            raise RangeError(f"dividing by the leading denominator coefficient {lead} "
+                             "exceeds the float range") from None
+        object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_pole_scale", max(1.0, max(abs(c) for c in den.coeffs)))
 

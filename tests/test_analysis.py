@@ -31,6 +31,7 @@ from livsic import (
     make_elementary,
     make_skew_adjoint,
     self_skew_coupling,
+    transfer_resolvent,
 )
 from livsic.analysis import _elementary_entropy
 
@@ -117,6 +118,16 @@ class TestEntropy:
         assert abs(c_entropy_resolvent(make_elementary(1e-300 + 1j).system)
                    - c_entropy_elementary_closed(1e-300 + 1j)) < 1e-12
         assert abs(c_entropy_resolvent(make_elementary(2j).system) - math.log(3)) < 1e-12
+
+    @pytest.mark.parametrize("sys", [
+        LSystem(np.zeros((0, 0)), []), LSystem([[2.0]], [0.0], 1), LSystem([[2.0]], [0.0], -1),
+        LSystem(np.diag([2.0, -1.0]), [0.0, 0.0]),
+    ], ids=["zero-state", "real-J+1", "real-J-1", "diagonal-K0"])
+    def test_zero_entropy_has_one_sign(self, sys):
+        # |W(-i)| == 1 exactly: -ln 1 is -0.0, and both evaluators give +0.0
+        assert abs(transfer_resolvent(sys, -1j)) == 1.0
+        for s in (c_entropy(sys), c_entropy_resolvent(sys)):
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_closed_vs_resolvent_random(self, rng):
         for _ in range(50):

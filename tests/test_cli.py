@@ -473,6 +473,12 @@ class TestEntropySubcommand:
         report = run_json(capsys, "entropy", "--lambda0", "1e-300,1")
         assert report["entropy"] == report["entropy_resolvent"] == 691.468675079
 
+    def test_subnormal_entropy_and_the_oracles_zero(self, capsys):
+        # the sum keeps S = 2e-320; the resolvent's W(-i) rounds to 1, and S to +0.0
+        code, out, err = run(capsys, "entropy", "--lambda0", "0,1e-320")
+        assert code == 0 and err == ""
+        assert '"entropy": 2e-320,' in out and '"entropy_resolvent": 0.0\n' in out
+
     def test_descriptor_input(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         path.write_text(json.dumps({"lambda0": {"re": 1.0, "im": 1.0}}))

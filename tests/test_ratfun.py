@@ -15,6 +15,7 @@ from livsic import (
     NotHerglotzAtomicError,
     PoleError,
     Polynomial,
+    RangeError,
     RationalFunction,
     cayley_v_to_w,
     cayley_w_to_v,
@@ -87,6 +88,16 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("num, den, lead", [
+        ((1.0,), (1.0, 1e-320), "(1e-320+0j)"),  # 1/lead overflows in the denominator
+        ((1e300,), (1.0, 1e-10), "(1e-10+0j)"),  # the numerator over lead overflows
+    ])
+    def test_monic_division_past_the_float_range_names_the_leading_coefficient(self, num, den, lead):
+        message = f"dividing by the leading denominator coefficient {lead} exceeds the float range"
+        with pytest.raises(RangeError) as info:
+            RationalFunction(num, den)
+        assert str(info.value) == message and isinstance(info.value, ValueError)
 
 
 class TestRatEval:
