@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from . import analysis, circuit, coupling, elementary, verify
+from . import analysis, coupling, elementary
 from .colligation import LSystem, impedance_resolvent, validate
 from .errors import DomainError, LivsicError
 from .ratfun import RationalFunction
@@ -125,6 +125,17 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'xmin,xmax,ymin,ymax,nx,ny', got {text!r}") from None
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+        return seed
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
 
 
 def _read_in(args):
@@ -330,6 +341,8 @@ def _cmd_surface(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    from . import circuit  # the one subcommand that needs it
+
     if not args.infile:
         raise ValueError("synth needs --in with Foster data JSON")
     doc = _read_in(args)
@@ -342,6 +355,8 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    from . import verify  # the one subcommand that needs it
+
     results = verify.run_verification(seed=args.seed)
     for r in results:
         print(f"{r.name}: max_residual={r.max_residual:.6e} "
@@ -375,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=_parse_grid, required=True,
                            metavar="XMIN,XMAX,YMIN,YMAX,NX,NY")
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=_parse_seed, default=42)
         p.set_defaults(func=func)
 
     add("elementary", _cmd_elementary, "build a one-dimensional system from lambda0",

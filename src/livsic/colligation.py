@@ -68,7 +68,10 @@ class LSystem:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, T, K, J=1):
-        T = np.array(T, dtype=complex, ndmin=2)
+        rows, T = T, np.array(T, dtype=complex, ndmin=2)
+        # ndmin=2 reads a T with no rows, [], as 1x0: it is the 0x0 operator
+        if T.shape == (1, 0) and np.ndim(rows) == 1:
+            T = T.reshape(0, 0)
         K = np.array(np.ravel(K), dtype=complex)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise DimensionError(f"main operator must be square, got {T.shape}")

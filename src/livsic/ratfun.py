@@ -24,10 +24,10 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateError, DomainError, NotHerglotzAtomicError, PoleError, RangeError
 
@@ -104,6 +104,8 @@ class Polynomial:
         """Roots via eigenvalues of the companion matrix."""
         if self.degree < 1:
             return np.empty(0, dtype=complex)
+        # imported here: nothing else in the package needs numpy.polynomial
+        from numpy.polynomial import polynomial as npoly
         return npoly.polyroots(np.asarray(self.coeffs))
 
     def __str__(self) -> str:
@@ -318,14 +320,16 @@ def partial_fractions_real_poles(r: RationalFunction | AtomicMeasure | _PoleResi
     return AtomicMeasure(atoms)
 
 
-# Fixed seeded sample points for rational-function comparison.  Generic
-# complex points: the chance of landing on a pole of any function under
-# test is negligible, and near-pole points are skipped anyway.
-_POINT_RNG = np.random.default_rng(20240831)
-_SAMPLE_POINTS = tuple(
-    complex(re, im)
-    for re, im in zip(_POINT_RNG.uniform(-3, 3, 24), _POINT_RNG.uniform(-3, 3, 24))
-)
+@functools.cache
+def _sample_points() -> tuple[complex, ...]:
+    """The 24 fixed seeded sample points for rational-function comparison,
+    drawn on first use, so that importing the package loads no numpy.random.
+    Generic complex points: the chance of landing on a pole of any function
+    under test is negligible, and near-pole points are skipped anyway."""
+    rng = np.random.default_rng(20240831)
+    return tuple(complex(re, im) for re, im in zip(rng.uniform(-3, 3, 24), rng.uniform(-3, 3, 24)))
+
+
 N_SAMPLE_POINTS = 8
 
 
@@ -338,7 +342,7 @@ def rat_sampled_equal(r1: RationalFunction | _PoleResidue, r2: RationalFunction 
     floor 1 for values near zero).
     """
     used = 0
-    for z in _SAMPLE_POINTS:
+    for z in _sample_points():
         try:
             v1, v2 = rat_eval(r1, z), rat_eval(r2, z)
         except PoleError:

@@ -131,7 +131,7 @@ def run_verification(seed: int = 42, n_systems: int = 100) -> list[CheckResult]:
         den = rng.normal(size=dd) + 1j * rng.normal(size=dd)
         v = ratfun.RationalFunction(num, den)
         back = ratfun.cayley_w_to_v(ratfun.cayley_v_to_w(v))
-        for z in ratfun._SAMPLE_POINTS[: ratfun.N_SAMPLE_POINTS]:
+        for z in ratfun._sample_points()[: ratfun.N_SAMPLE_POINTS]:
             roundtrip = max(roundtrip, _rel(ratfun.rat_eval(back, z), ratfun.rat_eval(v, z)))
 
     return [

@@ -1,8 +1,14 @@
-"""Shared helpers: seeded draws and tolerance comparisons."""
+"""Shared helpers: seeded draws, tolerance comparisons and fresh interpreters."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import livsic
 from livsic import RationalFunction, rat_eval, rat_sampled_equal
 
 
@@ -42,6 +48,17 @@ def assert_rat_equal(r1, r2, rel_tol=1e-12):
 def assert_rat_value(r, z, expected, rel_tol=1e-12):
     got = rat_eval(r, z)
     assert rel_err(got, expected) <= rel_tol, f"{r} at {z}: {got} != {expected}"
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``python -c code *args`` in a fresh interpreter that imports
+    the livsic under test, from the source tree or installed."""
+    path = [str(Path(livsic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

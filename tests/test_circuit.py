@@ -38,7 +38,7 @@ from livsic import (
     skew_coupling_foster,
     synthesize,
 )
-from livsic.ratfun import _SAMPLE_POINTS
+from livsic.ratfun import _sample_points
 
 
 def random_spec(rng, max_stages=4, with_origin=True):
@@ -75,7 +75,7 @@ def fold_tolerance(r):
 
     n = len(r.den.coeffs)
     return max(4 * n * sys.float_info.epsilon * (cond(r.num, z) + cond(r.den, z))
-               for z in _SAMPLE_POINTS)
+               for z in _sample_points())
 
 
 class TestFosterSpec:

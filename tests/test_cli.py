@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
 from livsic import (
     LSystem,
@@ -146,6 +147,9 @@ class TestElementary:
      "argument --grid: expected 'xmin,xmax,ymin,ymax,nx,ny', got '1,2,3'"),
     (["surface", "--grid=-1,1,0.5,2,a,3"],
      "argument --grid: expected 'xmin,xmax,ymin,ymax,nx,ny', got '-1,1,0.5,2,a,3'"),
+    (["verify", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+    (["verify", "--seed=-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+    (["verify", "--seed", "1.5"], "argument --seed: expected a non-negative integer, got '1.5'"),
 ])
 def test_usage_error_names_the_expected_format(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
@@ -485,6 +489,20 @@ class TestEntropySubcommand:
         report = run_json(capsys, "entropy", "--in", str(path))
         assert report["entropy"] == 0.804718956217
 
+    def test_main_operator_with_no_rows_is_the_zero_state(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"T": [], "K": []}))
+        code, out, err = run(capsys, "entropy", "--in", str(path))
+        assert code == 0 and err == ""
+        assert out == '{\n  "entropy": 0.0,\n  "dissipation": 0.0\n}\n'
+
+    def test_one_empty_row_is_still_refused(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"T": [[]], "K": []}))
+        code, out, err = run(capsys, "entropy", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "invariant violation: main operator must be square, got (1, 0)\n"
+
     def test_mirror_parameter_near_minus_i_is_finite(self, capsys, tmp_path):
         # S = (1/2) ln(1e-20/4); the small-S log1p form would round it to -inf
         path = tmp_path / "sys.json"
@@ -648,6 +666,69 @@ class TestVerify:
                        "broken: max_residual=2.000000e-03 tol=1e-10 FAIL\n"
                        "verification FAILED (2 checks, seed=3)\n")
         assert err == "invariant violation: verification failed: 1 of 2 checks over tolerance\n"
+
+    def test_seed_past_64_bits_runs(self, capsys):
+        seed = 2**64 + 1
+        code, out, _ = run(capsys, "verify", "--seed", str(seed))
+        assert code == 0 and out.endswith(f" checks, seed={seed})\n")
+
+
+# What a fresh interpreter loads beyond `import numpy`: on importing the CLI,
+# then after each of three calls of main.  Comparing against numpy's own
+# import keeps this true where numpy itself loads numpy.random and
+# numpy.polynomial (numpy 1.24).
+IMPORT_TRACE = """
+import contextlib, io, json, sys
+
+import numpy
+
+base = set(sys.modules)
+from livsic.cli import main
+
+trace = {"import": {"loaded": sorted(set(sys.modules) - base)}}
+for name, argv in [("bad seed", ["verify", "--seed", "-1"]),
+                   ("synth", ["synth", "--in", sys.argv[1]]),
+                   ("verify", ["verify", "--seed", "0"])]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    trace[name] = {"code": code, "err": err.getvalue(), "loaded": sorted(set(sys.modules) - base)}
+print(json.dumps(trace))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_trace(tmp_path_factory):
+    spec = tmp_path_factory.mktemp("imports") / "foster.json"
+    spec.write_text(json.dumps({"a0": 1, "stages": [{"a": 1, "b": 2}]}))
+    return json.loads(run_fresh(IMPORT_TRACE, str(spec)))
+
+
+def _numpy_submodules(loaded):
+    return [m for m in loaded if m.startswith("numpy.")]
+
+
+class TestImports:
+    """A call loads only what its subcommand runs."""
+
+    def test_importing_the_cli_loads_no_numpy_submodule_nor_circuit_nor_verify(self, import_trace):
+        loaded = import_trace["import"]["loaded"]
+        assert "livsic.cli" in loaded and _numpy_submodules(loaded) == []
+        assert "livsic.circuit" not in loaded and "livsic.verify" not in loaded
+
+    def test_a_bad_seed_is_refused_before_verify_loads(self, import_trace):
+        call = import_trace["bad seed"]
+        assert call["code"] == 1 and "argument --seed" in call["err"]
+        assert "livsic.verify" not in call["loaded"] and _numpy_submodules(call["loaded"]) == []
+
+    def test_synth_loads_circuit_and_no_numpy_submodule(self, import_trace):
+        call = import_trace["synth"]
+        assert call["code"] == 0 and "livsic.circuit" in call["loaded"]
+        assert "livsic.verify" not in call["loaded"] and _numpy_submodules(call["loaded"]) == []
+
+    def test_verify_loads_verify(self, import_trace):
+        call = import_trace["verify"]
+        assert call["code"] == 0 and "livsic.verify" in call["loaded"]
 
 
 def _c(re, im):

@@ -710,6 +710,17 @@ class TestZeroState:
     def test_entropy(self):
         assert c_entropy(self.SYS) == 0.0
 
+    @pytest.mark.parametrize("t", [[], (), np.empty(0)])
+    def test_a_main_operator_with_no_rows_is_0x0(self, t):
+        sys = LSystem(t, [])
+        assert sys == self.SYS and sys.T.shape == (0, 0) and sys.dim == 0
+        assert not sys.T.flags.writeable
+
+    @pytest.mark.parametrize("t", [[[]], np.empty((1, 0))])
+    def test_one_empty_row_is_still_refused(self, t):
+        with pytest.raises(DimensionError, match=re.escape("must be square, got (1, 0)")):
+            LSystem(t, [])
+
 
 class TestTriangular:
     """W and S read off the diagonal of an upper-triangular T (the triangular model)."""

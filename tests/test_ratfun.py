@@ -25,7 +25,7 @@ from livsic import (
     rat_sampled_equal,
     transfer_resolvent,
 )
-from livsic.ratfun import _SAMPLE_POINTS, N_SAMPLE_POINTS, TAU_POLE, _PoleResidue
+from livsic.ratfun import N_SAMPLE_POINTS, TAU_POLE, _PoleResidue, _sample_points
 
 # Frequently used fixtures: the two degree-one pairs from the worked
 # examples, W = (z+i)/(z-i) <-> V = -1/z and W = (1-i-z)/(1+i-z) <-> V = 1/(1-z).
@@ -338,21 +338,30 @@ class TestAtomicMeasure:
         assert m.cauchy_transform(0.5 + 0.25j) == 0.30270270270270294 + 1.0162162162162163j
 
 
+def test_sample_points_are_the_seeded_draw():
+    # drawn on first use, bit for bit the draw that was made at import
+    rng = np.random.default_rng(20240831)
+    re_parts, im_parts = rng.uniform(-3, 3, 24), rng.uniform(-3, 3, 24)
+    want = [(float(a).hex(), float(b).hex()) for a, b in zip(re_parts, im_parts)]
+    assert [(z.real.hex(), z.imag.hex()) for z in _sample_points()] == want
+    assert _sample_points() is _sample_points()
+
+
 def test_sampled_equality_detects_difference():
     assert not rat_sampled_equal(W_I, W_1I, 1e-9)
 
 
 def test_sampled_equality_skips_a_sample_point_at_a_pole():
     # den(z) = z - p vanishes exactly at the first sample point
-    r = RationalFunction((1.0,), (-_SAMPLE_POINTS[0], 1.0))
+    r = RationalFunction((1.0,), (-_sample_points()[0], 1.0))
     with pytest.raises(PoleError):
-        rat_eval(r, _SAMPLE_POINTS[0])
+        rat_eval(r, _sample_points()[0])
     assert rat_sampled_equal(r, r)
 
 
 def test_sampled_equality_needs_enough_clean_points():
     # a pole at all but N_SAMPLE_POINTS - 1 of the sample points
-    poles = _SAMPLE_POINTS[N_SAMPLE_POINTS - 1:]
+    poles = _sample_points()[N_SAMPLE_POINTS - 1:]
     r = _PoleResidue(tuple((t, 1.0) for t in poles))
     with pytest.raises(PoleError, match="too few clean sample points"):
         rat_sampled_equal(r, r)
