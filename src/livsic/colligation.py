@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -190,12 +189,14 @@ def validate(sys: LSystem) -> ValidationReport:
     return ValidationReport(sys.residual, threshold, sys.residual <= threshold)
 
 
-def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
+def _needs_svd(sys: LSystem, z: complex, re_t: bool) -> bool:
     """Whether the resolvent at z must run the SVD test of
-    :func:`_solve_guarded`: true unless floor > 4*n*eps*(||T||_F + sqrt(n)|z|).
+    :func:`_solve_guarded`, on a = Re T - zI when ``re_t``, else on
+    a = T - zI: true unless floor > 4*n*eps*(||T||_F + sqrt(n)|z|).
 
-    ``floor`` is a proven lower bound on sigma_min(a) for a = T - zI or
-    Re T - zI, from the numerical range of the unshifted operator:
+    floor, the distance from z to the strip that holds the numerical range
+    of the unshifted operator, ``sys.im_strip`` for T and [0, 0] (so |Im z|)
+    for Re T, is a proven lower bound on sigma_min(a), as
     sigma_min(A - zI) >= dist(z, W(A)).  The bound ||T||_F + sqrt(n)|z| is
     at least ||a||_F >= sigma_max(a), as ||Re T||_F <= ||T||_F.  Past it,
     sigma_min exceeds four times the threshold n*eps*sigma_max, and the
@@ -206,23 +207,23 @@ def _needs_svd(sys: LSystem, floor: float, z: complex) -> bool:
     to 256, where the SVD costs 6 to 10 times the solve.  The predicate is
     true for every non-finite z, where the bound is inf or NaN.
     """
+    lo, hi = (0.0, 0.0) if re_t else sys.im_strip
+    floor = max(lo - z.imag, z.imag - hi)
     return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
 
 
-def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, complex], float],
-                   op: str, name: str, value: Callable[[LSystem, np.ndarray], complex],
-                   z) -> complex | list[complex]:
-    """The resolvent value(x) at z, for x the solution of a x = K with
-    a = base - zI, base = T or Re T of sys; at each point of z, in a list,
-    when z is a 1-D sequence (list, tuple or array).  The copy of base is
-    shifted only on its diagonal.
+def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
+    """The resolvent V(z) = q when ``re_t``, else W(z) = 1 - 2iqJ, for
+    q = K*x and x the solution of a x = K with a = base - zI, base = Re T
+    or T of sys; at each point of z, in a list, when z is a 1-D sequence
+    (list, tuple or array).  The copy of base is shifted only on its diagonal.
 
     SingularResolventError where a is numerically singular:
     sigma_min(a) <= n*eps*sigma_max(a).  For n = 1 that is a_11 == 0, with
     no SVD: sigma_min = sigma_max = |a_11|, and the SVD of a non-finite
     a_11, or of one whose modulus overflows, gives NaN, which passes.  For
-    n > 1 the SVD runs only where :func:`_needs_svd` says so, from floor(z),
-    and a is finite: a non-finite a passes as its NaN singular values
+    n > 1 the SVD runs only where :func:`_needs_svd` says so and a is
+    finite: a non-finite a passes as its NaN singular values
     would, and LAPACK's SVD of it writes an illegal-value message to
     stdout.  DomainError for a z with a NaN part, before LAPACK sees it.
     SingularResolventError where the solve overflows and leaves the value
@@ -237,6 +238,7 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
     raises, with the error that call would raise, and only the points
     before the first NaN reach LAPACK.  One point is a stack of one, and
     its value is returned alone."""
+    base, op, name = (sys._re_t, "Re T - zI", "V(z)") if re_t else (sys.T, "T - zI", "W(z)")
     n = sys.dim
     single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
     z = np.array([complex(z)] if single else z, dtype=complex)
@@ -253,14 +255,15 @@ def _solve_guarded(base: np.ndarray, sys: LSystem, floor: Callable[[LSystem, com
         a.T[:: n + 1] -= z[:stop]
         a = a.reshape(stop, n, n)
         need = [k for k in range(stop)
-                if _needs_svd(sys, floor(sys, zs[k]), zs[k]) and np.isfinite(a[k]).all()]
+                if _needs_svd(sys, zs[k], re_t) and np.isfinite(a[k]).all()]
         s = np.linalg.svd(a[need], compute_uv=False) if need else ()
         singular = [(k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0]]
     first, s = singular[0] if singular else (stop, None)
     x = np.linalg.solve(a[:first], sys.K.reshape(1, n, 1)) if first else ()
     out = []
     for xk, zk in zip(x, zs):
-        v = complex(value(sys, xk))
+        q = np.vdot(sys.K, xk)
+        v = complex(q if re_t else 1.0 - 2j * q * sys.J)
         if not cmath.isfinite(v):
             raise SingularResolventError(
                 f"{name} at z={zk} overflows the float range: the resolvent gives {v} (n={n})")
@@ -312,17 +315,7 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
 def transfer_resolvent(sys: LSystem, z) -> complex | list[complex]:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J, at one
     point z or at each point of a 1-D sequence z (then a list)."""
-    return _solve_guarded(sys.T, sys, _strip_floor, "T - zI", "W(z)", _transfer_value, z)
-
-
-def _strip_floor(sys: LSystem, z: complex) -> float:
-    """Distance from z to the strip that holds the numerical range of T."""
-    lo, hi = sys.im_strip
-    return max(lo - z.imag, z.imag - hi)
-
-
-def _transfer_value(sys: LSystem, x: np.ndarray) -> complex:
-    return 1.0 - 2j * np.vdot(sys.K, x) * sys.J
+    return _solve_guarded(sys, z, False)
 
 
 def impedance_eval(sys: LSystem, z: complex) -> complex:
@@ -347,9 +340,9 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 
     The resolvent is called instead, with bit-identical values and
     errors, unless u is finite, |1 + u| >= 1/2 and the resolvent would skip
-    its SVD at z (:func:`_needs_svd` with its floor :func:`_axis_floor`),
-    which holds only for a finite z off the real axis; there the
-    resolvent's guard could not fire.
+    its SVD at z (:func:`_needs_svd` for Re T, whose floor is |Im z|), which
+    holds only for a finite z off the real axis; there the resolvent's
+    guard could not fire.
 
     The bound is for the colligation with T's diagonal, as in
     :func:`transfer_eval`: on a system valid only within ``validate``'s
@@ -358,7 +351,7 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     """
     z = complex(z)
     d = sys.triangular_diagonal
-    if d is None or not d.size or _needs_svd(sys, _axis_floor(sys, z), z):
+    if d is None or not d.size or _needs_svd(sys, z, True):
         return impedance_resolvent(sys, z)
     sign = 1 if sys.J * z.imag > 0 else -1
     # the f_j above as (a_j - z)/(b_j - z), and f_j - 1 as
@@ -381,13 +374,4 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z) -> complex | list[complex]:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K, at one point z
     or at each point of a 1-D sequence z (then a list)."""
-    return _solve_guarded(sys._re_t, sys, _axis_floor, "Re T - zI", "V(z)", _impedance_value, z)
-
-
-def _axis_floor(sys: LSystem, z: complex) -> float:
-    """|Im z|: Re T is exactly Hermitian, so Re T - zI is normal with sigma_min >= |Im z|."""
-    return abs(z.imag)
-
-
-def _impedance_value(sys: LSystem, x: np.ndarray) -> complex:
-    return np.vdot(sys.K, x)
+    return _solve_guarded(sys, z, True)

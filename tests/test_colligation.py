@@ -489,7 +489,7 @@ class TestRefusal:
         sys = make_elementary(1 + 1j).system
         y = 3.0 * np.finfo(float).eps * (sys.t_norm + 2.0)
         z, clear = complex(-2.0, y), complex(-2.0, 2.0 * y)
-        assert colligation._needs_svd(sys, y, z) and not colligation._needs_svd(sys, 2.0 * y, clear)
+        assert colligation._needs_svd(sys, z, True) and not colligation._needs_svd(sys, clear, True)
         resolvent, calls = colligation.impedance_resolvent, []
 
         def recording(sys, z):
