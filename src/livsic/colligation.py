@@ -205,11 +205,15 @@ def _needs_svd(sys: LSystem, z: complex, re_t: bool) -> bool:
     suite's 2x2 slices, 8% of its time; chains reach the resolvent only in
     ``impedance_eval``'s fallback, and a dense system's c-entropy at n = 64
     to 256, where the SVD costs 6 to 10 times the solve.  The predicate is
-    true for every non-finite z, where the bound is inf or NaN.
+    true for every non-finite z, where the bound is inf or NaN, and for a
+    finite z whose |z| exceeds the float range, where the bound is taken as inf.
     """
     lo, hi = (0.0, 0.0) if re_t else sys.im_strip
-    floor = max(lo - z.imag, z.imag - hi)
-    return not floor > 4.0 * sys.dim * _EPS * (sys.t_norm + math.sqrt(sys.dim) * abs(z))
+    try:
+        bound = sys.t_norm + math.sqrt(sys.dim) * abs(z)
+    except OverflowError:  # abs() of a finite z whose modulus exceeds the float range
+        bound = math.inf
+    return not max(lo - z.imag, z.imag - hi) > 4.0 * sys.dim * _EPS * bound
 
 
 def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:

@@ -176,7 +176,10 @@ def _pole_sum(atoms, z: complex) -> complex:
     for t, w in atoms:
         d = t - z
         # the guard spelled out: max() would double the loop's cost
-        ad = abs(d)
+        try:
+            ad = abs(d)
+        except OverflowError:  # |t - z| beyond the float range is clear of every pole
+            ad = cmath.inf
         if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
             raise PoleError(f"z={z} is at or too near the pole {t}")
         acc += w / d
@@ -192,11 +195,16 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
     with an infinite part the value is the limit at infinity: the
     numerator's leading coefficient when the degrees are equal (the
     denominator is monic), 0 when the numerator's degree is lower, and
-    PoleError, the pole at infinity, when it is higher.
+    PoleError, the pole at infinity, when it is higher.  At a finite z,
+    RangeError where the numerator's or the denominator's Horner value or
+    their quotient exceeds the float range; a denominator whose modulus
+    alone exceeds it is clear of every pole, and the quotient is formed from
+    the quartered values where the plain division overflows inside.
 
     A function recorded by its poles and weights, a measure or a pole
     record, is summed directly, sum w_j/(t_j - z); its guard is per pole,
-    raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j.
+    raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j;
+    a distance |t_j - z| beyond the float range is clear of the pole.
     """
     z = complex(z)
     if cmath.isnan(z):
@@ -209,10 +217,26 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
             raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
                             f"exceeds the denominator's {dd}")
         return r.num.coeffs[-1] if dn == dd else 0j
-    den = r.den(z)
-    if abs(den) < TAU_POLE * r._pole_scale:
+    den = _finite(r.den(z), "denominator's Horner value", z)
+    try:
+        near = abs(den) < TAU_POLE * r._pole_scale
+    except OverflowError:  # |den| beyond the float range is clear of every pole
+        near = False
+    if near:
         raise PoleError(f"denominator ~ 0 at z={z}")
-    return r.num(z) / den
+    num = _finite(r.num(z), "numerator's Horner value", z)
+    q = num / den
+    if not cmath.isfinite(q) or not q and num:
+        # complex division overflows inside, to NaN or a silent 0, where a part of num or
+        # den nears the float range; quartering both is exact above the subnormals
+        q = (num / 4.0) / (den / 4.0)
+    return _finite(q, "quotient num/den", z)
+
+
+def _finite(v: complex, what: str, z: complex) -> complex:
+    if not cmath.isfinite(v):
+        raise RangeError(f"rat_eval at z={z}: the {what} exceeds the float range ({v})")
+    return v
 
 
 def rat_mul(r1: RationalFunction, r2: RationalFunction) -> RationalFunction:

@@ -374,6 +374,18 @@ class TestGuard:
             else:
                 assert ev(sys, z) == value(x)
 
+    @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1.7e308 - 1.7e308j])
+    def test_modulus_past_the_float_range_runs_the_svd(self, rng, z):
+        # z is finite but |z| is not: the gate takes its bound as inf and runs the
+        # SVD, which passes, so W and V give their limits 1 and 0 at n = 1 and 2,
+        # chained or dense
+        two = _chain([1 + 1j, -0.5 + 2j])
+        assert colligation._needs_svd(two, z, False) and colligation._needs_svd(two, z, True)
+        for sys in (make_elementary(1 + 1j).system, two, _similar(two, rng)):
+            assert validate(sys).passed
+            assert impedance_eval(sys, z) == 0j, sys.dim
+            assert transfer_resolvent(sys, z) == 1.0 and impedance_resolvent(sys, z) == 0j
+
     def test_numerical_range_inside_strip(self, rng):
         for sys in _guard_systems(rng):
             lo, hi = sys.im_strip

@@ -11,6 +11,7 @@ from livsic import (
     AtomicMeasure,
     DegenerateError,
     DomainError,
+    FosterSpec,
     LSystem,
     NotHerglotzAtomicError,
     PoleError,
@@ -19,10 +20,16 @@ from livsic import (
     RationalFunction,
     cayley_v_to_w,
     cayley_w_to_v,
+    coupling_impedance_closed,
+    coupling_transfer_closed,
+    foster_to_herglotz,
     partial_fractions_real_poles,
+    positive_real_z,
     rat_eval,
     rat_mul,
     rat_sampled_equal,
+    self_skew_impedance_closed,
+    transfer_closed,
     transfer_resolvent,
 )
 from livsic.ratfun import N_SAMPLE_POINTS, TAU_POLE, _PoleResidue, _sample_points
@@ -151,6 +158,33 @@ class TestRatEval:
         for r in (RationalFunction((1.0, 2.0, 3.0), (1.0, 1.0)), RationalFunction((0.0, 1.0))):
             with pytest.raises(PoleError, match=r"pole at infinity: the numerator's degree"):
                 rat_eval(r, z)
+
+    @pytest.mark.parametrize("r, z, which", [
+        # W tends to 1 and V to about -3e-200 here: a NaN and a silent zero before
+        (coupling_transfer_closed(1j, 2j), 1e200, "denominator's Horner value"),
+        (coupling_impedance_closed(1j, 2j), 1e200, "denominator's Horner value"),
+        (self_skew_impedance_closed(1 + 1j), 1e160 + 1e160j, "denominator's Horner value"),
+        (RationalFunction((0.0, 0.0, 1.0), (1.0, 1.0)), 1e200, "numerator's Horner value"),
+        (RationalFunction((1e300,), (1e-11, 1.0)), 0.0, "quotient num/den")])
+    def test_a_value_past_the_float_range_is_a_range_error(self, r, z, which):
+        message = f"rat_eval at z={complex(z)}: the {which} exceeds the float range ("
+        with pytest.raises(RangeError) as info:
+            rat_eval(r, z)
+        assert str(info.value).startswith(message), str(info.value)
+
+    @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1.7e308 - 1.7e308j])
+    def test_a_distance_past_the_float_range_is_clear_of_every_pole(self, z):
+        # |z|, |t - z| and |den| exceed the float range though z is finite
+        spec = FosterSpec(1.0, [(1.0, 2.0)])
+        for r in (foster_to_herglotz(spec), positive_real_z(spec)):
+            assert rat_eval(r, z) == 0j
+        # parts of num and den near the float range: the quotient is still W's limit 1,
+        # and 1e8/z is its own tiny value, not a silent 0; as |Re z| = |Im z|,
+        # 1/z = 1/(2 Re z) - i/(2 Im z)
+        assert rat_eval(transfer_closed(1j), z) == 1.0
+        want = complex(0.5e8 / z.real, -0.5e8 / z.imag)
+        got = rat_eval(RationalFunction((1e8,), (0.0, 1.0)), z)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * abs(want), got
 
     def test_pole_scale_is_stored_from_the_monic_denominator(self):
         r = RationalFunction((1.0,), (4.0, -6.0, 2.0))
