@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import LSystem, _check_off_diagonal, transfer_resolvent
+from .colligation import LSystem, _eigenvalue_error, transfer_resolvent
 from .elementary import _check_upper
 from .errors import DomainError, NotHerglotzError, RangeError
 
@@ -86,11 +86,14 @@ def c_entropy(sys: LSystem) -> float:
     """S = -ln|W(-i)|: the sum of the elementary entropies of the diagonal
     of T when the system has a triangular diagonal (see
     ``LSystem.triangular_diagonal``), else :func:`c_entropy_resolvent`.
-    +inf exactly when a diagonal entry is i."""
+    +inf exactly when a diagonal entry is i.  A diagonal entry -i, a pole
+    of W there, raises SingularResolventError, found by one comparison with
+    the diagonal before the sum."""
     d = sys.triangular_diagonal
     if d is None:
         return c_entropy_resolvent(sys)
-    _check_off_diagonal(d, complex(0.0, -1.0))
+    if (d == -1j).any():
+        raise _eigenvalue_error(d, complex(0.0, -1.0))
     return float(_elementary_entropy(d.real, d.imag).sum())
 
 
@@ -130,17 +133,24 @@ def _elementary_entropy(x, y):
     h = hypot(x, 1 - y), which squares nothing, wherever 4y > -lo/2 (every
     y >= 0, and an infinite lo).  Then u > -1/2, where log1p is well
     conditioned.  Only a J = -1 entry with hi < lo/2 takes the ratio,
-    (1/2) ln(hi/lo), which cannot cancel there as |S| > (1/2) ln 2.  Where
+    (1/2) ln(hi/lo), which cannot cancel there as |S| > (1/2) ln 2, and the
+    ratio is formed only when some entry takes it.  Where
     either sum is below twice the smallest normal float (x + iy near i,
     where u can overflow, or near -i for a J = -1 system),
     S = ln hypot(x, 1+y) - ln h."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        hi = x * x + (1.0 + y) * (1.0 + y)
-        lo = x * x + (1.0 - y) * (1.0 - y)
-        h = np.hypot(x, 1.0 - y)
-        s = np.where(4.0 * y > -lo / 2.0, 0.5 * np.log1p(4.0 * (y / h) / h),
-                     0.5 * np.log(np.divide(hi, lo)))
-        small = (lo < 2.0 * _TINY) | (hi < 2.0 * _TINY)
+        xx, ym = x * x, 1.0 - y
+        lo = xx + ym * ym
+        h = np.hypot(x, ym)
+        s = 0.5 * np.log1p(4.0 * (y / h) / h)
+        small = lo < 2.0 * _TINY
+        keep = 4.0 * y > lo / -2.0
+        if not np.all(keep):
+            # hi < 2 tiny needs y = -1 and x tiny, where keep fails, so hi is formed here only
+            yp = 1.0 + y
+            hi = xx + yp * yp
+            s = np.where(keep, s, 0.5 * np.log(np.divide(hi, lo)))
+            small = small | (hi < 2.0 * _TINY)
         if np.any(small):
             s = np.where(small, np.log(np.hypot(x, 1.0 + y)) - np.log(h), s)
     return s

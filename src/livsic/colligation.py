@@ -160,11 +160,16 @@ def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """||a||_F.  Where the plain sum of squares overflows, the norm is
-    recomputed with a scaled by its largest entry, so it is inf only when
-    it exceeds the float range itself."""
+    """||a||_F.  A real array takes sqrt(x.x) of its ravelled x, which is what
+    np.linalg.norm computes for it, without the wrapper.  Where the plain sum
+    of squares overflows, the norm is recomputed with a scaled by its largest
+    entry, so it is inf only when it exceeds the float range itself."""
     with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(a))
+        if a.dtype == np.float64:
+            x = a.ravel(order="K")
+            r = math.sqrt(x.dot(x))
+        else:
+            r = float(np.linalg.norm(a))
         if math.isinf(r):
             m = float(np.abs(a).max())
             if math.isfinite(m):
@@ -281,19 +286,23 @@ def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
     return out[0] if single else out
 
 
-def _check_off_diagonal(d: np.ndarray, z: complex) -> None:
-    """Raise unless z differs from every entry of the triangular diagonal d."""
-    hits = np.flatnonzero(d == z)
-    if hits.size:
-        raise SingularResolventError(
-            f"T - zI at z={z} is singular: z is an eigenvalue of T "
-            f"(diagonal entry {hits[0]} of the triangular T, n={d.size})")
+def _eigenvalue_error(d: np.ndarray, z: complex) -> SingularResolventError:
+    """The refusal where z is an entry of the triangular diagonal d."""
+    return SingularResolventError(
+        f"T - zI at z={z} is singular: z is an eigenvalue of T "
+        f"(diagonal entry {np.flatnonzero(d == z)[0]} of the triangular T, n={d.size})")
 
 
 def transfer_eval(sys: LSystem, z: complex) -> complex:
     """Transfer function W(z): the triangular product when the system has
     a triangular diagonal (see :attr:`LSystem.triangular_diagonal`) and z
     is finite, else :func:`transfer_resolvent`.
+
+    The product is formed as prod_j (conj(t_j) - z)/(t_j - z) from one
+    array of the t_j - z, whose zero test is the eigenvalue test: for
+    finite values t_j - z == 0 exactly where t_j == z.  There
+    SingularResolventError names the first such j, and an overflowing
+    product raises it too; each message is formed only when it is raised.
 
     The product is exact for the colligation with T's diagonal.  On a
     system that is valid only within ``validate``'s tolerance it can
@@ -304,15 +313,17 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     d = sys.triangular_diagonal
     if d is None or not cmath.isfinite(z):
         return transfer_resolvent(sys, z)
-    _check_off_diagonal(d, z)
-    # for a valid system every |factor| lies on one side of 1, so a partial
-    # product overflows only if the whole product does
     with np.errstate(over="ignore", invalid="ignore"):
-        w = complex(np.prod((d.conj() - z) / (d - z)))
+        den = d - z
+        if not den.all():
+            raise _eigenvalue_error(d, z)
+        # for a valid system every |factor| lies on one side of 1, so a partial
+        # product overflows only if the whole product does
+        w = complex(((d.conj() - z) / den).prod())
         if not cmath.isfinite(w):
             raise SingularResolventError(
                 f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
-                f"distance {np.abs(d - z).min():.3e} from an eigenvalue of T (n={d.size})")
+                f"distance {np.abs(den).min():.3e} from an eigenvalue of T (n={d.size})")
     return w
 
 
@@ -364,9 +375,12 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
     with np.errstate(all="ignore"):
         den = b - z
         f, steps = (a - z) / den, (a - b) / den
-        p = np.cumprod(f)
-        # the telescoped terms (f_k - 1) f_1 ... f_(k-1)
-        terms = steps * np.concatenate(([1.0], p[:-1]))
+        p = f.cumprod()
+        # the telescoped terms (f_k - 1) f_1 ... f_(k-1), written over the spent
+        # f; the first is steps_1 times 1 + 0j, a complex product like the rest
+        terms = f
+        np.multiply(steps[1:], p[:-1], out=terms[1:])
+        terms[0] = steps[0] * (1 + 0j)
         u = complex(p[-1])
         telescoped = float(np.abs(terms).sum()) < 1.0
         one_minus_u = -complex(terms.sum()) if telescoped else 1.0 - u

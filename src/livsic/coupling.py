@@ -41,6 +41,14 @@ from .ratfun import RationalFunction, rat_mul
 class CoupledSystem:
     system: LSystem
 
+    def __init__(self, system: LSystem):
+        # as ElementarySystem's: the field goes straight into the instance dict
+        self.__dict__["system"] = system
+
+
+_BLOCK_RANGE = ("non-finite entries in system matrices: "
+                "the coupling block 2i K1 K2* exceeds the float range")
+
 
 def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     """Block colligation of two systems with scalar channels.
@@ -55,19 +63,17 @@ def couple(sys1: LSystem, sys2: LSystem) -> CoupledSystem:
     once and checked entry by entry.  Either gate raises the one
     RangeError, which is also a ValueError, where the block overflows.
     """
+    if isinstance(sys1, _Chain) and isinstance(sys2, _Chain):
+        # a chain's directing sign is +1, so only the block gate applies
+        k1, k2 = sys1._k_max, sys2._k_max
+        if not math.isfinite(2.0 * k1 * k2):
+            raise RangeError(_BLOCK_RANGE)
+        return CoupledSystem(_chain(sys1._d + sys2._d, k2 if k2 > k1 else k1))
     if sys1.J != 1 or sys2.J != 1:
         raise IncompatibleError("coupling requires directing sign +1 on both factors")
-    chains = isinstance(sys1, _Chain) and isinstance(sys2, _Chain)
-    if chains:
-        finite = math.isfinite(2.0 * sys1._k_max * sys2._k_max)
-    else:
-        block = _coupling_block(sys1.K, sys2.K)
-        finite = np.isfinite(block).all()
-    if not finite:
-        raise RangeError("non-finite entries in system matrices: "
-                         "the coupling block 2i K1 K2* exceeds the float range")
-    if chains:
-        return CoupledSystem(_chain(sys1._d + sys2._d, max(sys1._k_max, sys2._k_max)))
+    block = _coupling_block(sys1.K, sys2.K)
+    if not np.isfinite(block).all():
+        raise RangeError(_BLOCK_RANGE)
     zeros = np.zeros((sys2.dim, sys1.dim), dtype=complex)
     t = np.block([[sys1.T, block], [zeros, sys2.T]])
     return CoupledSystem(LSystem(t, np.concatenate([sys1.K, sys2.K]), 1))

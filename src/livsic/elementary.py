@@ -71,7 +71,7 @@ class _Chain(LSystem):
 
     @cached_property
     def triangular_diagonal(self) -> np.ndarray:
-        return _read_only(np.array(self._d, dtype=complex))
+        return _read_only(np.fromiter(self._d, complex, self.dim))
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -118,7 +118,11 @@ class _Chain(LSystem):
 
 def _chain(d: tuple[complex, ...], k_max: float) -> _Chain:
     system = object.__new__(_Chain)
-    system.__dict__.update(J=1, dim=len(d), _d=d, _k_max=k_max)
+    attrs = system.__dict__
+    attrs["J"] = 1
+    attrs["dim"] = len(d)
+    attrs["_d"] = d
+    attrs["_k_max"] = k_max
     return system
 
 
@@ -126,6 +130,13 @@ def _chain(d: tuple[complex, ...], k_max: float) -> _Chain:
 class ElementarySystem:
     lambda0: complex
     system: LSystem
+
+    def __init__(self, lambda0: complex, system: LSystem):
+        # the fields go straight into the instance dict: the generated frozen
+        # __init__ sets each through object.__setattr__, which costs more
+        attrs = self.__dict__
+        attrs["lambda0"] = lambda0
+        attrs["system"] = system
 
 
 def make_elementary(lambda0: complex) -> ElementarySystem:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +200,12 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
     RangeError where the numerator's or the denominator's Horner value or
     their quotient exceeds the float range; a denominator whose modulus
     alone exceeds it is clear of every pole, and the quotient is formed from
-    the quartered values where the plain division overflows inside.
+    the quartered values where the plain division overflows inside.  Where
+    that RangeError would be raised at a |z| > 1, the value is formed again
+    as z^(dn - dd) num_rev(1/z)/den_rev(1/z), from the coefficients in
+    reverse order, and returned where it is finite and does not underflow
+    to 0; so a Horner value that overflows where r(z) is finite is no
+    refusal, and every value returned from the Horner values keeps its bytes.
 
     A function recorded by its poles and weights, a measure or a pole
     record, is summed directly, sum w_j/(t_j - z); its guard is per pole,
@@ -217,20 +223,50 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
             raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
                             f"exceeds the denominator's {dd}")
         return r.num.coeffs[-1] if dn == dd else 0j
-    den = _finite(r.den(z), "denominator's Horner value", z)
     try:
-        near = abs(den) < TAU_POLE * r._pole_scale
-    except OverflowError:  # |den| beyond the float range is clear of every pole
-        near = False
-    if near:
-        raise PoleError(f"denominator ~ 0 at z={z}")
-    num = _finite(r.num(z), "numerator's Horner value", z)
-    q = num / den
-    if not cmath.isfinite(q) or not q and num:
-        # complex division overflows inside, to NaN or a silent 0, where a part of num or
-        # den nears the float range; quartering both is exact above the subnormals
-        q = (num / 4.0) / (den / 4.0)
-    return _finite(q, "quotient num/den", z)
+        den = _finite(r.den(z), "denominator's Horner value", z)
+        try:
+            near = abs(den) < TAU_POLE * r._pole_scale
+        except OverflowError:  # |den| beyond the float range is clear of every pole
+            near = False
+        if near:
+            raise PoleError(f"denominator ~ 0 at z={z}")
+        num = _finite(r.num(z), "numerator's Horner value", z)
+        q = num / den
+        if not cmath.isfinite(q) or not q and num:
+            # complex division overflows inside, to NaN or a silent 0, where a part of num or
+            # den nears the float range; quartering both is exact above the subnormals
+            q = (num / 4.0) / (den / 4.0)
+        return _finite(q, "quotient num/den", z)
+    except RangeError:
+        # past 1 a Horner value can overflow where r(z) is finite: there r(z) is
+        # z^(dn - dd) num_rev(1/z)/den_rev(1/z), with each list of coefficients reversed
+        q = _reversed_quotient(r, z) if math.hypot(z.real, z.imag) > 1.0 else None
+        if q is None:
+            raise
+        return q
+
+
+def _reversed_quotient(r: RationalFunction, z: complex) -> complex | None:
+    """r(z) as z^(dn - dd) num_rev(w)/den_rev(w) at w = 1/z, where p_rev(w) =
+    w^deg p(1/w) has p's coefficients in reverse order, multiplying or dividing
+    by z one degree at a time; None where that value is not finite, or is 0
+    while num_rev(w) is not (it underflows)."""
+    w = 1.0 / z
+    num_rev, den_rev = 0j, 0j
+    for c in r.num.coeffs:
+        num_rev = num_rev * w + c
+    for c in r.den.coeffs:
+        den_rev = den_rev * w + c
+    if not (cmath.isfinite(num_rev) and cmath.isfinite(den_rev)) or not den_rev:
+        return None
+    q = num_rev / den_rev
+    dn, dd = r.degrees
+    for _ in range(dn - dd):
+        q *= z
+    for _ in range(dd - dn):
+        q /= z
+    return q if cmath.isfinite(q) and (q or not num_rev) else None
 
 
 def _finite(v: complex, what: str, z: complex) -> complex:

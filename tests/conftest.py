@@ -50,6 +50,23 @@ def assert_rat_value(r, z, expected, rel_tol=1e-12):
     assert rel_err(got, expected) <= rel_tol, f"{r} at {z}: {got} != {expected}"
 
 
+def entropy_by_where(x, y):
+    """The elementary entropy with both forms taken for every entry and one
+    np.where between them, the expression that ``analysis._elementary_entropy``
+    replaced: its values must keep these bytes."""
+    tiny = float(np.finfo(float).tiny)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hi = x * x + (1.0 + y) * (1.0 + y)
+        lo = x * x + (1.0 - y) * (1.0 - y)
+        h = np.hypot(x, 1.0 - y)
+        s = np.where(4.0 * y > -lo / 2.0, 0.5 * np.log1p(4.0 * (y / h) / h),
+                     0.5 * np.log(np.divide(hi, lo)))
+        small = (lo < 2.0 * tiny) | (hi < 2.0 * tiny)
+        if np.any(small):
+            s = np.where(small, np.log(np.hypot(x, 1.0 + y)) - np.log(h), s)
+    return s
+
+
 def run_fresh(code: str, *args: str) -> str:
     """stdout of ``python -c code *args`` in a fresh interpreter that imports
     the livsic under test, from the source tree or installed."""

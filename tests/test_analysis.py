@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import draw_upper, rel_err
+from conftest import draw_upper, entropy_by_where, rel_err
 
 from livsic import (
     DomainError,
@@ -317,6 +317,64 @@ class TestAgainstDecimal:
         pairs = list(zip(parts[::2], parts[1::2]))
         assert _worst_eps([coupling_dissipation_closed(lam, mu) for lam, mu in pairs],
                           [_decimal_dissipation(lam, mu) for lam, mu in pairs]) <= 6.0
+
+
+class TestRatioOnlyWhereTaken:
+    """_elementary_entropy forms the ratio (1/2) ln(hi/lo) only when some entry
+    takes it, and keeps the bytes of the np.where over both forms."""
+
+    # (x, y): log1p entries of both signs of y, ratio entries (J = -1, hi < lo/2),
+    # hi or lo below twice the smallest normal (beside -i and i), and huge parts
+    ENTRIES = [(0.3, 1.2), (-1.5, 0.1), (1.0, -0.1), (-2.0, -0.4), (0.2, -1.0), (0.0, -1.0),
+               (-0.7, -2.5), (1e-200, -1.0), (-1e-200, 1.0), (1e300, 1e300), (1e300, -1e-300),
+               (-0.0, -3.0), (0.0, 0.5)]
+
+    @staticmethod
+    def _hex(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    def test_arrays_mixing_both_forms(self):
+        x, y = (np.array(part) for part in zip(*self.ENTRIES))
+        with np.errstate(over="ignore"):
+            keep = 4.0 * y > -(x * x + (1.0 - y) ** 2) / 2.0
+        assert keep.any() and not keep.all()
+        assert self._hex(_elementary_entropy(x, y)) == self._hex(entropy_by_where(x, y))
+        # only log1p entries, where the ratio is not formed
+        x, y = x[keep], y[keep]
+        assert self._hex(_elementary_entropy(x, y)) == self._hex(entropy_by_where(x, y))
+
+    @pytest.mark.parametrize("x, y", ENTRIES)
+    def test_python_floats_and_0d_arrays(self, x, y):
+        # a Python float pair compares as a Python bool, where ~ would give -1 or -2
+        want = float(entropy_by_where(x, y)).hex()
+        assert float(_elementary_entropy(x, y)).hex() == want
+        assert float(_elementary_entropy(np.array(x), np.array(y))).hex() == want
+        if y > 0:
+            assert c_entropy_elementary_closed(complex(x, y)).hex() == want
+
+    def test_j_minus_one_triangular_system_mixing_both_forms(self, rng):
+        # the J = -1 entries above, beside -i but not on it (a diagonal entry -i
+        # is a pole of W(-i), refused), among conjugated upper parameters
+        lams = [complex(x, -y) for x, y in self.ENTRIES[:8] if y < 0 and x]
+        lams += [draw_upper(rng) for _ in range(6)]
+        chain = make_elementary(lams[0]).system
+        for lam in lams[1:]:
+            chain = couple(chain, make_elementary(lam).system).system
+        # entrywise conjugation of a chain: an upper-triangular J = -1 system
+        sys = LSystem(chain.T.conj(), chain.K.conj(), -1)
+        d = sys.triangular_diagonal
+        x, y = d.real, d.imag
+        keep = 4.0 * y > -(x * x + (1.0 - y) ** 2) / 2.0
+        assert (y < 0).all() and keep.any() and not keep.all()
+        assert c_entropy(sys).hex() == float(entropy_by_where(d.real, d.imag).sum()).hex()
+
+    def test_surface_grid(self):
+        # the grid passes through x + iy = i, where S = +inf
+        xs, ys, s = entropy_surface(-2, 2, 0.05, 3, 81, 60)
+        want = entropy_by_where(*np.meshgrid(xs, ys))
+        assert s.tobytes() == want.tobytes()
+        xs, ys, s = entropy_surface(-1, 1, 0.5, 1.5, 3, 3)
+        assert s[1, 1] == INF and s.tobytes() == entropy_by_where(*np.meshgrid(xs, ys)).tobytes()
 
 
 class TestNearUnitParameter:

@@ -1,11 +1,12 @@
 """Matrix colligations: validation, the triangular path and resolvent evaluation."""
 
+import cmath
 import math
 import re
 
 import numpy as np
 import pytest
-from conftest import draw_upper, draw_z, draw_z_upper, rel_err
+from conftest import draw_upper, draw_z, draw_z_upper, entropy_by_where, rel_err
 
 from livsic import (
     DimensionError,
@@ -1000,3 +1001,123 @@ class TestTriangularImpedance:
                 truth = complex((kk.H * x)[0])
                 got = self._fast(fallbacks, sys, z)
                 assert abs(got - truth) <= 1e-14 * abs(truth), (k, z)
+
+
+class TestChainPathBits:
+    """The chain path keeps the bytes of the expressions it replaced: W as
+    np.prod of the factor quotients, V's telescoped terms formed with
+    np.concatenate, S as one np.where over both entropy forms, and validate's
+    residual by np.linalg.norm.  Each is compared on this machine with the
+    restated expression, so the test needs no pinned digest."""
+
+    @staticmethod
+    def _w(d, z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.prod((d.conj() - z) / (d - z)))
+
+    @staticmethod
+    def _v(sys, d, z):
+        """V from impedance_eval's triangular branch as written with
+        np.concatenate, and whether it summed the telescoped terms; None where
+        that branch sends z to the resolvent."""
+        if colligation._needs_svd(sys, z, True):
+            return None
+        sign = 1 if sys.J * z.imag > 0 else -1
+        a, b = (d, d.conj()) if sign > 0 else (d.conj(), d)
+        with np.errstate(all="ignore"):
+            den = b - z
+            f, steps = (a - z) / den, (a - b) / den
+            p = np.cumprod(f)
+            terms = steps * np.concatenate(([1.0], p[:-1]))
+            u = complex(p[-1])
+            telescoped = float(np.abs(terms).sum()) < 1.0
+            one_minus_u = -complex(terms.sum()) if telescoped else 1.0 - u
+        if not cmath.isfinite(u) or abs(1.0 + u) < 0.5:
+            return None
+        return sign * sys.J * 1j * one_minus_u / (1.0 + u), telescoped
+
+    @staticmethod
+    def _t_norm(d, k):
+        if d.size == 1:
+            return float(np.linalg.norm(d))
+        m = k.max()
+        q = (k / m) ** 2
+        cross = float(q[1:] @ q.cumsum()[:-1])
+        return math.hypot(*d.view(float).tolist(), 2.0 * math.sqrt(cross) * m * m)
+
+    @staticmethod
+    def _chains(rng):
+        """Seeded chains of 1 to 256 factors, then chains whose parameters have
+        real parts +0.0 and -0.0, which give factor quotients with zero parts."""
+        for k in (1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 100, 256):
+            yield [draw_upper(rng) for _ in range(k)]
+        for k in (1, 2, 3, 6):
+            yield [complex(rng.choice([0.0, -0.0]), rng.uniform(0.1, 2.5)) for _ in range(k)]
+
+    @staticmethod
+    def _points(rng, lams):
+        x0 = lams[0].real
+        pts = [draw_z(rng, avoid=lams) for _ in range(4)]
+        # zero parts of both signs, and Re z = Re lambda_1
+        pts += [1j, -1j, complex(-0.0, 1.0), complex(-0.0, -2.0), complex(0.0, -0.5),
+                complex(x0, 0.7), complex(x0, -0.7)]
+        # far from the spectrum, where V sums the telescoped terms
+        pts += [1e3j, -1e3j, complex(40.0, 25.0), complex(-0.0, 1e6), complex(-1e4, -3e3)]
+        # on the real axis and beside it, where V goes to the resolvent
+        pts += [complex(0.5, 0.0), complex(0.5, -0.0), complex(x0, 1e-300), complex(-1e4, -0.0)]
+        return pts
+
+    def test_values_keep_the_replaced_expressions_bytes(self, rng):
+        counts = {"telescoped": 0, "product": 0, "gated": 0}
+        for lams in self._chains(rng):
+            sys = _chain(lams)
+            d = np.array(lams, dtype=complex)
+            k = np.sqrt(d.imag)
+            rep = validate(sys)
+            assert rep.residual.hex() == float(np.linalg.norm(d.imag - k * k)).hex()
+            assert rep.threshold.hex() == (colligation.TAU_COLLIGATION * (1.0 + self._t_norm(d, k))).hex()
+            assert c_entropy(sys).hex() == float(entropy_by_where(d.real, d.imag).sum()).hex()
+            for z in self._points(rng, lams):
+                assert _bits([transfer_eval(sys, z)]) == _bits([self._w(d, z)]), (len(lams), z)
+                want = self._v(sys, d, z)
+                if want is None:
+                    counts["gated"] += 1
+                    assert (repr(_outcome(impedance_eval, sys, z))
+                            == repr(_outcome(impedance_resolvent, sys, z))), (len(lams), z)
+                else:
+                    counts["telescoped" if want[1] else "product"] += 1
+                    assert _bits([impedance_eval(sys, z)]) == _bits([want[0]]), (len(lams), z)
+        assert min(counts.values()) > 0, counts
+
+    def test_refusals_keep_their_text(self, rng):
+        lams = [draw_upper(rng) for _ in range(12)]
+        lams[9] = lams[4]
+        sys = _chain(lams)
+        for j in (0, 4, 11):
+            with pytest.raises(SingularResolventError) as info:
+                transfer_eval(sys, lams[j])
+            assert str(info.value) == (f"T - zI at z={lams[j]} is singular: z is an eigenvalue of T "
+                                       f"(diagonal entry {j} of the triangular T, n=12)")
+        # -i on the diagonal of a J = -1 system is a pole of W(-i)
+        flipped = _chain(lams[:2] + [1j] + lams[2:4])
+        for j_minus, j in ((LSystem(flipped.T.conj(), flipped.K.conj(), -1), 2),
+                           (LSystem([[-1j]], [1.0], -1), 0)):
+            with pytest.raises(SingularResolventError) as info:
+                c_entropy(j_minus)
+            assert str(info.value) == ("T - zI at z=-1j is singular: z is an eigenvalue of T "
+                                       f"(diagonal entry {j} of the triangular T, n={j_minus.dim})")
+        long = _chain([1j] * 128)
+        d = long.triangular_diagonal
+        with pytest.raises(SingularResolventError) as info:
+            transfer_eval(long, 1.001j)
+        assert str(info.value) == (
+            f"W(z) at z={1.001j} overflows: |W(z)| exceeds the largest float, with z at "
+            f"distance {np.abs(d - 1.001j).min():.3e} from an eigenvalue of T (n=128)")
+
+    def test_infinite_z_goes_to_the_resolvent(self, rng):
+        for sys in (_draw_chain(rng, 1), _draw_chain(rng, 5)):
+            for z in (complex(math.inf, 0.0), complex(-0.0, math.inf), complex(-math.inf, 1.0),
+                      complex(2.0, -math.inf)):
+                for ev, oracle in ((transfer_eval, transfer_resolvent),
+                                   (impedance_eval, impedance_resolvent)):
+                    assert repr(_outcome(ev, sys, z)) == repr(_outcome(oracle, sys, z)), (sys.dim, z)

@@ -57,10 +57,14 @@ class TestCouple:
 
     def test_wrong_directing_sign_rejected(self):
         bad = LSystem([[1j]], [1.0], -1)
-        with pytest.raises(IncompatibleError):
-            couple(bad, make_elementary(1j).system)
-        with pytest.raises(IncompatibleError):
-            couple(make_elementary(1j).system, bad)
+        chain = couple(make_elementary(1j).system, make_elementary(2j).system).system
+        # the sign is checked first, also where the block would overflow
+        huge = LSystem([[-1j]], [1e300], -1)
+        for sys1, sys2 in ((bad, make_elementary(1j).system), (make_elementary(1j).system, bad),
+                           (chain, bad), (bad, chain), (huge, make_elementary(1e308j).system)):
+            with pytest.raises(IncompatibleError) as info:
+                couple(sys1, sys2)
+            assert str(info.value) == "coupling requires directing sign +1 on both factors"
 
 
 def _couple_reference(sys1, sys2):
@@ -105,9 +109,13 @@ class TestCoupleInPlace:
                                make_elementary(draw_upper(rng)).system).system,
                         make_elementary(draw_upper(rng)).system).system
         pairs = [(_dense(rng, 3), _dense(rng, 5)), (_dense(rng, 5), _dense(rng, 3)),
-                 (chain3, _dense(rng, 5))]
+                 (chain3, _dense(rng, 5)), (_dense(rng, 2), chain3)]
         for sys1, sys2 in pairs:
-            _assert_bitwise(couple(sys1, sys2).system, _couple_reference(sys1, sys2))
+            ref = _couple_reference(sys1, sys2)
+            sys = couple(sys1, sys2).system
+            _assert_bitwise(sys, ref)
+            # a chain beside a plain system builds the block: the result is a plain system
+            assert type(sys) is LSystem and sys == LSystem(*ref)
         # couplings of couplings, both ways round
         left = couple(couple(*pairs[0]).system, couple(*pairs[2]).system).system
         _assert_bitwise(left, _couple_reference(couple(*pairs[0]).system,
@@ -153,12 +161,18 @@ class TestCoupleInPlace:
         pytest.param("plain", "plain", id="plain"),
         pytest.param("chain", "plain", id="chain-plain"),
         pytest.param("plain", "chain", id="plain-chain"),
+        pytest.param("long", "long", id="long-chains"),
+        pytest.param("long", "chain", id="long-chain-chain"),
     ])
     def test_overflowing_coupling_block_is_a_range_error(self, first, second):
         # the input is well formed; only the block 2i K1 K2* = 2e308 i is not a float.
-        # The chain gate and the entrywise gate raise the same message
+        # The chain gate and the entrywise gate raise the same message; a long
+        # chain's largest channel entry sits inside it
         factor = {"chain": lambda: make_elementary(1e308j).system,
-                  "plain": lambda: LSystem([[1e308j]], [1e154], 1)}
+                  "plain": lambda: LSystem([[1e308j]], [1e154], 1),
+                  "long": lambda: couple(couple(make_elementary(0.5j).system,
+                                                make_elementary(1e308j).system).system,
+                                         make_elementary(2j).system).system}
         with pytest.raises(RangeError) as caught:
             couple(factor[first](), factor[second]())
         assert isinstance(caught.value, ValueError)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ class TestRationalFunction:
         assert str(info.value) == message and isinstance(info.value, ValueError)
 
 
+def _exact_value(r, z):
+    """r(z) in exact rational arithmetic from r's float coefficients, as (re, im)."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+
+    def horner(coeffs):
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(coeffs):
+            re, im = re * zr - im * zi + Fraction(c.real), re * zi + im * zr + Fraction(c.imag)
+        return re, im
+
+    (nr, ni), (dr, di) = horner(r.num.coeffs), horner(r.den.coeffs)
+    m = dr * dr + di * di
+    return (nr * dr + ni * di) / m, (ni * dr - nr * di) / m
+
+
 class TestRatEval:
     def test_blaschke_at_2i(self):
         # (z+i)/(z-i) at 2i: (3i)/(i) = 3
@@ -160,17 +176,33 @@ class TestRatEval:
                 rat_eval(r, z)
 
     @pytest.mark.parametrize("r, z, which", [
-        # W tends to 1 and V to about -3e-200 here: a NaN and a silent zero before
-        (coupling_transfer_closed(1j, 2j), 1e200, "denominator's Horner value"),
-        (coupling_impedance_closed(1j, 2j), 1e200, "denominator's Horner value"),
-        (self_skew_impedance_closed(1 + 1j), 1e160 + 1e160j, "denominator's Horner value"),
-        (RationalFunction((0.0, 0.0, 1.0), (1.0, 1.0)), 1e200, "numerator's Horner value"),
+        # 1/z^3 underflows to 0 (also from the reversed coefficients), z^4/(z^2 + z + 1)
+        # and z^2 overflow, and 1e300/1e-11 at 0 does
+        (RationalFunction((1.0,), (0.0, 0.0, 0.0, 1.0)), 1e200, "denominator's Horner value"),
+        (RationalFunction((0.0, 0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), 1e200,
+         "denominator's Horner value"),
+        (RationalFunction((1.0,), (0.0, 0.0, 0.0, 1.0)), 1e160 + 1e160j, "denominator's Horner value"),
+        (RationalFunction((0.0, 0.0, 1.0)), 1e200, "numerator's Horner value"),
         (RationalFunction((1e300,), (1e-11, 1.0)), 0.0, "quotient num/den")])
     def test_a_value_past_the_float_range_is_a_range_error(self, r, z, which):
         message = f"rat_eval at z={complex(z)}: the {which} exceeds the float range ("
         with pytest.raises(RangeError) as info:
             rat_eval(r, z)
         assert str(info.value).startswith(message), str(info.value)
+
+    @pytest.mark.parametrize("r, z", [
+        # W tends to 1 and V to about -3e-200 here, where z^2 overflows in Horner's rule
+        pytest.param(coupling_transfer_closed(1j, 2j), 1e200, id="W"),
+        pytest.param(coupling_impedance_closed(1j, 2j), 1e200, id="V"),
+        pytest.param(self_skew_impedance_closed(1 + 1j), 1e160 + 1e160j, id="skew-V"),
+        pytest.param(RationalFunction((0.0, 0.0, 1.0), (1.0, 1.0)), 1e200, id="z2-over-1-plus-z"),
+        pytest.param(RationalFunction((1.0, -2.0, 1.0), (3j, 0.0, 0.5, 1.0)), -1e110 + 3e109j,
+                     id="degree-1-3")])
+    def test_a_finite_value_at_large_z_is_returned(self, r, z):
+        got = rat_eval(r, z)
+        want = _exact_value(r, complex(z))
+        err = (Fraction(got.real) - want[0]) ** 2 + (Fraction(got.imag) - want[1]) ** 2
+        assert err <= (4 * Fraction(np.finfo(float).eps)) ** 2 * (want[0] ** 2 + want[1] ** 2), got
 
     @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1.7e308 - 1.7e308j])
     def test_a_distance_past_the_float_range_is_clear_of_every_pole(self, z):
