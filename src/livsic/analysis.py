@@ -98,14 +98,16 @@ def c_entropy(sys: LSystem) -> float:
 
 
 def c_entropy_resolvent(sys: LSystem) -> float:
-    """S = -ln|W(-i)| via the resolvent; +inf exactly where W(-i) = 0, and
-    +0.0 where |W(-i)| = 1, as from :func:`c_entropy` (the subtraction from
-    0.0 turns -0.0 into +0.0)."""
-    w = transfer_resolvent(sys, -1j)
+    """S = -ln|W(-i)| via the resolvent (see :func:`_entropy_of_w`)."""
+    return _entropy_of_w(transfer_resolvent(sys, -1j))
+
+
+def _entropy_of_w(w: complex) -> float:
+    """S = -ln|w| for w = W(-i); +inf exactly where w = 0, and +0.0 where
+    |w| = 1, as from :func:`c_entropy` (the subtraction from 0.0 turns -0.0
+    into +0.0)."""
     mag = abs(w)
-    if mag == 0.0:
-        return INF
-    return 0.0 - math.log(mag)
+    return INF if mag == 0.0 else 0.0 - math.log(mag)
 
 
 def dissipation_from_entropy(s: float) -> float:

@@ -35,6 +35,7 @@ Any other system goes to the resolvent (see ``LSystem.triangular_diagonal``).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -207,7 +208,8 @@ def _needs_svd(sys: LSystem, z: complex, re_t: bool) -> bool:
     sigma_min exceeds four times the threshold n*eps*sigma_max, and the
     margin absorbs the O(eps*||a||) rounding in the bound, in floor and in
     the SVD, so the SVD test could not fire.  It skips 5 in 6 of the verify
-    suite's 2x2 slices, 8% of its time; chains reach the resolvent only in
+    suite's 2x2 slices (1,106 of 1,300 at seed 42; the 194 left are one
+    stacked SVD); chains reach the resolvent only in
     ``impedance_eval``'s fallback, and a dense system's c-entropy at n = 64
     to 256, where the SVD costs 6 to 10 times the solve.  The predicate is
     true for every non-finite z, where the bound is inf or NaN, and for a
@@ -221,11 +223,12 @@ def _needs_svd(sys: LSystem, z: complex, re_t: bool) -> bool:
     return not max(lo - z.imag, z.imag - hi) > 4.0 * sys.dim * _EPS * bound
 
 
-def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
+def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     """The resolvent V(z) = q when ``re_t``, else W(z) = 1 - 2iqJ, for
     q = K*x and x the solution of a x = K with a = base - zI, base = Re T
-    or T of sys; at each point of z, in a list, when z is a 1-D sequence
-    (list, tuple or array).  The copy of base is shifted only on its diagonal.
+    or T of sys, at each point of each item (sys, z), z a 1-D sequence
+    (list, tuple or array); one list of values per item.  The systems must
+    share one state dimension n, else DimensionError.
 
     SingularResolventError where a is numerically singular:
     sigma_min(a) <= n*eps*sigma_max(a).  For n = 1 that is a_11 == 0, with
@@ -238,39 +241,56 @@ def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
     SingularResolventError where the solve overflows and leaves the value
     non-finite.
 
-    A sequence is solved as a stack: one (m, n, n) copy of base, one
-    stacked SVD of the slices that need it and one stacked solve, with an
+    The items are solved as one stack: one (m, n, n) copy of their bases in
+    item order, each shifted only on its diagonal, one stacked SVD of the
+    slices that need it and one stacked solve, with each slice's K in an
     (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.  LAPACK
-    treats each slice as it treats the matrix of a call at its point alone,
-    and each value is formed from its own slice, so every value has the
-    bytes of that call.  Where several points fail, the first one in order
-    raises, with the error that call would raise, and only the points
-    before the first NaN reach LAPACK.  One point is a stack of one, and
-    its value is returned alone."""
-    base, op, name = (sys._re_t, "Re T - zI", "V(z)") if re_t else (sys.T, "T - zI", "W(z)")
-    n = sys.dim
-    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
-    z = np.array([complex(z)] if single else z, dtype=complex)
-    if z.ndim != 1:
-        raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
+    treats each slice as it treats the matrix of a call of its system at
+    its point alone, and each value is formed from its own slice and K, so
+    every value has the bytes of that call.  Where several slices fail, the
+    first one in stack order raises, with the error that call would raise,
+    and only the slices before the first NaN reach LAPACK.  One item's
+    base is repeated and its K broadcast, with no stack of systems."""
+    op, name = ("Re T - zI", "V(z)") if re_t else ("T - zI", "W(z)")
+    systems, points = [], []
+    for sys, z in items:
+        z = np.array(z, dtype=complex)
+        if z.ndim != 1:
+            raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
+        if systems and sys.dim != systems[0].dim:
+            raise DimensionError(f"stacked systems must share one state dimension, "
+                                 f"got n={systems[0].dim} and n={sys.dim}")
+        systems.append(sys)
+        points.append(z)
+    one = len(systems) == 1
+    if one:
+        (sys,), (z,) = systems, points
+        n, owners = sys.dim, systems * len(z)
+        base, rhs = (sys._re_t if re_t else sys.T).reshape(1, n * n), sys.K.reshape(1, n, 1)
+    elif not systems:
+        return []
+    else:
+        n, counts = systems[0].dim, [len(p) for p in points]
+        z, owners = np.concatenate(points), [sys for sys, c in zip(systems, counts) for _ in range(c)]
+        base = np.repeat([(sys._re_t if re_t else sys.T).ravel() for sys in systems], counts, 0)
+        rhs = np.repeat([sys.K for sys in systems], counts, 0)[..., np.newaxis]
     zs = z.tolist()
     stop = next((k for k, zk in enumerate(zs) if cmath.isnan(zk)), len(zs))
     if n <= 1:
-        a = base - z[:stop, np.newaxis, np.newaxis]
+        a = base[:stop] - z[:stop, np.newaxis]
         # a 0x0 slice has no entry to vanish: W = 1 and V = 0, the empty sums
-        singular = [(k, (0.0, 0.0)) for k in range(stop) if n and a[k, 0, 0] == 0]
+        singular = [(k, (0.0, 0.0)) for k, ak in enumerate(a.ravel().tolist()) if ak == 0]
     else:
-        a = base.reshape(1, n * n).repeat(stop, 0)
+        a = base.repeat(stop, 0) if one else base[:stop]
         a.T[:: n + 1] -= z[:stop]
-        a = a.reshape(stop, n, n)
-        need = [k for k in range(stop)
-                if _needs_svd(sys, zs[k], re_t) and np.isfinite(a[k]).all()]
-        s = np.linalg.svd(a[need], compute_uv=False) if need else ()
+        need = [k for k in range(stop) if _needs_svd(owners[k], zs[k], re_t)
+                and np.isfinite(a[k]).all()]
+        s = np.linalg.svd(a[need].reshape(-1, n, n), compute_uv=False) if need else ()
         singular = [(k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0]]
     first, s = singular[0] if singular else (stop, None)
-    x = np.linalg.solve(a[:first], sys.K.reshape(1, n, 1)) if first else ()
+    x = np.linalg.solve(a[:first].reshape(first, n, n), rhs[:first]) if first else ()
     out = []
-    for xk, zk in zip(x, zs):
+    for xk, zk, sys in zip(x, zs, owners):
         q = np.vdot(sys.K, xk)
         v = complex(q if re_t else 1.0 - 2j * q * sys.J)
         if not cmath.isfinite(v):
@@ -283,6 +303,14 @@ def _solve_guarded(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
             f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
     if stop < len(zs):
         raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
+    return [out] if one else [out[e - c:e] for c, e in zip(counts, itertools.accumulate(counts))]
+
+
+def _resolvent(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
+    """:func:`_solve_guarded` of sys alone, at one point z or at each point
+    of a 1-D sequence z (then a list)."""
+    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
+    (out,) = _solve_guarded([(sys, [complex(z)] if single else z)], re_t)
     return out[0] if single else out
 
 
@@ -330,7 +358,7 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
 def transfer_resolvent(sys: LSystem, z) -> complex | list[complex]:
     """Transfer function by resolvent: 1 - 2i K*(T - zI)^(-1) K J, at one
     point z or at each point of a 1-D sequence z (then a list)."""
-    return _solve_guarded(sys, z, False)
+    return _resolvent(sys, z, False)
 
 
 def impedance_eval(sys: LSystem, z: complex) -> complex:
@@ -392,4 +420,4 @@ def impedance_eval(sys: LSystem, z: complex) -> complex:
 def impedance_resolvent(sys: LSystem, z) -> complex | list[complex]:
     """Impedance function by resolvent: K*(Re T - zI)^(-1) K, at one point z
     or at each point of a 1-D sequence z (then a list)."""
-    return _solve_guarded(sys, z, True)
+    return _resolvent(sys, z, True)

@@ -316,20 +316,6 @@ class AtomicMeasure:
                 raise ValueError(f"duplicate atom location t={t}")
         object.__setattr__(self, "atoms", tuple(pairs))
 
-    def cauchy_transform(self, z: complex) -> complex:
-        """Sum of w/(t - z) over all atoms: :func:`rat_eval` of the measure,
-        PoleError at or too near an atom and DomainError for a NaN z."""
-        return rat_eval(self, z)
-
-    def poisson_mass(self) -> float:
-        """Sum of w/(1 + t^2); equals Im of the Cauchy transform at i."""
-        return sum(w / (1.0 + t * t) for t, w in self.atoms)
-
-    def skew_moment(self) -> float:
-        """Sum of t*w/(1 + t^2); zero for measures symmetric about the
-        origin, and equals Re of the Cauchy transform at i."""
-        return sum(t * w / (1.0 + t * t) for t, w in self.atoms)
-
 
 def partial_fractions_real_poles(r: RationalFunction | AtomicMeasure | _PoleResidue) -> AtomicMeasure:
     """Extract point masses (t_j, w_j) with r(z) = sum w_j/(t_j - z).

@@ -144,7 +144,7 @@ class TestFosterToHerglotz:
             m = foster_to_herglotz(spec)
             atoms = measure_atoms(spec)
             z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.0))
-            assert abs(rat_eval(m, z) - atoms.cauchy_transform(z)) < 1e-10
+            assert abs(rat_eval(m, z) - rat_eval(atoms, z)) < 1e-10
 
     def test_partial_fractions_recover_atoms(self):
         spec = FosterSpec(1.0, [(2.0, 1.0), (1.0, 2.0)])
@@ -283,17 +283,18 @@ class TestMeasureAtoms:
     def test_with_origin_and_stage(self):
         m = measure_atoms(FosterSpec(1.0, [(2.0, 1.0)]))
         assert m.atoms == ((-1.0, 1.0), (0.0, 1.0), (1.0, 1.0))
-        assert abs(m.poisson_mass() - 2.0) < 1e-15
+        assert abs(rat_eval(m, 1j).imag - 2.0) < 1e-15
 
     def test_origin_only(self):
         m = measure_atoms(FosterSpec(1.0))
         assert m.atoms == ((0.0, 1.0),)
-        assert abs(m.poisson_mass() - 1.0) < 1e-15
+        assert abs(rat_eval(m, 1j).imag - 1.0) < 1e-15
 
     def test_symmetry_condition(self, rng):
         for _ in range(30):
             m = measure_atoms(random_spec(rng))
-            assert abs(m.skew_moment()) <= 1e-14
+            # the skew moment, Re of the Cauchy transform at i
+            assert abs(rat_eval(m, 1j).real) <= 1e-14
 
 
 class TestClassifyFoster:

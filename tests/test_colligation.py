@@ -683,6 +683,76 @@ class TestSequence:
             assert str(info.value) == str(first), (ev.__name__, zs)
 
     @pytest.mark.parametrize("ev", [transfer_resolvent, impedance_resolvent])
+    def test_a_stack_of_systems_keeps_each_calls_bytes(self, rng, monkeypatch, ev):
+        re_t = ev is impedance_resolvent
+        by_order = {0: [LSystem(np.zeros((0, 0)), []), LSystem(np.zeros((0, 0)), [], -1)]}
+        extra = [_draw_chain(rng, 2), _similar(_draw_chain(rng, 2), rng)]
+        for sys in _sequence_systems(rng) + extra:
+            by_order.setdefault(sys.dim, []).append(sys)
+        solve, solves = np.linalg.solve, []
+
+        def spy(a, *args, **kwargs):
+            solves.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        for n in range(4):
+            items, expected = [], []
+            for k, sys in enumerate(by_order[n]):
+                zs, values = [], []
+                for z in _sequence_points(sys):
+                    try:
+                        values.append(ev(sys, z))
+                    except SingularResolventError:
+                        continue
+                    zs.append(z)
+                # each item takes its points as a list, a tuple or an array
+                items.append((sys, (list, tuple, np.array)[k % 3](zs)))
+                expected.append(_bits(values))
+            assert len(items) > 1, n
+            solves.clear()
+            monkeypatch.setattr(np.linalg, "solve", spy)
+            got = colligation._solve_guarded(items, re_t)
+            monkeypatch.setattr(np.linalg, "solve", solve)
+            assert [_bits(v) for v in got] == expected, (ev.__name__, n)
+            # one solve of every slice, in item order
+            assert solves == [(sum(map(len, expected)), n, n)], (ev.__name__, n)
+
+    def test_first_failing_slice_in_stack_order_raises_its_calls_error(self, rng):
+        one = make_elementary(0.5 + 1j).system
+        # W of this valid 1x1 system overflows at -i, and T - zI is singular at t
+        mirror = LSystem([[1e-310 - 1j]], [1.0], -1)
+        chain, other = _draw_chain(rng, 3), _draw_chain(rng, 3)
+        t, u = complex(chain.T[1, 1]), complex(other.T[2, 2])
+        nan = complex(math.nan, 0.0)
+        cases = [
+            (transfer_resolvent, [(one, [2j]), (mirror, [1j, -1j]), (one, [0.5 + 1j])]),
+            (transfer_resolvent, [(mirror, [1j]), (one, [2j, 0.5 + 1j]), (mirror, [-1j])]),
+            (transfer_resolvent, [(one, [2j]), (mirror, [nan]), (mirror, [-1j]), (one, [0.5 + 1j])]),
+            (impedance_resolvent, [(mirror, [1j]), (one, [2j, 0.5]), (mirror, [1e-310])]),
+            (transfer_resolvent, [(chain, [1j]), (other, [2j, u]), (chain, [t])]),
+            (transfer_resolvent, [(other, [1j]), (chain, [complex(0.0, nan), t]), (other, [u])]),
+            (impedance_resolvent, [(chain, [1j]), (other, [-1j, nan])]),
+        ]
+        for ev, items in cases:
+            first = None
+            for sys, zs in items:
+                for z in zs:
+                    try:
+                        ev(sys, z)
+                    except (DomainError, SingularResolventError) as exc:
+                        first = first or exc
+            assert first is not None, items
+            with pytest.raises(type(first)) as info:
+                colligation._solve_guarded(items, ev is impedance_resolvent)
+            assert str(info.value) == str(first), items
+
+    def test_a_stack_of_mixed_orders_is_refused(self, rng):
+        one, chain = make_elementary(0.5 + 1j).system, _draw_chain(rng, 2)
+        for re_t in (False, True):
+            with pytest.raises(DimensionError, match="one state dimension, got n=1 and n=2"):
+                colligation._solve_guarded([(one, [1j]), (chain, [1j])], re_t)
+
+    @pytest.mark.parametrize("ev", [transfer_resolvent, impedance_resolvent])
     def test_nan_and_empty_sequences_reach_no_lapack(self, rng, monkeypatch, ev):
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK should not be called")
