@@ -9,7 +9,8 @@ changed.  The groups are
 * the stdout of the five README examples, run in process, whose sha256 is the
   one that ``bench/goldens.json`` pins;
 * ``run_verification`` at seeds 0 to 99 with ``n_systems=10``, and at seed 42;
-* every step of every operation of the ``cascade`` workload at seeds 101 and 7;
+* every step of every operation of the ``cascade`` and ``foster`` workloads at
+  seeds 101 and 7 (``foster`` reaches ``rat_eval``'s pole-record path);
 * the eight commands of the ``cli`` workload at seed 101, run in process.
 
 Every value is written exactly: a float by ``float.hex``, an exception by its
@@ -72,9 +73,10 @@ def main() -> None:
                 print(f"golden {name} {workloads.digest(stdout)['sha256']} exit {code}")
         print(f"verify seeds 0-99 {sha(verify.run_verification(seed, n_systems=10) for seed in range(100))}")
         print(f"verify seed 42 {sha([verify.run_verification(42)])}")
-        for seed in (101, 7):
-            wl = workloads.Cascade(seed)
-            print(f"cascade {seed} {sha(wl.run(i) for i in range(len(wl)))}")
+        for kind in (workloads.Cascade, workloads.Foster):
+            for seed in (101, 7):
+                wl = kind(seed)
+                print(f"{wl.name} {seed} {sha(wl.run(i) for i in range(len(wl)))}")
         for i, name in enumerate(workloads.SUBCOMMANDS):
             print(f"cli 101 {name} {sha([cli.run_inprocess(i)])}")
 

@@ -147,13 +147,14 @@ def _elementary_entropy(x, y):
         s = 0.5 * np.log1p(4.0 * (y / h) / h)
         small = lo < 2.0 * _TINY
         keep = 4.0 * y > lo / -2.0
-        if not np.all(keep):
+        # a Python bool on the scalar path, where np.all and np.any cost twice the reduce
+        if not np.logical_and.reduce(keep, axis=None):
             # hi < 2 tiny needs y = -1 and x tiny, where keep fails, so hi is formed here only
             yp = 1.0 + y
             hi = xx + yp * yp
             s = np.where(keep, s, 0.5 * np.log(np.divide(hi, lo)))
             small = small | (hi < 2.0 * _TINY)
-        if np.any(small):
+        if np.logical_or.reduce(small, axis=None):
             s = np.where(small, np.log(np.hypot(x, 1.0 + y)) - np.log(h), s)
     return s
 

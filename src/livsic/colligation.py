@@ -161,16 +161,14 @@ def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """||a||_F.  A real array takes sqrt(x.x) of its ravelled x, which is what
-    np.linalg.norm computes for it, without the wrapper.  Where the plain sum
-    of squares overflows, the norm is recomputed with a scaled by its largest
-    entry, so it is inf only when it exceeds the float range itself."""
+    """||a||_F.  The ravelled x takes sqrt(x.x), or sqrt(Re x.Re x + Im x.Im x)
+    if complex, which is what np.linalg.norm computes, without the wrapper.
+    Where the plain sum of squares overflows, the norm is recomputed with a
+    scaled by its largest entry, so it is inf only when it exceeds the float
+    range itself."""
     with np.errstate(over="ignore"):
-        if a.dtype == np.float64:
-            x = a.ravel(order="K")
-            r = math.sqrt(x.dot(x))
-        else:
-            r = float(np.linalg.norm(a))
+        x = a.ravel(order="K")
+        r = math.sqrt(x.dot(x) if a.dtype == np.float64 else x.real.dot(x.real) + x.imag.dot(x.imag))
         if math.isinf(r):
             m = float(np.abs(a).max())
             if math.isfinite(m):
@@ -246,8 +244,12 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     slices that need it and one stacked solve, with each slice's K in an
     (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.  LAPACK
     treats each slice as it treats the matrix of a call of its system at
-    its point alone, and each value is formed from its own slice and K, so
-    every value has the bytes of that call.  Where several slices fail, the
+    its point alone.  Every q = K*x is one stacked (m, 1, n) @ (m, n, 1)
+    product, which has the bytes of each slice's np.vdot(K, x) (an einsum or
+    a summed elementwise product does not), and W one array expression with
+    each item's J, so every value has the bytes of that call.  The NaN stop,
+    the n <= 1 zero test and the overflow test are array tests; only the SVD
+    gate asks per slice.  Where several slices fail, the
     first one in stack order raises, with the error that call would raise,
     and only the slices before the first NaN reach LAPACK.  One item's
     base is repeated and its K broadcast, with no stack of systems."""
@@ -265,7 +267,7 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     one = len(systems) == 1
     if one:
         (sys,), (z,) = systems, points
-        n, owners = sys.dim, systems * len(z)
+        n, owners, j = sys.dim, systems * len(z), sys.J
         base, rhs = (sys._re_t if re_t else sys.T).reshape(1, n * n), sys.K.reshape(1, n, 1)
     elif not systems:
         return []
@@ -274,35 +276,38 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
         z, owners = np.concatenate(points), [sys for sys, c in zip(systems, counts) for _ in range(c)]
         base = np.repeat([(sys._re_t if re_t else sys.T).ravel() for sys in systems], counts, 0)
         rhs = np.repeat([sys.K for sys in systems], counts, 0)[..., np.newaxis]
-    zs = z.tolist()
-    stop = next((k for k, zk in enumerate(zs) if cmath.isnan(zk)), len(zs))
+        j = np.repeat([sys.J for sys in systems], counts)
+    nan = np.isnan(z)
+    stop = int(nan.argmax()) if nan.any() else len(z)
     if n <= 1:
         a = base[:stop] - z[:stop, np.newaxis]
         # a 0x0 slice has no entry to vanish: W = 1 and V = 0, the empty sums
-        singular = [(k, (0.0, 0.0)) for k, ak in enumerate(a.ravel().tolist()) if ak == 0]
+        first, s = (stop, None) if a.all() else (int(np.flatnonzero(a == 0)[0]), (0.0, 0.0))
     else:
         a = base.repeat(stop, 0) if one else base[:stop]
         a.T[:: n + 1] -= z[:stop]
+        zs = z.tolist()
         need = [k for k in range(stop) if _needs_svd(owners[k], zs[k], re_t)
                 and np.isfinite(a[k]).all()]
         s = np.linalg.svd(a[need].reshape(-1, n, n), compute_uv=False) if need else ()
-        singular = [(k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0]]
-    first, s = singular[0] if singular else (stop, None)
-    x = np.linalg.solve(a[:first].reshape(first, n, n), rhs[:first]) if first else ()
-    out = []
-    for xk, zk, sys in zip(x, zs, owners):
-        q = np.vdot(sys.K, xk)
-        v = complex(q if re_t else 1.0 - 2j * q * sys.J)
-        if not cmath.isfinite(v):
-            raise SingularResolventError(
-                f"{name} at z={zk} overflows the float range: the resolvent gives {v} (n={n})")
-        out.append(v)
+        singular = ((k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0])
+        first, s = next(singular, (stop, None))
+    # q = K*x of every slice in one stacked (1, n) @ (n, 1) product, which has np.vdot's bytes
+    x = np.linalg.solve(a[:first].reshape(first, n, n), rhs[:first]) if first else rhs[:0]
+    q = (rhs[:first].conj().transpose(0, 2, 1) @ x).reshape(first)
+    v = q if re_t else 1.0 - 2j * q * (j if one else j[:first])
+    finite = np.isfinite(v)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise SingularResolventError(f"{name} at z={complex(z[k])} overflows the float range: "
+                                     f"the resolvent gives {complex(v[k])} (n={n})")
     if first < stop:
         raise SingularResolventError(
-            f"{op} at z={zs[first]} is numerically singular or ill-conditioned: n={n}, "
+            f"{op} at z={complex(z[first])} is numerically singular or ill-conditioned: n={n}, "
             f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    if stop < len(zs):
-        raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
+    if stop < len(z):
+        raise DomainError(f"{op} at z={complex(z[stop])}: z has a NaN part")
+    out = v.tolist()
     return [out] if one else [out[e - c:e] for c, e in zip(counts, itertools.accumulate(counts))]
 
 

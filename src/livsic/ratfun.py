@@ -30,13 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, NotHerglotzAtomicError, PoleError, RangeError
+from .errors import (DegenerateError, DimensionError, DomainError, NotHerglotzAtomicError, PoleError,
+                     RangeError)
 
 # Numerical guards.  Root/residue checks follow standard companion-matrix
 # practice; the pole guard is scaled by denominator coefficient size.
 TAU_POLE = 1e-12
 TAU_ROOT = 1e-8
 TAU_RESIDUE = 1e-8
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
@@ -187,8 +189,10 @@ def _pole_sum(atoms, z: complex) -> complex:
     return acc
 
 
-def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> complex:
-    """Evaluate ``r`` at ``z``; both polynomials are evaluated Horner-style.
+def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex | list[complex]:
+    """Evaluate ``r`` at one point z, or at each point of a 1-D sequence z (then
+    a list of the single calls' values, where the first failing point raises
+    its error); both polynomials are evaluated Horner-style.
 
     Raises PoleError when the denominator value falls below the scaled
     pole guard, signalling evaluation at or too close to a pole, and
@@ -212,47 +216,70 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> 
     raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j;
     a distance |t_j - z| beyond the float range is clear of the pole.
     """
-    z = complex(z)
-    if cmath.isnan(z):
-        raise DomainError(f"rat_eval at z={z}: z has a NaN part")
-    if not isinstance(r, RationalFunction):
-        return _pole_sum(r.atoms, z)
-    if cmath.isinf(z):
-        dn, dd = r.degrees
-        if dn > dd:
-            raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
-                            f"exceeds the denominator's {dd}")
-        return r.num.coeffs[-1] if dn == dd else 0j
-    try:
-        den = _finite(r.den(z), "denominator's Horner value", z)
+    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
+    zs = (z,) if single else np.array(z, dtype=complex)
+    if not single and zs.ndim != 1:
+        raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
+    # read once per call: the record's type, the coefficients in Horner order and the guard
+    atoms = None if isinstance(r, RationalFunction) else r.atoms
+    if atoms is None:
+        num_c, den_c, guard = r.num.coeffs[::-1], r.den.coeffs[::-1], TAU_POLE * r._pole_scale
+    out = []
+    for z in zs if single else zs.tolist():
+        z = complex(z)
+        if cmath.isnan(z):
+            raise DomainError(f"rat_eval at z={z}: z has a NaN part")
+        if atoms is not None:
+            out.append(_pole_sum(atoms, z))
+            continue
+        if cmath.isinf(z):
+            dn, dd = r.degrees
+            if dn > dd:
+                raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
+                                f"exceeds the denominator's {dd}")
+            out.append(r.num.coeffs[-1] if dn == dd else 0j)
+            continue
         try:
-            near = abs(den) < TAU_POLE * r._pole_scale
-        except OverflowError:  # |den| beyond the float range is clear of every pole
-            near = False
-        if near:
-            raise PoleError(f"denominator ~ 0 at z={z}")
-        num = _finite(r.num(z), "numerator's Horner value", z)
-        q = num / den
-        if not cmath.isfinite(q) or not q and num:
-            # complex division overflows inside, to NaN or a silent 0, where a part of num or
-            # den nears the float range; quartering both is exact above the subnormals
-            q = (num / 4.0) / (den / 4.0)
-        return _finite(q, "quotient num/den", z)
-    except RangeError:
-        # past 1 a Horner value can overflow where r(z) is finite: there r(z) is
-        # z^(dn - dd) num_rev(1/z)/den_rev(1/z), with each list of coefficients reversed
-        q = _reversed_quotient(r, z) if math.hypot(z.real, z.imag) > 1.0 else None
-        if q is None:
-            raise
-        return q
+            den = 0j
+            for c in den_c:
+                den = den * z + c
+            den = _finite(den, "denominator's Horner value", z)
+            try:
+                near = abs(den) < guard
+            except OverflowError:  # |den| beyond the float range is clear of every pole
+                near = False
+            if near:
+                raise PoleError(f"denominator ~ 0 at z={z}")
+            num = 0j
+            for c in num_c:
+                num = num * z + c
+            num = _finite(num, "numerator's Horner value", z)
+            q = num / den
+            if not cmath.isfinite(q) or not q and num:
+                # complex division overflows inside, to NaN or a silent 0, where a part of num or
+                # den nears the float range; quartering both is exact above the subnormals
+                q = (num / 4.0) / (den / 4.0)
+            out.append(_finite(q, "quotient num/den", z))
+        except RangeError:
+            # past 1 a Horner value can overflow where r(z) is finite: there r(z) is
+            # z^(dn - dd) num_rev(1/z)/den_rev(1/z), with each list of coefficients reversed
+            q = _reversed_quotient(r, z) if math.hypot(z.real, z.imag) > 1.0 else None
+            if q is None:
+                raise
+            out.append(q)
+    return out[0] if single else out
 
 
 def _reversed_quotient(r: RationalFunction, z: complex) -> complex | None:
     """r(z) as z^(dn - dd) num_rev(w)/den_rev(w) at w = 1/z, where p_rev(w) =
     w^deg p(1/w) has p's coefficients in reverse order, multiplying or dividing
     by z one degree at a time; None where that value is not finite, or is 0
-    while num_rev(w) is not (it underflows)."""
-    w = 1.0 / z
+    while num_rev(w) is not (it underflows).  Each division by z is formed from
+    quartered operands where a part of z exceeds half the float range: there
+    Python's complex division overflows inside Smith's denominator to a silent 0."""
+    big = abs(z.real) > _HALF_MAX or abs(z.imag) > _HALF_MAX
+    z4 = z / 4.0
+    w = 0.25 / z4 if big else 1.0 / z
     num_rev, den_rev = 0j, 0j
     for c in r.num.coeffs:
         num_rev = num_rev * w + c
@@ -265,7 +292,7 @@ def _reversed_quotient(r: RationalFunction, z: complex) -> complex | None:
     for _ in range(dn - dd):
         q *= z
     for _ in range(dd - dn):
-        q /= z
+        q = (q / 4.0) / z4 if big else q / z
     return q if cmath.isfinite(q) and (q or not num_rev) else None
 
 

@@ -746,6 +746,55 @@ class TestSequence:
                 colligation._solve_guarded(items, ev is impedance_resolvent)
             assert str(info.value) == str(first), items
 
+    @pytest.mark.parametrize("re_t", [False, True])
+    def test_values_are_the_per_slice_vdot(self, rng, monkeypatch, re_t):
+        # q = K*x of every slice is one stacked (1, n) @ (n, 1) product and W = 1 - 2iqJ
+        # one array expression: each value keeps the bytes of np.vdot(K, x_k) and of the
+        # scalar expression on the same solve, for one item and for several
+        solve, xs = np.linalg.solve, []
+
+        def spy(*args, **kwargs):
+            xs.append(solve(*args, **kwargs))
+            return xs[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for n in (*range(9), 64, 256):
+            if n:
+                dense = _similar(_draw_chain(rng, n), rng)
+                systems = [dense, LSystem(dense.T.conj(), dense.K.conj(), -1),
+                           _similar(_draw_chain(rng, n), rng)]
+            else:
+                systems = [LSystem(np.zeros((0, 0)), [], j) for j in (1, -1, 1)]
+            # the half-plane off T's numerical range, which the strip of a long chain is not
+            items = [(sys, [complex(z.real, -sys.J * abs(z.imag))
+                            for z in (draw_z(rng) for _ in range(3 if n < 64 else 2))])
+                     for sys in systems]
+            for stack in [items, *([item] for item in items)]:
+                xs.clear()
+                got = colligation._solve_guarded(stack, re_t)
+                (x,) = xs
+                slices, want = iter(x), []
+                for sys, zs in stack:
+                    q = [np.vdot(sys.K, next(slices)) for _ in zs]
+                    want.append([complex(qk if re_t else 1.0 - 2j * qk * sys.J) for qk in q])
+                assert next(slices, None) is None
+                assert [_bits(v) for v in got] == [_bits(v) for v in want], (n, len(stack))
+
+    def test_the_overflow_refusal_keeps_its_text_and_order(self):
+        # W of this valid 1x1 system overflows at -i, and T - zI is singular at 1e-310 - i:
+        # the first of the two in stack order raises
+        one, mirror = make_elementary(0.5 + 1j).system, LSystem([[1e-310 - 1j]], [1.0], -1)
+        overflow = ("W(z) at z=(-0-1j) overflows the float range: the resolvent gives "
+                    "(nan+nanj) (n=1)")
+        singular = ("T - zI at z=(1e-310-1j) is numerically singular or ill-conditioned: n=1, "
+                    "sigma_min=0.000e+00, sigma_max=0.000e+00")
+        for items, text in [([(one, [2j]), (mirror, [1j, -1j])], overflow),
+                            ([(mirror, [1e-310 - 1j, -1j])], singular),
+                            ([(mirror, [-1j]), (one, [1j]), (mirror, [1e-310 - 1j])], overflow)]:
+            with pytest.raises(SingularResolventError) as info:
+                colligation._solve_guarded(items, False)
+            assert str(info.value) == text
+
     def test_a_stack_of_mixed_orders_is_refused(self, rng):
         one, chain = make_elementary(0.5 + 1j).system, _draw_chain(rng, 2)
         for re_t in (False, True):

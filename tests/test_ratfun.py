@@ -11,6 +11,7 @@ from conftest import assert_rat_equal, assert_rat_value, rat_sum, rel_err
 from livsic import (
     AtomicMeasure,
     DegenerateError,
+    DimensionError,
     DomainError,
     FosterSpec,
     LSystem,
@@ -204,6 +205,21 @@ class TestRatEval:
         err = (Fraction(got.real) - want[0]) ** 2 + (Fraction(got.imag) - want[1]) ** 2
         assert err <= (4 * Fraction(np.finfo(float).eps)) ** 2 * (want[0] ** 2 + want[1] ** 2), got
 
+    @pytest.mark.parametrize("r, z", [
+        *((coupling_impedance_closed(1j, 2j), z) for z in (
+            1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1.7e308 - 1.7e308j, 1e308 + 1.7e308j,
+            1.7e308 + 1e300j, 9e307 + 9e307j)),
+        # 1 + 1e300/z, about 1 + 3.3e-9(1 - i): w = 1/z read as 0 would give 1
+        (RationalFunction((0.0, 1e300, 1.0), (1.0, 0.0, 1.0)), 1.5e308 + 1.5e308j)])
+    def test_a_value_past_half_the_float_range_is_returned(self, r, z):
+        # Python's complex w = 1/z and q/z overflow inside Smith's denominator where a
+        # part of z exceeds half the float range, and return a silent 0, so the reversed
+        # path forms both from quartered operands; V of the coupling, about -3/z, is subnormal
+        got = rat_eval(r, z)
+        want = _exact_value(r, z)
+        err = (Fraction(got.real) - want[0]) ** 2 + (Fraction(got.imag) - want[1]) ** 2
+        assert err <= (4 * Fraction(np.finfo(float).eps)) ** 2 * (want[0] ** 2 + want[1] ** 2), got
+
     @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 1.7e308 - 1.7e308j])
     def test_a_distance_past_the_float_range_is_clear_of_every_pole(self, z):
         # |z|, |t - z| and |den| exceed the float range though z is finite
@@ -223,6 +239,76 @@ class TestRatEval:
         assert r._pole_scale == 3.0 == max(1.0, max(abs(c) for c in r.den.coeffs))
         assert RationalFunction((1.0,), (0.25, 1.0))._pole_scale == 1.0
         assert "pole_scale" not in repr(r)
+
+
+def _bits(values):
+    """Every value's bytes, signed zeros included."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _outcome(r, z):
+    """rat_eval(r, z), or the type and text of the error it raises."""
+    try:
+        return rat_eval(r, z)
+    except (DomainError, PoleError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRatEvalSequence:
+    """A 1-D sequence of points gives the list of the single calls' values, bit for bit."""
+
+    FUNCTIONS = [
+        W_I, V_I, V_1I, RationalFunction((), (1.0, 1.0)), RationalFunction((0.0, 1.0)),
+        RationalFunction((1.0,), (0.0, 0.0, 0.0, 1.0)), RationalFunction((1e8,), (0.0, 1.0)),
+        RationalFunction((1.0, -2.0, 1.0), (3j, 0.0, 0.5, 1.0)),
+        coupling_transfer_closed(1j, 2j), coupling_impedance_closed(1j, 2j),
+        self_skew_impedance_closed(1 + 1j),
+        AtomicMeasure([(1.0, 2.0), (-1.0, 1.0)]), _PoleResidue(((1.0, 2.0), (-1.0, 1.0))),
+        foster_to_herglotz(FosterSpec(1.0, [(1.0, 2.0)])), positive_real_z(FosterSpec(1.0, [(1.0, 2.0)])),
+    ]
+    # signed zeros, poles of some functions, the reversed path (1e200, 1e160(1 + i),
+    # -1e110 + 3e109i), its quartered divisions (past 9e307) and infinite points
+    POINTS = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j, 1.0, -1.0, 2j, 3,
+              -1.5 + 0.5j, 1e200, 1e160 + 1e160j, -1e110 + 3e109j, 1.5e308 + 1.5e308j,
+              1.7e308 + 1e300j, complex(math.inf, 0.0), complex(-math.inf, 0.0),
+              complex(0.0, math.inf), complex(-0.0, -math.inf), complex(math.inf, math.inf)]
+
+    @pytest.mark.parametrize("r", FUNCTIONS)
+    def test_each_value_is_the_single_calls(self, r):
+        single = [(z, _outcome(r, z)) for z in self.POINTS]
+        zs = [z for z, v in single if type(v) is complex]
+        assert len(zs) >= 12
+        for seq in (zs, tuple(zs), np.array(zs)):
+            got = rat_eval(r, seq)
+            assert type(got) is list and all(type(v) is complex for v in got)
+            assert _bits(got) == _bits(v for _, v in single if type(v) is complex)
+        assert rat_eval(r, []) == []
+        # a 0-d array is one point
+        assert _bits([rat_eval(r, np.array(zs[0]))]) == _bits([rat_eval(r, zs[0])])
+
+    @pytest.mark.parametrize("r", FUNCTIONS)
+    def test_first_failing_point_raises_its_own_error(self, r):
+        nan = complex(math.nan, 1.0)
+        single = [(z, _outcome(r, z)) for z in self.POINTS]
+        clean = [z for z, v in single if type(v) is complex]
+        failing = [z for z, v in single if type(v) is not complex]
+        for bad in failing + [nan]:
+            for zs in ([clean[0], bad, nan, *failing], [*clean[1:4], bad, *clean]):
+                with pytest.raises((DomainError, PoleError, RangeError)) as info:
+                    rat_eval(r, zs)
+                assert (type(info.value), str(info.value)) == _outcome(r, bad), zs
+
+    def test_each_error_kind_is_reached(self):
+        # a pole, a NaN part and a value past the float range, each after clean points
+        for r, zs, kind in [(W_I, [2j, 1j], PoleError), (V_I, [1.0, complex(0.0, math.nan)], DomainError),
+                            (RationalFunction((1.0,), (0.0, 0.0, 0.0, 1.0)), [2j, 1e200], RangeError),
+                            (AtomicMeasure([(1.0, 2.0)]), [2j, 1.0], PoleError)]:
+            with pytest.raises(kind):
+                rat_eval(r, zs)
+
+    def test_a_2d_array_is_refused(self):
+        with pytest.raises(DimensionError, match=r"1-D sequence, got shape \(1, 2\)"):
+            rat_eval(W_I, [[1j, 2j]])
 
 
 class TestRatMul:

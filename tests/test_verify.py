@@ -83,3 +83,14 @@ def test_svd_gate_traffic(monkeypatch, forced, svd_calls, slices):
         monkeypatch.setattr(colligation, "_needs_svd", lambda *args: True)
     verify.run_verification(seed=3, n_systems=10)
     assert (len(stacks), sum(stacks), len(solves)) == (svd_calls, slices, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 101])
+def test_uniform_draws_are_generator_uniforms(seed):
+    # verify's scalar draws take numpy's own formula: the bytes of Generator.uniform
+    # over the suite's ranges, and the stream left where it leaves it
+    ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
+    for lo, hi in [(-2.0, 2.0), (0.1, 2.5), (-3.0, 3.0), (0.2, 2.5), (0.05, 0.95)] * 2000:
+        got = verify._uniform(ours, lo, hi)
+        assert type(got) is float and got.hex() == numpy_.uniform(lo, hi).hex(), (lo, hi)
+    assert ours.bit_generator.state == numpy_.bit_generator.state
