@@ -39,6 +39,8 @@ TAU_POLE = 1e-12
 TAU_ROOT = 1e-8
 TAU_RESIDUE = 1e-8
 _HALF_MAX = float(np.finfo(float).max) / 2.0
+#: what rat_eval reads as a sequence of points; a 0-d array is one point
+_SEQUENCE = (list, tuple, np.ndarray)
 
 
 def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
@@ -137,6 +139,8 @@ class RationalFunction:
     den: Polynomial
     #: max(1, |largest denominator coefficient|), the scale of :func:`rat_eval`'s pole guard
     _pole_scale: float = field(init=False, repr=False, compare=False)
+    #: num's and den's coefficients in Horner order, highest degree first, and the pole guard
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, num, den=(1.0,)):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -152,6 +156,8 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_pole_scale", max(1.0, max(abs(c) for c in den.coeffs)))
+        object.__setattr__(self, "_horner",
+                           (num.coeffs[::-1], den.coeffs[::-1], TAU_POLE * self._pole_scale))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -170,23 +176,6 @@ class _PoleResidue:
     with complex poles t_j and real weights w_j, as Z(p) of ``circuit``."""
 
     atoms: tuple[tuple[complex, float], ...]
-
-
-def _pole_sum(atoms, z: complex) -> complex:
-    """sum w/(t - z) over the atoms (t, w), in their order; PoleError where
-    |t - z| <= TAU_POLE * max(1, |t|) for some t."""
-    acc = 0j
-    for t, w in atoms:
-        d = t - z
-        # the guard spelled out: max() would double the loop's cost
-        try:
-            ad = abs(d)
-        except OverflowError:  # |t - z| beyond the float range is clear of every pole
-            ad = cmath.inf
-        if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
-            raise PoleError(f"z={z} is at or too near the pole {t}")
-        acc += w / d
-    return acc
 
 
 def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex | list[complex]:
@@ -216,58 +205,70 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex |
     raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j;
     a distance |t_j - z| beyond the float range is clear of the pole.
     """
-    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
-    zs = (z,) if single else np.array(z, dtype=complex)
-    if not single and zs.ndim != 1:
+    # a complex point is tested first: it is the common case, and the cheapest test
+    if type(z) is complex or not isinstance(z, _SEQUENCE) or isinstance(z, np.ndarray) and not z.ndim:
+        return _rat_point(r, complex(z))
+    zs = np.array(z, dtype=complex)
+    if zs.ndim != 1:
         raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
-    # read once per call: the record's type, the coefficients in Horner order and the guard
-    atoms = None if isinstance(r, RationalFunction) else r.atoms
-    if atoms is None:
-        num_c, den_c, guard = r.num.coeffs[::-1], r.den.coeffs[::-1], TAU_POLE * r._pole_scale
-    out = []
-    for z in zs if single else zs.tolist():
-        z = complex(z)
-        if cmath.isnan(z):
-            raise DomainError(f"rat_eval at z={z}: z has a NaN part")
-        if atoms is not None:
-            out.append(_pole_sum(atoms, z))
-            continue
-        if cmath.isinf(z):
-            dn, dd = r.degrees
-            if dn > dd:
-                raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
-                                f"exceeds the denominator's {dd}")
-            out.append(r.num.coeffs[-1] if dn == dd else 0j)
-            continue
-        try:
-            den = 0j
-            for c in den_c:
-                den = den * z + c
-            den = _finite(den, "denominator's Horner value", z)
+    return [_rat_point(r, z) for z in zs.tolist()]
+
+
+def _rat_point(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> complex:
+    """:func:`rat_eval` at one point z, the one body of a single call and of each
+    point of a sequence; the coefficients in Horner order and the pole guard are
+    read as formed once per function."""
+    if cmath.isnan(z):
+        raise DomainError(f"rat_eval at z={z}: z has a NaN part")
+    if not isinstance(r, RationalFunction):
+        # sum w/(t - z) over the atoms (t, w), in their order, each with its guard
+        # spelled out: max() would double the loop's cost
+        acc = 0j
+        for t, w in r.atoms:
+            d = t - z
             try:
-                near = abs(den) < guard
-            except OverflowError:  # |den| beyond the float range is clear of every pole
-                near = False
-            if near:
-                raise PoleError(f"denominator ~ 0 at z={z}")
-            num = 0j
-            for c in num_c:
-                num = num * z + c
-            num = _finite(num, "numerator's Horner value", z)
-            q = num / den
-            if not cmath.isfinite(q) or not q and num:
-                # complex division overflows inside, to NaN or a silent 0, where a part of num or
-                # den nears the float range; quartering both is exact above the subnormals
-                q = (num / 4.0) / (den / 4.0)
-            out.append(_finite(q, "quotient num/den", z))
-        except RangeError:
-            # past 1 a Horner value can overflow where r(z) is finite: there r(z) is
-            # z^(dn - dd) num_rev(1/z)/den_rev(1/z), with each list of coefficients reversed
-            q = _reversed_quotient(r, z) if math.hypot(z.real, z.imag) > 1.0 else None
-            if q is None:
-                raise
-            out.append(q)
-    return out[0] if single else out
+                ad = abs(d)
+            except OverflowError:  # |t - z| beyond the float range is clear of every pole
+                ad = cmath.inf
+            if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
+                raise PoleError(f"z={z} is at or too near the pole {t}")
+            acc += w / d
+        return acc
+    if cmath.isinf(z):
+        dn, dd = r.degrees
+        if dn > dd:
+            raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
+                            f"exceeds the denominator's {dd}")
+        return r.num.coeffs[-1] if dn == dd else 0j
+    num_c, den_c, guard = r._horner
+    try:
+        den = 0j
+        for c in den_c:
+            den = den * z + c
+        den = _finite(den, "denominator's Horner value", z)
+        try:
+            near = abs(den) < guard
+        except OverflowError:  # |den| beyond the float range is clear of every pole
+            near = False
+        if near:
+            raise PoleError(f"denominator ~ 0 at z={z}")
+        num = 0j
+        for c in num_c:
+            num = num * z + c
+        num = _finite(num, "numerator's Horner value", z)
+        q = num / den
+        if not cmath.isfinite(q) or not q and num:
+            # complex division overflows inside, to NaN or a silent 0, where a part of num or
+            # den nears the float range; quartering both is exact above the subnormals
+            q = (num / 4.0) / (den / 4.0)
+        return _finite(q, "quotient num/den", z)
+    except RangeError:
+        # past 1 a Horner value can overflow where r(z) is finite: there r(z) is
+        # z^(dn - dd) num_rev(1/z)/den_rev(1/z), with each list of coefficients reversed
+        q = _reversed_quotient(r, z) if math.hypot(z.real, z.imag) > 1.0 else None
+        if q is None:
+            raise
+        return q
 
 
 def _reversed_quotient(r: RationalFunction, z: complex) -> complex | None:
