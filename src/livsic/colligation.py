@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularResolventError
+from .ratfun import _is_point
 
 #: Bound on ||Im T - K J K*|| / (1 + ||T||) for a valid system.
 TAU_COLLIGATION = 1e-9
@@ -277,8 +278,13 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
         base = np.repeat([(sys._re_t if re_t else sys.T).ravel() for sys in systems], counts, 0)
         rhs = np.repeat([sys.K for sys in systems], counts, 0)[..., np.newaxis]
         j = np.repeat([sys.J for sys in systems], counts)
-    nan = np.isnan(z)
-    stop = int(nan.argmax()) if nan.any() else len(z)
+    zs = z.tolist()
+    # one point takes Python's scalar NaN and finiteness tests, at a tenth of the array tests' cost
+    if len(zs) == 1:
+        stop = 0 if cmath.isnan(zs[0]) else 1
+    else:
+        nan = np.isnan(z)
+        stop = int(nan.argmax()) if nan.any() else len(zs)
     if n <= 1:
         a = base[:stop] - z[:stop, np.newaxis]
         # a 0x0 slice has no entry to vanish: W = 1 and V = 0, the empty sums
@@ -286,7 +292,6 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     else:
         a = base.repeat(stop, 0) if one else base[:stop]
         a.T[:: n + 1] -= z[:stop]
-        zs = z.tolist()
         need = [k for k in range(stop) if _needs_svd(owners[k], zs[k], re_t)
                 and np.isfinite(a[k]).all()]
         s = np.linalg.svd(a[need].reshape(-1, n, n), compute_uv=False) if need else ()
@@ -296,25 +301,24 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     x = np.linalg.solve(a[:first].reshape(first, n, n), rhs[:first]) if first else rhs[:0]
     q = (rhs[:first].conj().transpose(0, 2, 1) @ x).reshape(first)
     v = q if re_t else 1.0 - 2j * q * (j if one else j[:first])
-    finite = np.isfinite(v)
-    if not finite.all():
-        k = int(finite.argmin())
-        raise SingularResolventError(f"{name} at z={complex(z[k])} overflows the float range: "
-                                     f"the resolvent gives {complex(v[k])} (n={n})")
+    out = v.tolist()
+    if not (cmath.isfinite(out[0]) if len(out) == 1 else np.isfinite(v).all()):
+        k = int(np.isfinite(v).argmin())
+        raise SingularResolventError(f"{name} at z={zs[k]} overflows the float range: "
+                                     f"the resolvent gives {out[k]} (n={n})")
     if first < stop:
         raise SingularResolventError(
-            f"{op} at z={complex(z[first])} is numerically singular or ill-conditioned: n={n}, "
+            f"{op} at z={zs[first]} is numerically singular or ill-conditioned: n={n}, "
             f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
-    if stop < len(z):
-        raise DomainError(f"{op} at z={complex(z[stop])}: z has a NaN part")
-    out = v.tolist()
+    if stop < len(zs):
+        raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
     return [out] if one else [out[e - c:e] for c, e in zip(counts, itertools.accumulate(counts))]
 
 
 def _resolvent(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
     """:func:`_solve_guarded` of sys alone, at one point z or at each point
     of a 1-D sequence z (then a list)."""
-    single = not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
+    single = _is_point(z)
     (out,) = _solve_guarded([(sys, [complex(z)] if single else z)], re_t)
     return out[0] if single else out
 

@@ -39,8 +39,6 @@ TAU_POLE = 1e-12
 TAU_ROOT = 1e-8
 TAU_RESIDUE = 1e-8
 _HALF_MAX = float(np.finfo(float).max) / 2.0
-#: what rat_eval reads as a sequence of points; a 0-d array is one point
-_SEQUENCE = (list, tuple, np.ndarray)
 
 
 def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
@@ -139,8 +137,6 @@ class RationalFunction:
     den: Polynomial
     #: max(1, |largest denominator coefficient|), the scale of :func:`rat_eval`'s pole guard
     _pole_scale: float = field(init=False, repr=False, compare=False)
-    #: num's and den's coefficients in Horner order, highest degree first, and the pole guard
-    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, num, den=(1.0,)):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -156,8 +152,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_pole_scale", max(1.0, max(abs(c) for c in den.coeffs)))
-        object.__setattr__(self, "_horner",
-                           (num.coeffs[::-1], den.coeffs[::-1], TAU_POLE * self._pole_scale))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -176,6 +170,29 @@ class _PoleResidue:
     with complex poles t_j and real weights w_j, as Z(p) of ``circuit``."""
 
     atoms: tuple[tuple[complex, float], ...]
+
+
+def _pole_sum(atoms, z: complex) -> complex:
+    """sum w/(t - z) over the atoms (t, w), in their order; PoleError where
+    |t - z| <= TAU_POLE * max(1, |t|) for some t."""
+    acc = 0j
+    for t, w in atoms:
+        d = t - z
+        # the guard spelled out: max() would double the loop's cost
+        try:
+            ad = abs(d)
+        except OverflowError:  # |t - z| beyond the float range is clear of every pole
+            ad = cmath.inf
+        if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
+            raise PoleError(f"z={z} is at or too near the pole {t}")
+        acc += w / d
+    return acc
+
+
+def _is_point(z) -> bool:
+    """Whether z is one point rather than a sequence of them: anything but a
+    list, tuple or array, or a 0-d array.  The resolvents read z alike."""
+    return not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
 
 
 def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex | list[complex]:
@@ -205,57 +222,33 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex |
     raising PoleError when |t_j - z| <= TAU_POLE * max(1, |t_j|) for some j;
     a distance |t_j - z| beyond the float range is clear of the pole.
     """
-    # a complex point is tested first: it is the common case, and the cheapest test
-    if type(z) is complex or not isinstance(z, _SEQUENCE) or isinstance(z, np.ndarray) and not z.ndim:
-        return _rat_point(r, complex(z))
-    zs = np.array(z, dtype=complex)
-    if zs.ndim != 1:
-        raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
-    return [_rat_point(r, z) for z in zs.tolist()]
-
-
-def _rat_point(r: RationalFunction | AtomicMeasure | _PoleResidue, z: complex) -> complex:
-    """:func:`rat_eval` at one point z, the one body of a single call and of each
-    point of a sequence; the coefficients in Horner order and the pole guard are
-    read as formed once per function."""
+    # a complex point is the common case, and the cheapest test
+    if type(z) is not complex:
+        if not _is_point(z):
+            zs = np.array(z, dtype=complex)
+            if zs.ndim != 1:
+                raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
+            return [rat_eval(r, p) for p in zs.tolist()]
+        z = complex(z)
     if cmath.isnan(z):
         raise DomainError(f"rat_eval at z={z}: z has a NaN part")
     if not isinstance(r, RationalFunction):
-        # sum w/(t - z) over the atoms (t, w), in their order, each with its guard
-        # spelled out: max() would double the loop's cost
-        acc = 0j
-        for t, w in r.atoms:
-            d = t - z
-            try:
-                ad = abs(d)
-            except OverflowError:  # |t - z| beyond the float range is clear of every pole
-                ad = cmath.inf
-            if ad <= TAU_POLE or ad <= TAU_POLE * abs(t):
-                raise PoleError(f"z={z} is at or too near the pole {t}")
-            acc += w / d
-        return acc
+        return _pole_sum(r.atoms, z)
     if cmath.isinf(z):
         dn, dd = r.degrees
         if dn > dd:
             raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
                             f"exceeds the denominator's {dd}")
         return r.num.coeffs[-1] if dn == dd else 0j
-    num_c, den_c, guard = r._horner
     try:
-        den = 0j
-        for c in den_c:
-            den = den * z + c
-        den = _finite(den, "denominator's Horner value", z)
+        den = _finite(r.den(z), "denominator's Horner value", z)
         try:
-            near = abs(den) < guard
+            near = abs(den) < TAU_POLE * r._pole_scale
         except OverflowError:  # |den| beyond the float range is clear of every pole
             near = False
         if near:
             raise PoleError(f"denominator ~ 0 at z={z}")
-        num = 0j
-        for c in num_c:
-            num = num * z + c
-        num = _finite(num, "numerator's Horner value", z)
+        num = _finite(r.num(z), "numerator's Horner value", z)
         q = num / den
         if not cmath.isfinite(q) or not q and num:
             # complex division overflows inside, to NaN or a silent 0, where a part of num or
