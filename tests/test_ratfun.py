@@ -236,9 +236,11 @@ class TestRatEval:
 
     def test_pole_scale_is_stored_from_the_monic_denominator(self):
         r = RationalFunction((1.0,), (4.0, -6.0, 2.0))
-        assert r._pole_scale == 3.0 == max(1.0, max(abs(c) for c in r.den.coeffs))
-        assert RationalFunction((1.0,), (0.25, 1.0))._pole_scale == 1.0
-        assert "pole_scale" not in repr(r)
+        # rat_eval's guard is TAU_POLE times max(1, |largest denominator coefficient|)
+        assert r._horner == (r.num.coeffs[::-1], r.den.coeffs[::-1], TAU_POLE * 3.0)
+        assert 3.0 == max(1.0, max(abs(c) for c in r.den.coeffs))
+        assert RationalFunction((1.0,), (0.25, 1.0))._horner[2] == TAU_POLE
+        assert "_horner" not in repr(r)
 
 
 def _bits(values):
