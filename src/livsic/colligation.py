@@ -249,8 +249,9 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     product, which has the bytes of each slice's np.vdot(K, x) (an einsum or
     a summed elementwise product does not), and W one array expression with
     each item's J, so every value has the bytes of that call.  The NaN stop,
-    the n <= 1 zero test and the overflow test are array tests; only the SVD
-    gate asks per slice.  Where several slices fail, the
+    the n <= 1 zero test and the overflow test are array tests (the NaN and
+    overflow tests of one point are scalar); only the SVD gate asks per
+    slice.  Where several slices fail, the
     first one in stack order raises, with the error that call would raise,
     and only the slices before the first NaN reach LAPACK.  One item's
     base is repeated and its K broadcast, with no stack of systems."""
@@ -279,7 +280,7 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
         rhs = np.repeat([sys.K for sys in systems], counts, 0)[..., np.newaxis]
         j = np.repeat([sys.J for sys in systems], counts)
     zs = z.tolist()
-    # one point takes Python's scalar NaN and finiteness tests, at a tenth of the array tests' cost
+    # one point takes Python's scalar NaN and overflow tests, at a tenth of the array tests' cost
     if len(zs) == 1:
         stop = 0 if cmath.isnan(zs[0]) else 1
     else:
