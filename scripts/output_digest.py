@@ -11,6 +11,9 @@ changed.  The groups are
 * ``run_verification`` at seeds 0 to 99 with ``n_systems=10``, and at seed 42;
 * every step of every operation of the ``cascade`` and ``foster`` workloads at
   seeds 101 and 7 (``foster`` reaches ``rat_eval``'s pole-record path);
+* both resolvents of every ``cascade`` chain at seed 101 with at most 8
+  factors, at its points and at +/-i, one call per point and then one call
+  over the sequence (the one-point calls a workload makes only rarely);
 * the eight commands of the ``cli`` workload at seed 101, run in process.
 
 Every value is written exactly: a float by ``float.hex``, an exception by its
@@ -31,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (needs the paths above)
-from livsic import verify  # noqa: E402
+from livsic import colligation, coupling, elementary, verify  # noqa: E402
 
 
 def exact(v) -> str:
@@ -64,6 +67,22 @@ def sha(values) -> str:
     return h.hexdigest()
 
 
+def resolvents(seed: int):
+    """Each resolvent of each short ``Cascade(seed)`` chain, folded as the
+    workload folds it, point by point and then over the sequence."""
+    wl = workloads.Cascade(seed)
+    for lam, zs in zip(wl.chains, wl.points):
+        if len(lam) > 8:
+            continue
+        s = elementary.make_elementary(lam[0]).system
+        for x in lam[1:]:
+            s = coupling.couple(s, elementary.make_elementary(x).system).system
+        points = [*zs, 1j, -1j]
+        for ev in (colligation.transfer_resolvent, colligation.impedance_resolvent):
+            yield [workloads.attempt(ev, s, z) for z in points]
+            yield workloads.attempt(ev, s, points)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli = workloads.Cli(101, workdir=Path(tmp))
@@ -77,6 +96,7 @@ def main() -> None:
             for seed in (101, 7):
                 wl = kind(seed)
                 print(f"{wl.name} {seed} {sha(wl.run(i) for i in range(len(wl)))}")
+        print(f"resolvent 101 {sha(resolvents(101))}")
         for i, name in enumerate(workloads.SUBCOMMANDS):
             print(f"cli 101 {name} {sha([cli.run_inprocess(i)])}")
 

@@ -90,7 +90,11 @@ class LCStage:
 
     @property
     def resonance(self) -> float:
-        return 1.0 / math.sqrt(self.inductance * self.capacitance)
+        lc = self.inductance * self.capacitance
+        # where L*C falls below the smallest normal float it has lost digits or vanished
+        if lc < sys.float_info.min:
+            return 1.0 / (math.sqrt(self.inductance) * math.sqrt(self.capacitance))
+        return 1.0 / math.sqrt(lc)
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,11 @@ def skew_coupling_foster(lambda0: complex) -> FosterSpec:
     system with its skew-adjoint companion: single stage with weight
     2 Im(lambda0) at resonance |lambda0| (so M(z) = 2 Im(l) z/(|l|^2 - z^2))."""
     lambda0 = _check_upper(lambda0)
-    return FosterSpec(0.0, [(2.0 * lambda0.imag, abs(lambda0))])
+    try:
+        b = abs(lambda0)
+    except OverflowError:
+        raise RangeError(f"|lambda0| of {lambda0} exceeds the float range") from None
+    return FosterSpec(0.0, [(2.0 * lambda0.imag, b)])
 
 
 def skew_coupling_circuit(lambda0: complex) -> Netlist:

@@ -42,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularResolventError
-from .ratfun import _is_point
+from .errors import DimensionError, DomainError, RangeError, SingularResolventError
+from .ratfun import _points
 
 #: Bound on ||Im T - K J K*|| / (1 + ||T||) for a valid system.
 TAU_COLLIGATION = 1e-9
@@ -236,92 +236,86 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     n > 1 the SVD runs only where :func:`_needs_svd` says so and a is
     finite: a non-finite a passes as its NaN singular values
     would, and LAPACK's SVD of it writes an illegal-value message to
-    stdout.  DomainError for a z with a NaN part, before LAPACK sees it.
-    SingularResolventError where the solve overflows and leaves the value
-    non-finite.
+    stdout.  DomainError for a z with a NaN part, and RangeError for a
+    finite z whose shifted diagonal has an entry beyond the float range,
+    before LAPACK sees either; an infinite z keeps the limits W = 1 and
+    V = 0.  SingularResolventError where the solve overflows and leaves
+    the value non-finite.
 
-    The items are solved as one stack: one (m, n, n) copy of their bases in
-    item order, each shifted only on its diagonal, one stacked SVD of the
-    slices that need it and one stacked solve, with each slice's K in an
-    (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.  LAPACK
-    treats each slice as it treats the matrix of a call of its system at
-    its point alone.  Every q = K*x is one stacked (m, 1, n) @ (m, n, 1)
-    product, which has the bytes of each slice's np.vdot(K, x) (an einsum or
-    a summed elementwise product does not), and W one array expression with
-    each item's J, so every value has the bytes of that call.  The NaN stop,
-    the n <= 1 zero test and the overflow test are array tests (the NaN and
-    overflow tests of one point are scalar); only the SVD gate asks per
-    slice.  Where several slices fail, the
-    first one in stack order raises, with the error that call would raise,
-    and only the slices before the first NaN reach LAPACK.  One item's
-    base is repeated and its K broadcast, with no stack of systems."""
+    Every call is solved as one stack: one (m, n, n) copy of the bases in
+    item order, each slice shifted only on its diagonal, one stacked SVD
+    of the slices that need it and one stacked solve, with each slice's K
+    in an (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.
+    LAPACK treats each slice as it treats the matrix of a call of its
+    system at its point alone.  Every q = K*x is one stacked
+    (m, 1, n) @ (m, n, 1) product, which has the bytes of each slice's
+    np.vdot(K, x) (an einsum or a summed elementwise product does not),
+    and W one array expression with each item's J, so every value has the
+    bytes of that call.  The NaN and range stop, the n <= 1 zero test and
+    the overflow test are array tests; only the SVD gate asks per slice.
+    Where several slices fail, the first one in stack order raises, with
+    the error that call would raise, and only the slices before the first
+    stop reach LAPACK."""
     op, name = ("Re T - zI", "V(z)") if re_t else ("T - zI", "W(z)")
-    systems, points = [], []
-    for sys, z in items:
-        z = np.array(z, dtype=complex)
-        if z.ndim != 1:
-            raise DimensionError(f"z must be one point or a 1-D sequence, got shape {z.shape}")
-        if systems and sys.dim != systems[0].dim:
-            raise DimensionError(f"stacked systems must share one state dimension, "
-                                 f"got n={systems[0].dim} and n={sys.dim}")
-        systems.append(sys)
-        points.append(z)
-    one = len(systems) == 1
-    if one:
-        (sys,), (z,) = systems, points
-        n, owners, j = sys.dim, systems * len(z), sys.J
-        base, rhs = (sys._re_t if re_t else sys.T).reshape(1, n * n), sys.K.reshape(1, n, 1)
-    elif not systems:
+    systems = [sys for sys, _ in items]
+    if not systems:
         return []
-    else:
-        n, counts = systems[0].dim, [len(p) for p in points]
-        z, owners = np.concatenate(points), [sys for sys, c in zip(systems, counts) for _ in range(c)]
-        base = np.repeat([(sys._re_t if re_t else sys.T).ravel() for sys in systems], counts, 0)
-        rhs = np.repeat([sys.K for sys in systems], counts, 0)[..., np.newaxis]
-        j = np.repeat([sys.J for sys in systems], counts)
+    n = systems[0].dim
+    for sys in systems:
+        if sys.dim != n:
+            raise DimensionError(f"stacked systems must share one state dimension, "
+                                 f"got n={n} and n={sys.dim}")
+    counts = [len(z) for _, z in items]
+    z = np.concatenate([z for _, z in items], dtype=complex)
     zs = z.tolist()
-    # one point takes Python's scalar NaN and overflow tests, at a tenth of the array tests' cost
-    if len(zs) == 1:
-        stop = 0 if cmath.isnan(zs[0]) else 1
-    else:
-        nan = np.isnan(z)
-        stop = int(nan.argmax()) if nan.any() else len(zs)
+    a = np.array([(sys._re_t if re_t else sys.T).ravel() for sys in systems]).repeat(counts, 0)
+    rhs = np.array([sys.K for sys in systems]).repeat(counts, 0)[..., np.newaxis]
+    j = np.array([sys.J for sys in systems]).repeat(counts)
+    with np.errstate(over="ignore"):
+        a.T[:: n + 1] -= z
+    # a NaN z, or a finite z whose shifted diagonal leaves the float range, stops the stack
+    bad = np.isnan(z) | np.isfinite(z) & ~np.isfinite(a.T[:: n + 1]).all(0)
+    stop = int(bad.argmax()) if bad.any() else len(zs)
     if n <= 1:
-        a = base[:stop] - z[:stop, np.newaxis]
         # a 0x0 slice has no entry to vanish: W = 1 and V = 0, the empty sums
-        first, s = (stop, None) if a.all() else (int(np.flatnonzero(a == 0)[0]), (0.0, 0.0))
+        zero = np.flatnonzero(a[:stop] == 0)
+        first, s = (int(zero[0]), (0.0, 0.0)) if zero.size else (stop, None)
     else:
-        a = base.repeat(stop, 0) if one else base[:stop]
-        a.T[:: n + 1] -= z[:stop]
+        owners = [sys for sys, c in zip(systems, counts) for _ in range(c)]
         need = [k for k in range(stop) if _needs_svd(owners[k], zs[k], re_t)
                 and np.isfinite(a[k]).all()]
         s = np.linalg.svd(a[need].reshape(-1, n, n), compute_uv=False) if need else ()
         singular = ((k, sk) for k, sk in zip(need, s) if sk[-1] <= n * _EPS * sk[0])
         first, s = next(singular, (stop, None))
-    # q = K*x of every slice in one stacked (1, n) @ (n, 1) product, which has np.vdot's bytes
+    # q = K*x of every slice in one stacked (1, n) @ (n, 1) product, which has np.vdot's bytes;
+    # an overflowing q or W is left non-finite for the refusal below
     x = np.linalg.solve(a[:first].reshape(first, n, n), rhs[:first]) if first else rhs[:0]
-    q = (rhs[:first].conj().transpose(0, 2, 1) @ x).reshape(first)
-    v = q if re_t else 1.0 - 2j * q * (j if one else j[:first])
-    out = v.tolist()
-    if not (cmath.isfinite(out[0]) if len(out) == 1 else np.isfinite(v).all()):
-        k = int(np.isfinite(v).argmin())
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (rhs[:first].conj().transpose(0, 2, 1) @ x).reshape(first)
+        v = q if re_t else 1.0 - 2j * q * j[:first]
+    finite = np.isfinite(v)
+    if not finite.all():
+        k = int(finite.argmin())
         raise SingularResolventError(f"{name} at z={zs[k]} overflows the float range: "
-                                     f"the resolvent gives {out[k]} (n={n})")
+                                     f"the resolvent gives {complex(v[k])} (n={n})")
     if first < stop:
         raise SingularResolventError(
             f"{op} at z={zs[first]} is numerically singular or ill-conditioned: n={n}, "
             f"sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e}")
     if stop < len(zs):
-        raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
-    return [out] if one else [out[e - c:e] for c, e in zip(counts, itertools.accumulate(counts))]
+        if cmath.isnan(zs[stop]):
+            raise DomainError(f"{op} at z={zs[stop]}: z has a NaN part")
+        raise RangeError(f"{op} at z={zs[stop]} has an entry beyond the float range (n={n})")
+    out = v.tolist()
+    return [out[e - c:e] for c, e in zip(counts, itertools.accumulate(counts))]
 
 
 def _resolvent(sys: LSystem, z, re_t: bool) -> complex | list[complex]:
     """:func:`_solve_guarded` of sys alone, at one point z or at each point
     of a 1-D sequence z (then a list)."""
-    single = _is_point(z)
-    (out,) = _solve_guarded([(sys, [complex(z)] if single else z)], re_t)
-    return out[0] if single else out
+    zs = _points(z)
+    (out,) = _solve_guarded([(sys, [complex(z)] if zs is None else zs)], re_t)
+    return out[0] if zs is None else out
 
 
 def _eigenvalue_error(d: np.ndarray, z: complex) -> SingularResolventError:

@@ -152,8 +152,11 @@ class RationalFunction:
                              "exceeds the float range") from None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_horner", (num.coeffs[::-1], den.coeffs[::-1],
-                                             TAU_POLE * max(1.0, max(abs(c) for c in den.coeffs))))
+        try:
+            guard = TAU_POLE * max(1.0, max(abs(c) for c in den.coeffs))
+        except OverflowError:  # a modulus beyond the float range, formed from the quartered parts
+            guard = 4.0 * TAU_POLE * max(abs(c / 4.0) for c in den.coeffs)
+        object.__setattr__(self, "_horner", (num.coeffs[::-1], den.coeffs[::-1], guard))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -191,10 +194,16 @@ def _pole_sum(atoms, z: complex) -> complex:
     return acc
 
 
-def _is_point(z) -> bool:
-    """Whether z is one point rather than a sequence of them: anything but a
-    list, tuple or array, or a 0-d array.  The resolvents read z alike."""
-    return not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim
+def _points(z) -> np.ndarray | None:
+    """None where z is one point: anything but a list, tuple or array, or a
+    0-d array.  Else z as a 1-D complex array, DimensionError for any other
+    shape.  The resolvents read z alike."""
+    if not isinstance(z, (list, tuple, np.ndarray)) or isinstance(z, np.ndarray) and not z.ndim:
+        return None
+    zs = np.array(z, dtype=complex)
+    if zs.ndim != 1:
+        raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
+    return zs
 
 
 def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex | list[complex]:
@@ -226,10 +235,8 @@ def rat_eval(r: RationalFunction | AtomicMeasure | _PoleResidue, z) -> complex |
     """
     # a complex point is the common case, and the cheapest test
     if type(z) is not complex:
-        if not _is_point(z):
-            zs = np.array(z, dtype=complex)
-            if zs.ndim != 1:
-                raise DimensionError(f"z must be one point or a 1-D sequence, got shape {zs.shape}")
+        zs = _points(z)
+        if zs is not None:
             return [rat_eval(r, p) for p in zs.tolist()]
         z = complex(z)
     if cmath.isnan(z):
