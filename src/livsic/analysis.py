@@ -207,10 +207,15 @@ def coupling_dissipation_closed(lambda0: complex, mu0: complex) -> float:
 
     computed as D(l) (|m|^2 + 1)/|m + i|^2 + D(m) (|l|^2 + 1)/|l + i|^2, each
     ratio as (hypot(x, y, 1)/hypot(x, 1 + y))^2, which squares nothing that can
-    overflow.  Capped at 1, which D never exceeds but the rounded sum can.
+    overflow, and from the quartered parts where |p + i| exceeds the float
+    range.  Capped at 1, which D never exceeds but the rounded sum can.
     """
     def ratio(p: complex) -> float:
-        return (math.hypot(p.real, p.imag, 1.0) / math.hypot(p.real, 1.0 + p.imag)) ** 2
+        num, den = math.hypot(p.real, p.imag, 1.0), math.hypot(p.real, 1.0 + p.imag)
+        if math.isinf(den):
+            x, y = p.real / 4, p.imag / 4
+            num, den = math.hypot(x, y, 0.25), math.hypot(x, (1.0 + p.imag) / 4)
+        return (num / den) ** 2
     lambda0, mu0 = _check_upper(lambda0), _check_upper(mu0)
     return min(dissipation_elementary_closed(lambda0) * ratio(mu0)
                + dissipation_elementary_closed(mu0) * ratio(lambda0), 1.0)

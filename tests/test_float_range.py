@@ -27,6 +27,7 @@ from livsic import (
     classify_elementary,
     colligation,
     couple,
+    coupling_dissipation_closed,
     coupling_impedance_closed,
     coupling_transfer_closed,
     impedance_closed,
@@ -196,8 +197,10 @@ def test_a_modulus_past_the_float_range_builds_its_closed_form():
         assert 1e295 < r._horner[2] < math.inf
         assert cmath.isfinite(rat_eval(r, 1j))
         # the Cayley map's own coefficients overflow: a ValueError, not an OverflowError
-        with pytest.raises(ValueError, match="non-finite coefficient"):
+        with pytest.raises(ValueError):
             cayley_w_to_v(r)
+    # the closed coupling D, which the CLI's couple prints beside the closed forms, is finite
+    assert 0.0 < coupling_dissipation_closed(*BIG_PAIR) <= 1.0
     for fn in (skew_coupling_foster, skew_coupling_circuit):
         with pytest.raises(RangeError, match=r"\|lambda0\| .* exceeds the float range"):
             fn(BIG)
