@@ -14,6 +14,10 @@ changed.  The groups are
 * both resolvents of every ``cascade`` chain at seed 101 with at most 8
   factors, at its points and at +/-i, one call per point and then one call
   over the sequence (the one-point calls a workload makes only rarely);
+* for each chain length k <= 32 of the ``cascade`` chains at seed 101, one
+  call of the resolvent kernel over all chains of that length at their
+  points, for T and for Re T (the many-chain stacks ``verify`` does not
+  build: its stacks have n <= 2);
 * the eight commands of the ``cli`` workload at seed 101, run in process.
 
 Every value is written exactly: a float by ``float.hex``, an exception by its
@@ -67,20 +71,39 @@ def sha(values) -> str:
     return h.hexdigest()
 
 
+def fold(lam):
+    """The chain of the parameters ``lam``, folded as the workload folds it."""
+    s = elementary.make_elementary(lam[0]).system
+    for x in lam[1:]:
+        s = coupling.couple(s, elementary.make_elementary(x).system).system
+    return s
+
+
 def resolvents(seed: int):
-    """Each resolvent of each short ``Cascade(seed)`` chain, folded as the
-    workload folds it, point by point and then over the sequence."""
+    """Each resolvent of each short ``Cascade(seed)`` chain, point by point
+    and then over the sequence."""
     wl = workloads.Cascade(seed)
     for lam, zs in zip(wl.chains, wl.points):
         if len(lam) > 8:
             continue
-        s = elementary.make_elementary(lam[0]).system
-        for x in lam[1:]:
-            s = coupling.couple(s, elementary.make_elementary(x).system).system
+        s = fold(lam)
         points = [*zs, 1j, -1j]
         for ev in (colligation.transfer_resolvent, colligation.impedance_resolvent):
             yield [workloads.attempt(ev, s, z) for z in points]
             yield workloads.attempt(ev, s, points)
+
+
+def stacks(seed: int):
+    """One kernel call per chain length k <= 32 of ``Cascade(seed)`` and
+    operator, over all chains of that length at their points."""
+    wl = workloads.Cascade(seed)
+    by_length = {}
+    for lam, zs in zip(wl.chains, wl.points):
+        if len(lam) <= 32:
+            by_length.setdefault(len(lam), []).append((fold(lam), zs))
+    for k in sorted(by_length):
+        for re_t in (False, True):
+            yield workloads.attempt(colligation._solve_guarded, by_length[k], re_t)
 
 
 def main() -> None:
@@ -97,6 +120,7 @@ def main() -> None:
                 wl = kind(seed)
                 print(f"{wl.name} {seed} {sha(wl.run(i) for i in range(len(wl)))}")
         print(f"resolvent 101 {sha(resolvents(101))}")
+        print(f"stacks 101 {sha(stacks(101))}")
         for i, name in enumerate(workloads.SUBCOMMANDS):
             print(f"cli 101 {name} {sha([cli.run_inprocess(i)])}")
 

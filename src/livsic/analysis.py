@@ -145,8 +145,14 @@ def _elementary_entropy(x, y):
         lo = xx + ym * ym
         h = np.hypot(x, ym)
         s = 0.5 * np.log1p(4.0 * (y / h) / h)
+        big = np.isinf(h)
+        if np.logical_or.reduce(big, axis=None):
+            # where h exceeds the float range, u = (y/4)/(h/4)^2, with h/4 from the quartered
+            # parts, and |u| is far below 1/2 even where 4y and lo overflow together
+            h4 = np.hypot(x / 4, ym / 4)
+            s = np.where(big, 0.5 * np.log1p(y / 4 / h4 / h4), s)
         small = lo < 2.0 * _TINY
-        keep = 4.0 * y > lo / -2.0
+        keep = (4.0 * y > lo / -2.0) | big
         # a Python bool on the scalar path, where np.all and np.any cost twice the reduce
         if not np.logical_and.reduce(keep, axis=None):
             # hi < 2 tiny needs y = -1 and x tiny, where keep fails, so hi is formed here only
@@ -171,8 +177,13 @@ def dissipation_elementary_closed(lambda0: complex) -> float:
     D <= 1 holds exactly, as (1+y)^2 - 4y = (1-y)^2, so a rounded value
     above 1 (y within a few ulp of 1) is capped at 1."""
     lambda0 = _check_upper(lambda0)
-    g = math.hypot(lambda0.real, 1.0 + lambda0.imag)
-    return min(4.0 * (lambda0.imag / g) / g, 1.0)
+    x, y = lambda0.real, lambda0.imag
+    g = math.hypot(x, 1.0 + y)
+    if math.isinf(g):
+        # 4y/g^2 = (y/4)/(g/4)^2, with g/4 from the quartered parts
+        g = math.hypot(x / 4, (1.0 + y) / 4)
+        return y / 4 / g / g
+    return min(4.0 * (y / g) / g, 1.0)
 
 
 def compose_entropy(s1: float, s2: float) -> float:

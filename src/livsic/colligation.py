@@ -110,11 +110,14 @@ class LSystem:
 
     @cached_property
     def _re_t(self) -> np.ndarray:
-        """Re T = (T + T*)/2, read-only, formed once for the resolvent.  For n = 1
-        it is [[Re t + 0j]], the same bytes: the complex division by 2 turns -0.0 into +0.0."""
-        t = self.T
-        re_t = np.array([[t[0, 0].real + 0j]]) if self.dim == 1 else _hermitian_part(t, False)
-        return _read_only(re_t)
+        """Re T = (T + T*)/2, read-only, formed once for the resolvent."""
+        return _read_only(_hermitian_part(self.T, False))
+
+    @staticmethod
+    def _stack(systems, re_t: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Bases (m, n, n), Re T if ``re_t`` else T, and channels (m, n) for :func:`_solve_guarded`."""
+        return (np.array([sys._re_t if re_t else sys.T for sys in systems]),
+                np.array([sys.K for sys in systems]))
 
     @cached_property
     def im_strip(self) -> tuple[float, float]:
@@ -145,12 +148,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(t: np.ndarray, imag: bool) -> np.ndarray:
-    """Re t = (t + t*)/2, or Im t = (t - t*)/2i when ``imag``.  Where the
-    plain sum overflows, and only there, an entry is formed from the halved
-    operands: halving a subnormal rounds, so every finite entry keeps the
-    plain bytes.  The halved sum is still divided by 1 or i, a complex
-    division like the plain one, so that its zero parts take the same signs."""
-    adj = t.conj().T
+    """Re t = (t + t*)/2, or Im t = (t - t*)/2i when ``imag``, of a matrix or
+    of each slice of a stack.  Where the plain sum overflows, and only there,
+    an entry is formed from the halved operands: halving a subnormal rounds,
+    so every finite entry keeps the plain bytes.  The halved sum is still
+    divided by 1 or i, a complex division like the plain one, so that its
+    zero parts take the same signs."""
+    adj = t.conj().swapaxes(-1, -2)
     unit = 1j if imag else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         s = t - adj if imag else t + adj
@@ -243,7 +247,8 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     the value non-finite.
 
     Every call is solved as one stack: one (m, n, n) copy of the bases in
-    item order, each slice shifted only on its diagonal, one stacked SVD
+    item order, built by the first system's kind (``_stack``), each slice
+    shifted only on its diagonal, one stacked SVD
     of the slices that need it and one stacked solve, with each slice's K
     in an (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.
     LAPACK treats each slice as it treats the matrix of a call of its
@@ -268,8 +273,9 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     counts = [len(z) for _, z in items]
     z = np.concatenate([z for _, z in items], dtype=complex)
     zs = z.tolist()
-    a = np.array([(sys._re_t if re_t else sys.T).ravel() for sys in systems]).repeat(counts, 0)
-    rhs = np.array([sys.K for sys in systems]).repeat(counts, 0)[..., np.newaxis]
+    bases, channels = type(systems[0])._stack(systems, re_t)
+    a = bases.reshape(len(systems), n * n).repeat(counts, 0)
+    rhs = channels.repeat(counts, 0)[..., np.newaxis]
     j = np.array([sys.J for sys in systems]).repeat(counts)
     with np.errstate(over="ignore"):
         a.T[:: n + 1] -= z

@@ -25,19 +25,21 @@ entries k_j = sqrt(Im lambda_j), which are K.  Above the diagonal T holds
 parameters, which fix the channel entries, and builds K and T from them
 on first read, with the bytes that the pairwise coupling formula writes
 for every tree shape.  W, V and S read the diagonal, and ``validate`` the
-residual and ||T||_F, off the parameters in O(k), so none of them builds T.
+residual and ||T||_F, off the parameters in O(k), as the resolvent does T
+itself (``_Chain._stack``), so none of them builds a chain's T.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem, _frobenius, _read_only
+from .colligation import LSystem, _frobenius, _hermitian_part, _read_only
 from .errors import DomainError
 from .ratfun import RationalFunction
 
@@ -52,10 +54,10 @@ def _check_upper(lambda0: complex) -> complex:
 
 
 def _coupling_block(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """The coupling block fl(fl(K1 conj(K2)) 2i), a new array; overflow is
-    quiet here and checked by the caller."""
+    """The coupling block fl(fl(K1 conj(K2)) 2i) of (..., p) and (..., q) channels,
+    a new (..., p, q) array; overflow is quiet here and checked by the caller."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.multiply.outer(k1, k2.conj()) * 2j
+        return k1[..., np.newaxis] * k2.conj()[..., np.newaxis, :] * 2j
 
 
 class _Chain(LSystem):
@@ -79,16 +81,29 @@ class _Chain(LSystem):
 
     @cached_property
     def T(self) -> np.ndarray:
-        """Entry (a, b) above the diagonal is fl(fl(k_a conj(k_b)) 2i), finite
-        by the chain gate in :func:`coupling.couple`.  The block's other
-        entries may overflow, quietly, and are overwritten.  One factor is
-        [[lambda]]."""
-        if self.dim == 1:
-            return _read_only(np.array([self._d], dtype=complex))
-        n, t = self.dim, _coupling_block(self.K, self.K)
-        t[np.tri(n, dtype=bool)] = 0.0
-        t.flat[:: n + 1] = self.triangular_diagonal
-        return _read_only(t)
+        """The one-chain case of :meth:`_stack`, in an array of its own."""
+        return _read_only(self._stack([self], False)[0][0].copy())
+
+    @staticmethod
+    def _stack(systems, re_t: bool) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`LSystem._stack` from the chains' parameters d (m, n), in a fixed
+        number of numpy calls, with each chain's bytes: K = sqrt(Im d), and T
+        holds fl(fl(k_a conj(k_b)) 2i) above d, finite by :func:`coupling.couple`'s
+        gate; one factor is [[lambda]] or [[Re lambda + 0j]].  A stack that
+        holds any other system is LSystem's."""
+        try:
+            params = [sys._d for sys in systems]
+        except AttributeError:  # a plain system, which records no parameters
+            return LSystem._stack(systems, re_t)
+        m, n = len(systems), systems[0].dim
+        d = np.fromiter(itertools.chain.from_iterable(params), complex, m * n).reshape(m, n)
+        k = np.sqrt(d.imag).astype(complex)
+        if n <= 1:
+            return (d.real + 0j if re_t else d).reshape(m, n, n), k
+        t = _coupling_block(k, k)
+        t[:, np.tri(n, dtype=bool)] = 0.0
+        t.reshape(m, n * n)[:, :: n + 1] = d
+        return _hermitian_part(t, False) if re_t else t, k
 
     @cached_property
     def residual(self) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -319,20 +320,36 @@ def rat_mul(r1: RationalFunction, r2: RationalFunction) -> RationalFunction:
     return RationalFunction(r1.num * r2.num, r1.den * r2.den)
 
 
+def _cayley_sum(p: Polynomial, q: Polynomial, where: str, what: str) -> Polynomial:
+    """p + q, a numerator or denominator of a Cayley map.  p and q are
+    finite, so only the sum can leave the float range: RangeError naming its
+    first coefficient that does."""
+    try:
+        return p + q
+    except ValueError:
+        pairs = itertools.zip_longest(p.coeffs, q.coeffs, fillvalue=0j)
+        k, c = next((k, x + y) for k, (x, y) in enumerate(pairs) if not cmath.isfinite(x + y))
+        raise RangeError(f"{where}: the z^{k} coefficient of {what} exceeds the float range: "
+                         f"{c}") from None
+
+
 def cayley_w_to_v(w: RationalFunction) -> RationalFunction:
     """Map a transfer-side function W to the impedance side,
-    V = i(W - 1)/(W + 1), performed on numerator/denominator pairs."""
-    num = (w.num - w.den).scale(1j)
-    den = w.num + w.den
+    V = i(W - 1)/(W + 1), performed on numerator/denominator pairs.
+    RangeError where a coefficient of either exceeds the float range."""
+    num = _cayley_sum(w.num, -w.den, "cayley_w_to_v", "num(W) - den(W)").scale(1j)
+    den = _cayley_sum(w.num, w.den, "cayley_w_to_v", "num(W) + den(W)")
     if den.is_zero:
         raise DegenerateError("W + 1 vanishes identically")
     return RationalFunction(num, den)
 
 
 def cayley_v_to_w(v: RationalFunction) -> RationalFunction:
-    """Inverse Cayley map, W = (1 - iV)/(1 + iV)."""
-    num = v.den - v.num.scale(1j)
-    den = v.den + v.num.scale(1j)
+    """Inverse Cayley map, W = (1 - iV)/(1 + iV).  RangeError where a
+    coefficient of either side exceeds the float range."""
+    iv = v.num.scale(1j)
+    num = _cayley_sum(v.den, -iv, "cayley_v_to_w", "den(V) - i num(V)")
+    den = _cayley_sum(v.den, iv, "cayley_v_to_w", "den(V) + i num(V)")
     if den.is_zero:
         raise DegenerateError("1 + iV vanishes identically")
     return RationalFunction(num, den)

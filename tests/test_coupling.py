@@ -17,9 +17,11 @@ from livsic import (
     cayley_w_to_v,
     classify_at_i,
     classify_elementary,
+    colligation,
     couple,
     coupling_impedance_closed,
     coupling_transfer_closed,
+    elementary,
     impedance_closed,
     impedance_eval,
     impedance_resolvent,
@@ -36,6 +38,7 @@ from livsic import (
     transfer_resolvent,
     validate,
 )
+from livsic.elementary import _Chain
 
 
 class TestCouple:
@@ -418,16 +421,25 @@ class TestLeafValues:
         sys.T, sys.K
         assert not [leaf for leaf in leaves if "T" in vars(leaf) or "K" in vars(leaf)]
 
-    def test_resolvent_fallback_builds_t(self, rng):
+    def test_resolvent_fallback_reaches_the_kernel(self, rng, monkeypatch):
         lams = [draw_upper(rng) for _ in range(16)]
         sys = _chain(lams)
         assert sys.triangular_diagonal is not None and "T" not in vars(sys)
+        solve, calls = colligation._solve_guarded, []
+
+        def spy(items, re_t):
+            calls.append(([s for s, _ in items], re_t))
+            return solve(items, re_t)
+
+        monkeypatch.setattr(colligation, "_solve_guarded", spy)
         # on the real axis, under a diagonal entry, the gate sends V to the resolvent
         try:
             impedance_eval(sys, lams[3].real)
         except SingularResolventError:
             pass
-        assert "T" in vars(sys)
+        assert len(calls) == 1 and calls[0][0][0] is sys and calls[0][1]
+        # which forms Re T from the chain's parameters and builds no T
+        assert "T" not in vars(sys)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 64])
     def test_residual_has_the_dense_bytes_on_elementary_chains(self, rng, k):
@@ -468,6 +480,65 @@ class TestLeafValues:
             want = _dense_values(sys)
             assert residual.hex() == want[0].hex() and t_norm.hex() == want[1].hex()
         assert validate(_fold([b, rotated, b], "left")).passed
+
+
+def _stacked_pair(lams):
+    """The chain of ``lams`` (the empty chain for none) and the plain system
+    with its dense arrays, written out by ``_leaf_reference``."""
+    if not lams:
+        return elementary._chain((), 0.0), LSystem(np.zeros((0, 0)), [])
+    leaves = [LSystem([[lam]], [math.sqrt(lam.imag)]) for lam in lams]
+    return _chain(lams), LSystem(*_leaf_reference(leaves))
+
+
+class TestChainStack:
+    """``_Chain._stack`` forms the bases and channels of a stack of chains
+    from their parameters, with the bytes of each chain's dense arrays."""
+
+    @staticmethod
+    def _parameters(rng, n):
+        """Three chains of n factors at each scale, then three whose real parts
+        reach past half the float range, where Re T is formed from halves, and
+        whose first factor's 2 k_1^2, in the block under T's diagonal, overflows."""
+        for scale in (1.0, 1e-150, 1e150, 1e300):
+            yield [[scale * draw_upper(rng) for _ in range(n)] for _ in range(3)]
+        big = [[complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.79) * 1e308,
+                        rng.uniform(0.1, 2.5) * 1e300) for _ in range(n)] for _ in range(3)]
+        yield [[complex(lam[0].real, 1.7e308)] + lam[1:] if lam else lam for lam in big]
+
+    @pytest.mark.parametrize("n", [*range(9), 64, 256])
+    def test_slices_have_the_dense_bytes(self, rng, n):
+        for lams in self._parameters(rng, n):
+            chains, plain = zip(*map(_stacked_pair, lams))
+            # every one-chain stack, then the stack of all three
+            for lo, hi in [(k, k + 1) for k in range(len(chains))] + [(0, len(chains))]:
+                for re_t in (False, True):
+                    bases, channels = _Chain._stack(chains[lo:hi], re_t)
+                    assert bases.shape == (hi - lo, n, n) and channels.shape == (hi - lo, n)
+                    for base, k, p in zip(bases, channels, plain[lo:hi]):
+                        assert base.tobytes() == (p._re_t if re_t else p.T).tobytes(), (n, re_t)
+                        assert k.tobytes() == p.K.tobytes(), n
+            for c, p in zip(chains, plain):
+                # the chain's own T is its one-chain stack's, and builds no Re T
+                assert c.T.tobytes() == p.T.tobytes() and c.T.flags.owndata
+                assert "_re_t" not in vars(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_stack_mixing_chains_and_plain_systems_keeps_each_values_bytes(self, rng, n):
+        chains = [_chain([draw_upper(rng) for _ in range(n)]) for _ in range(3)]
+        plain = [_dense(rng, n), _stacked_pair([draw_upper(rng) for _ in range(n)])[1]]
+        zs = [2.5j, -1.5j, 0.3 + 3j]
+        for systems in (chains[:1] + plain + chains[1:], plain[:1] + chains + plain[1:]):
+            for ev in (transfer_resolvent, impedance_resolvent):
+                re_t = ev is impedance_resolvent
+                # the chains' own builder hands a mixed stack to LSystem's, slice for slice
+                bases, channels = _Chain._stack(systems, re_t)
+                assert bases.tobytes() == b"".join(
+                    (s._re_t if re_t else s.T).tobytes() for s in systems)
+                assert channels.tobytes() == b"".join(s.K.tobytes() for s in systems)
+                got = colligation._solve_guarded([(s, zs) for s in systems], re_t)
+                want = [ev(s, zs) for s in systems]
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (n, ev.__name__)
 
 
 class TestTransferClosed:

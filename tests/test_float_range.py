@@ -9,6 +9,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from livsic import (
     FosterSpec,
     FosterSpecError,
     LCStage,
+    LSystem,
     LivsicError,
     Netlist,
     RangeError,
     SingularResolventError,
+    analysis,
     c_entropy,
+    c_entropy_elementary_closed,
     c_entropy_resolvent,
     cayley_w_to_v,
     classify_elementary,
@@ -30,6 +34,7 @@ from livsic import (
     coupling_dissipation_closed,
     coupling_impedance_closed,
     coupling_transfer_closed,
+    dissipation_elementary_closed,
     impedance_closed,
     impedance_eval,
     impedance_resolvent,
@@ -196,14 +201,37 @@ def test_a_modulus_past_the_float_range_builds_its_closed_form():
         # the pole guard is TAU_POLE * |c| of the largest coefficient, formed from c/4
         assert 1e295 < r._horner[2] < math.inf
         assert cmath.isfinite(rat_eval(r, 1j))
-        # the Cayley map's own coefficients overflow: a ValueError, not an OverflowError
-        with pytest.raises(ValueError):
+        # the Cayley map's own coefficients overflow: a RangeError naming the first of them
+        with pytest.raises(RangeError, match=r"^cayley_w_to_v: the z\^\d coefficient of "
+                                             r"num\(W\) - den\(W\) exceeds the float range: infj$"):
             cayley_w_to_v(r)
     # the closed coupling D, which the CLI's couple prints beside the closed forms, is finite
     assert 0.0 < coupling_dissipation_closed(*BIG_PAIR) <= 1.0
     for fn in (skew_coupling_foster, skew_coupling_circuit):
         with pytest.raises(RangeError, match=r"\|lambda0\| .* exceeds the float range"):
             fn(BIG)
+
+
+@pytest.mark.filterwarnings("error")
+def test_elementary_entropy_and_dissipation_past_the_float_range():
+    # hypot(x, 1 + y) and hypot(x, 1 - y) exceed the float range, and D and S are subnormal
+    lam = BIG_PAIR[0]
+    x, y = Fraction(lam.real), Fraction(lam.imag)
+    ulp = Fraction(math.ulp(0.0))
+    d = dissipation_elementary_closed(lam)
+    assert d > 0.0 and abs(Fraction(d) - 4 * y / (x * x + (1 + y) ** 2)) <= ulp
+    # S = (1/2) log1p(u) for u = 4y/(x^2 + (1 - y)^2), about 1.3e-308: u/2 to far below an ulp
+    s = c_entropy_elementary_closed(lam)
+    assert s > 0.0 and abs(Fraction(s) - 2 * y / (x * x + (1 - y) ** 2)) <= ulp
+    # the J = -1 system of conj(lam): there 4 Im t and the sum under it overflow together
+    mirror = LSystem([[lam.conjugate()]], [math.sqrt(lam.imag)], -1)
+    s_mirror = c_entropy(mirror)
+    assert s_mirror < 0.0 and abs(Fraction(s_mirror) + 2 * y / (x * x + (1 + y) ** 2)) <= ulp
+    # over a chain's diagonal, an entry whose h is finite keeps its own bytes
+    other = 0.5 + 1j
+    both = analysis._elementary_entropy(np.array([other.real, lam.real]),
+                                        np.array([other.imag, lam.imag]))
+    assert both.tolist() == [c_entropy_elementary_closed(other), s]
 
 
 @pytest.mark.filterwarnings("error")

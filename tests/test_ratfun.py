@@ -366,6 +366,22 @@ class TestCayley:
         with pytest.raises(DegenerateError):
             cayley_v_to_w(const_i)
 
+    def test_an_overflowing_coefficient_is_a_range_error(self):
+        # num(W) + den(W) = (3.4e308, 2) and den(V) + i num(V) = (3.4e308i, 1)
+        # leave the float range; the differences do not
+        w = RationalFunction((1.7e308, 1.0), (1.7e308, 1.0))
+        with pytest.raises(RangeError, match=r"^cayley_w_to_v: the z\^0 coefficient of "
+                                             r"num\(W\) \+ den\(W\) exceeds the float range: \(inf\+0j\)$"):
+            cayley_w_to_v(w)
+        v = RationalFunction((1.7e308,), (1.7e308j, 1.0))
+        with pytest.raises(RangeError, match=r"^cayley_v_to_w: the z\^0 coefficient of "
+                                             r"den\(V\) \+ i num\(V\) exceeds the float range: infj$"):
+            cayley_v_to_w(v)
+        # a finite coefficient past the first keeps its place in the message
+        w = RationalFunction((1.0, 1.7e308j, 1.0), (1.0, -1.7e308j, 1.0))
+        with pytest.raises(RangeError, match=r"the z\^1 coefficient of num\(W\) - den\(W\)"):
+            cayley_w_to_v(w)
+
     def test_round_trip_random(self, rng):
         for _ in range(100):
             dn, dd = int(rng.integers(1, 6)), int(rng.integers(1, 6))
