@@ -18,6 +18,16 @@ changed.  The groups are
   call of the resolvent kernel over all chains of that length at their
   points, for T and for Re T (the many-chain stacks ``verify`` does not
   build: its stacks have n <= 2);
+* for each ``cascade`` chain at seed 101 with at most 16 factors, plain
+  systems, which no workload builds: its triangular copy (T, K), a unitary
+  similarity (QTQ*, QK), its adjoint (T*, K, -1) and, where one exists, that
+  similarity scaled by the largest power of two that keeps T finite, at
+  which some entry of T + T* overflows; on each, ``validate``, W and V by
+  ``transfer_eval`` and ``impedance_eval`` at the chain's points and at
+  +/-i, ``c_entropy`` and both resolvents over the sequence of points; then
+  one resolvent kernel call per state dimension over the chains and their
+  first three companions, for T and for Re T (the kernel refuses the scaled
+  similarity, whose sigma_max passes the float range);
 * the eight commands of the ``cli`` workload at seed 101, run in process.
 
 Every value is written exactly: a float by ``float.hex``, an exception by its
@@ -30,15 +40,18 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (needs the paths above)
-from livsic import colligation, coupling, elementary, verify  # noqa: E402
+from livsic import analysis, colligation, coupling, elementary, verify  # noqa: E402
 
 
 def exact(v) -> str:
@@ -106,6 +119,50 @@ def stacks(seed: int):
             yield workloads.attempt(colligation._solve_guarded, by_length[k], re_t)
 
 
+def companions(chain, rng):
+    """The plain systems of a chain: its triangular copy, a unitary
+    similarity, its adjoint, and that similarity scaled by 2^p, p the
+    largest that keeps T finite, where T + T* then overflows somewhere."""
+    t, k, n = chain.T, chain.K, chain.dim
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    similar = colligation.LSystem(q @ t @ q.conj().T, q @ k)
+    out = [colligation.LSystem(t, k), similar, colligation.LSystem(t.conj().T, k, -1)]
+    scale = math.ldexp(1.0, 1024 - math.frexp(float(np.abs(similar.T.view(float)).max()))[1])
+    big = similar.T * scale
+    with np.errstate(over="ignore"):
+        if not np.isfinite(big + big.conj().T).all():
+            out.append(colligation.LSystem(big, similar.K * math.sqrt(scale)))
+    return out
+
+
+def plain(seed: int):
+    """The values of every companion of each short ``Cascade(seed)`` chain,
+    then one kernel call per state dimension and operator over the chains
+    and their unscaled companions."""
+    wl = workloads.Cascade(seed)
+    rng = np.random.default_rng(seed)
+    by_dim = {}
+    for lam, zs in zip(wl.chains, wl.points):
+        if len(lam) > 16:
+            continue
+        chain = fold(lam)
+        points = [*zs, 1j, -1j]
+        systems = companions(chain, rng)
+        for s in systems:
+            yield workloads.attempt(colligation.validate, s)
+            for ev in (colligation.transfer_eval, colligation.impedance_eval):
+                yield [workloads.attempt(ev, s, z) for z in points]
+            yield workloads.attempt(analysis.c_entropy, s)
+            for ev in (colligation.transfer_resolvent, colligation.impedance_resolvent):
+                yield workloads.attempt(ev, s, points)
+        # the scaled similarity's sigma_max passes the float range, so the kernel
+        # refuses it, and a stack that holds it refuses as a whole
+        by_dim.setdefault(chain.dim, []).extend((s, zs) for s in [chain, *systems[:3]])
+    for n in sorted(by_dim):
+        for re_t in (False, True):
+            yield workloads.attempt(colligation._solve_guarded, by_dim[n], re_t)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cli = workloads.Cli(101, workdir=Path(tmp))
@@ -121,6 +178,7 @@ def main() -> None:
                 print(f"{wl.name} {seed} {sha(wl.run(i) for i in range(len(wl)))}")
         print(f"resolvent 101 {sha(resolvents(101))}")
         print(f"stacks 101 {sha(stacks(101))}")
+        print(f"plain 101 {sha(plain(101))}")
         for i, name in enumerate(workloads.SUBCOMMANDS):
             print(f"cli 101 {name} {sha([cli.run_inprocess(i)])}")
 

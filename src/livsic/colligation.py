@@ -108,16 +108,10 @@ class LSystem:
         """||T|| (Frobenius)."""
         return _frobenius(self.T)
 
-    @cached_property
-    def _re_t(self) -> np.ndarray:
-        """Re T = (T + T*)/2, read-only, formed once for the resolvent."""
-        return _read_only(_hermitian_part(self.T, False))
-
     @staticmethod
-    def _stack(systems, re_t: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Bases (m, n, n), Re T if ``re_t`` else T, and channels (m, n) for :func:`_solve_guarded`."""
-        return (np.array([sys._re_t if re_t else sys.T for sys in systems]),
-                np.array([sys.K for sys in systems]))
+    def _stack(systems) -> tuple[np.ndarray, np.ndarray]:
+        """Main operators T (m, n, n) and channels K (m, n) for :func:`_solve_guarded`."""
+        return np.array([sys.T for sys in systems]), np.array([sys.K for sys in systems])
 
     @cached_property
     def im_strip(self) -> tuple[float, float]:
@@ -247,10 +241,11 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     the value non-finite.
 
     Every call is solved as one stack: one (m, n, n) copy of the bases in
-    item order, built by the first system's kind (``_stack``), each slice
-    shifted only on its diagonal, one stacked SVD
-    of the slices that need it and one stacked solve, with each slice's K
-    in an (m, n, 1) right-hand side, which numpy 1.x and 2.x read alike.
+    item order, T as the first system's kind builds it (``_stack``) or Re T
+    formed from that stack once, each slice shifted only on its diagonal,
+    one stacked SVD of the slices that need it and one stacked solve, with
+    each slice's K in an (m, n, 1) right-hand side, which numpy 1.x and 2.x
+    read alike.
     LAPACK treats each slice as it treats the matrix of a call of its
     system at its point alone.  Every q = K*x is one stacked
     (m, 1, n) @ (m, n, 1) product, which has the bytes of each slice's
@@ -273,7 +268,9 @@ def _solve_guarded(items, re_t: bool) -> list[list[complex]]:
     counts = [len(z) for _, z in items]
     z = np.concatenate([z for _, z in items], dtype=complex)
     zs = z.tolist()
-    bases, channels = type(systems[0])._stack(systems, re_t)
+    bases, channels = type(systems[0])._stack(systems)
+    if re_t:
+        bases = _hermitian_part(bases, False)
     a = bases.reshape(len(systems), n * n).repeat(counts, 0)
     rhs = channels.repeat(counts, 0)[..., np.newaxis]
     j = np.array([sys.J for sys in systems]).repeat(counts)
@@ -339,8 +336,12 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
     The product is formed as prod_j (conj(t_j) - z)/(t_j - z) from one
     array of the t_j - z, whose zero test is the eigenvalue test: for
     finite values t_j - z == 0 exactly where t_j == z.  There
-    SingularResolventError names the first such j, and an overflowing
-    product raises it too; each message is formed only when it is raised.
+    SingularResolventError names the first such j.  Where the product is
+    not finite, as where t_j - z or numpy's complex division overflows
+    inside, it is formed once more from quartered operands,
+    (conj(t_j)/4 - z/4)/(t_j/4 - z/4), which are exact above the
+    subnormals; a product that still overflows raises it too.  Each
+    message is formed only when it is raised.
 
     The product is exact for the colligation with T's diagonal.  On a
     system that is valid only within ``validate``'s tolerance it can
@@ -359,9 +360,16 @@ def transfer_eval(sys: LSystem, z: complex) -> complex:
         # product overflows only if the whole product does
         w = complex(((d.conj() - z) / den).prod())
         if not cmath.isfinite(w):
+            dq, zq = d / 4.0, z / 4.0
+            with np.errstate(divide="ignore"):  # a subnormal t_j - z may quarter to 0
+                w = complex(((dq.conj() - zq) / (dq - zq)).prod())
+        if not cmath.isfinite(w):
+            dist = float(np.abs(den).min())
+            if math.isinf(dist):  # every t_j - z overflows: read it from the quartered shift
+                dist = 4.0 * float(np.abs(dq - zq).min())
             raise SingularResolventError(
                 f"W(z) at z={z} overflows: |W(z)| exceeds the largest float, with z at "
-                f"distance {np.abs(den).min():.3e} from an eigenvalue of T (n={d.size})")
+                f"distance {dist:.3e} from an eigenvalue of T (n={d.size})")
     return w
 
 

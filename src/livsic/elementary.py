@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .colligation import LSystem, _frobenius, _hermitian_part, _read_only
+from .colligation import LSystem, _frobenius, _read_only
 from .errors import DomainError
 from .ratfun import RationalFunction
 
@@ -82,28 +82,25 @@ class _Chain(LSystem):
     @cached_property
     def T(self) -> np.ndarray:
         """The one-chain case of :meth:`_stack`, in an array of its own."""
-        return _read_only(self._stack([self], False)[0][0].copy())
+        return _read_only(self._stack([self])[0][0].copy())
 
     @staticmethod
-    def _stack(systems, re_t: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _stack(systems) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`LSystem._stack` from the chains' parameters d (m, n), in a fixed
         number of numpy calls, with each chain's bytes: K = sqrt(Im d), and T
         holds fl(fl(k_a conj(k_b)) 2i) above d, finite by :func:`coupling.couple`'s
-        gate; one factor is [[lambda]] or [[Re lambda + 0j]].  A stack that
-        holds any other system is LSystem's."""
+        gate.  A stack that holds any other system is LSystem's."""
         try:
             params = [sys._d for sys in systems]
         except AttributeError:  # a plain system, which records no parameters
-            return LSystem._stack(systems, re_t)
+            return LSystem._stack(systems)
         m, n = len(systems), systems[0].dim
         d = np.fromiter(itertools.chain.from_iterable(params), complex, m * n).reshape(m, n)
         k = np.sqrt(d.imag).astype(complex)
-        if n <= 1:
-            return (d.real + 0j if re_t else d).reshape(m, n, n), k
         t = _coupling_block(k, k)
         t[:, np.tri(n, dtype=bool)] = 0.0
         t.reshape(m, n * n)[:, :: n + 1] = d
-        return _hermitian_part(t, False) if re_t else t, k
+        return t, k
 
     @cached_property
     def residual(self) -> float:

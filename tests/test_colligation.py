@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,13 +157,27 @@ class TestValidate:
             assert got[finite].tobytes() == plain[finite].tobytes()
         assert im_t[0, 0] == 1e308 and re_t[1, 1] == 1e308
 
-    def test_resolvent_reads_one_re_t(self):
-        # Re T is formed once per system; each solve shifts a copy of it
-        sys = make_elementary(0.5 + 2j).system
-        v = [impedance_resolvent(sys, z) for z in (1j, 2j, 1j)]
-        re_t = sys._re_t
-        assert not re_t.flags.writeable and v[0] == v[2]
-        assert re_t.tobytes() == ((sys.T + sys.T.conj().T) / 2.0).tobytes()
+    def test_resolvent_reads_one_re_t(self, monkeypatch):
+        # the kernel solves V on Re T = _hermitian_part(T, False), shifted on its diagonal
+        solve, solved = np.linalg.solve, []
+
+        def spy(a, *args, **kwargs):
+            solved.append(a.copy())
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        zs = [1j, 2j, 1j]
+        for sys in (make_elementary(0.5 + 2j).system, LSystem([[1 + 1j, 2j], [0.0, 3 + 1j]], [1.0, 1.0])):
+            solved.clear()
+            v = impedance_resolvent(sys, zs)
+            re_t = colligation._hermitian_part(sys.T, False)
+            assert re_t.tobytes() == ((sys.T + sys.T.conj().T) / 2.0).tobytes()
+            (a,) = solved
+            eye = np.eye(sys.dim, dtype=bool)
+            for k, z in enumerate(zs):
+                assert a[k][~eye].tobytes() == re_t[~eye].tobytes()
+                assert a[k][eye].tobytes() == (re_t[eye] - z).tobytes()
+            assert v[0] == v[2]
 
     def test_plain_norm_kept_where_finite(self, rng):
         sys = LSystem(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
@@ -187,9 +202,25 @@ class TestTransferEval:
         assert rel_err(transfer_eval(make_elementary(1j).system, 2j), 3.0) < 1e-14
 
     def test_overflowing_product_is_refused_without_a_warning(self):
-        # the distance in the message is formed under the product's errstate
-        with pytest.raises(SingularResolventError, match="overflows: .* distance inf"):
-            transfer_eval(make_elementary(1e308 + 1j).system, -1e308 + 0.5j)
+        # W is about 1 where t - z, or the complex division, overflows inside: the
+        # quartered factor gives it within one ulp of 1 of the exact value, quietly
+        for lam, z in [(1e308 + 1j, -1e308 + 0.5j), (1 + 1j, 1.5e308 * (1 + 1j)),
+                       (1 + 1j, complex(1e308, -1e308))]:
+            w = transfer_eval(make_elementary(lam).system, z)
+            a, b = Fraction(lam.real) - Fraction(z.real), Fraction(lam.imag)
+            c = Fraction(z.imag)
+            # (conj(lam) - z)/(lam - z) = (a - (b + c)i)/(a + (b - c)i)
+            den = a * a + (b - c) ** 2
+            want = ((a * a - (b + c) * (b - c)) / den, -a * 2 * b / den)
+            ulp = Fraction(math.ulp(1.0))
+            assert abs(Fraction(w.real) - want[0]) <= ulp, (lam, z, w)
+            assert abs(Fraction(w.imag) - want[1]) <= ulp, (lam, z, w)
+        # a product that overflows for true keeps its refusal, with the distance
+        # formed under the product's errstate
+        message = ("W(z) at z=(-0-1j) overflows: |W(z)| exceeds the largest float, with z at "
+                   "distance 1.000e-310 from an eigenvalue of T (n=1)")
+        with pytest.raises(SingularResolventError, match=f"^{re.escape(message)}$"):
+            transfer_eval(LSystem([[1e-310 - 1j]], [1.0], -1), -1j)
 
 
 class TestImpedanceEval:
@@ -641,7 +672,8 @@ class TestSequence:
 
         monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
-        for ev, base in ((transfer_resolvent, sys.T), (impedance_resolvent, sys._re_t)):
+        for ev, base in ((transfer_resolvent, sys.T),
+                         (impedance_resolvent, colligation._hermitian_part(sys.T, False))):
             calls.clear()
             ev(sys, zs)
             assert [name for name, _ in calls] == ["svd", "solve"], ev.__name__
@@ -794,6 +826,39 @@ class TestSequence:
             with pytest.raises(SingularResolventError) as info:
                 colligation._solve_guarded(items, False)
             assert str(info.value) == text
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_plain_impedance_solves_on_the_hermitian_part(self, rng, n):
+        # V of a plain system, alone or stacked with chains, is K*x for x solved on
+        # _hermitian_part(T, False) - zI; the last system's Re T takes the halved path
+        dense = _similar(_draw_chain(rng, n), rng)
+        # entries near 2^1023, finite, and 2 Re t_11 past the float range; a dominant
+        # diagonal keeps Re T - zI well conditioned and its elimination finite
+        t = 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) + np.eye(n)
+        t[0, 0] = 1.5 + 0.5j
+        big = LSystem(t * 2.0**1023, dense.K * 2.0**511, -1)
+        assert math.isinf(2.0 * float(big.T[0, 0].real))
+        plain = [dense, LSystem(dense.T.conj(), dense.K.conj(), -1), big]
+        chains = [_draw_chain(rng, n) for _ in range(2)]
+        zs = [1j, -2j, 0.3 + 1.5j]
+
+        def want(sys):
+            out = []
+            for z in zs:
+                a = colligation._hermitian_part(sys.T, False)
+                a[np.diag_indices(n)] -= z
+                x = np.linalg.solve(a[np.newaxis], sys.K[np.newaxis, :, np.newaxis])
+                out.append(complex((sys.K.conj()[np.newaxis, np.newaxis] @ x).item()))
+            return _bits(out)
+
+        for stack in ([[sys] for sys in plain] + [chains[:1] + plain + chains[1:]]
+                      + [plain[:2] + chains + plain[2:]]):
+            got = colligation._solve_guarded([(sys, zs) for sys in stack], True)
+            assert [_bits(v) for v in got] == [want(sys) for sys in stack], n
+
+    def test_an_empty_stack_solves_nothing(self):
+        assert colligation._solve_guarded([], False) == []
+        assert colligation._solve_guarded([], True) == []
 
     def test_a_stack_of_mixed_orders_is_refused(self, rng):
         one, chain = make_elementary(0.5 + 1j).system, _draw_chain(rng, 2)

@@ -512,16 +512,17 @@ class TestChainStack:
             chains, plain = zip(*map(_stacked_pair, lams))
             # every one-chain stack, then the stack of all three
             for lo, hi in [(k, k + 1) for k in range(len(chains))] + [(0, len(chains))]:
-                for re_t in (False, True):
-                    bases, channels = _Chain._stack(chains[lo:hi], re_t)
-                    assert bases.shape == (hi - lo, n, n) and channels.shape == (hi - lo, n)
-                    for base, k, p in zip(bases, channels, plain[lo:hi]):
-                        assert base.tobytes() == (p._re_t if re_t else p.T).tobytes(), (n, re_t)
-                        assert k.tobytes() == p.K.tobytes(), n
+                bases, channels = _Chain._stack(chains[lo:hi])
+                assert bases.shape == (hi - lo, n, n) and channels.shape == (hi - lo, n)
+                # the kernel's Re T, formed from the whole stack
+                re_t = colligation._hermitian_part(bases, False)
+                for base, r, k, p in zip(bases, re_t, channels, plain[lo:hi]):
+                    assert base.tobytes() == p.T.tobytes(), n
+                    assert r.tobytes() == colligation._hermitian_part(p.T, False).tobytes(), n
+                    assert k.tobytes() == p.K.tobytes(), n
             for c, p in zip(chains, plain):
-                # the chain's own T is its one-chain stack's, and builds no Re T
+                # the chain's own T is its one-chain stack's
                 assert c.T.tobytes() == p.T.tobytes() and c.T.flags.owndata
-                assert "_re_t" not in vars(c)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_a_stack_mixing_chains_and_plain_systems_keeps_each_values_bytes(self, rng, n):
@@ -529,13 +530,14 @@ class TestChainStack:
         plain = [_dense(rng, n), _stacked_pair([draw_upper(rng) for _ in range(n)])[1]]
         zs = [2.5j, -1.5j, 0.3 + 3j]
         for systems in (chains[:1] + plain + chains[1:], plain[:1] + chains + plain[1:]):
+            # the chains' own builder hands a mixed stack to LSystem's, slice for slice
+            bases, channels = _Chain._stack(systems)
+            assert bases.tobytes() == b"".join(s.T.tobytes() for s in systems)
+            assert channels.tobytes() == b"".join(s.K.tobytes() for s in systems)
+            assert colligation._hermitian_part(bases, False).tobytes() == b"".join(
+                colligation._hermitian_part(s.T, False).tobytes() for s in systems)
             for ev in (transfer_resolvent, impedance_resolvent):
                 re_t = ev is impedance_resolvent
-                # the chains' own builder hands a mixed stack to LSystem's, slice for slice
-                bases, channels = _Chain._stack(systems, re_t)
-                assert bases.tobytes() == b"".join(
-                    (s._re_t if re_t else s.T).tobytes() for s in systems)
-                assert channels.tobytes() == b"".join(s.K.tobytes() for s in systems)
                 got = colligation._solve_guarded([(s, zs) for s in systems], re_t)
                 want = [ev(s, zs) for s in systems]
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (n, ev.__name__)
